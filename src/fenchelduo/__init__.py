@@ -12,7 +12,6 @@ from .oracles import (
     FenchelDuoError,
     FitError,
     InfiniteValue,
-    LineSearchError,
     LinearMap,
     ProblemSpec,
     RangeError,
@@ -43,18 +42,11 @@ from .problems import (
 )
 from .certificates import (
     CertificateAggregate,
-    GapState,
-    WeightState,
-    cg_identity_residual,
     cg_identity_residuals,
-    gap_update,
-    hybrid_identity_residual,
     hybrid_identity_residuals,
-    md_identity_residual,
     md_identity_residuals,
     step_divergence_dual,
     step_divergence_primal,
-    update_weights,
     weight_rows,
 )
 from .steps import (
@@ -64,9 +56,6 @@ from .steps import (
     OpenLoop,
     StepRule,
     approx_gamma_select,
-    linesearch_cg,
-    linesearch_hyb,
-    linesearch_md,
     make_rule,
     minimize_step_surrogate,
     step_fixed_harmonic,

@@ -1,15 +1,14 @@
 """Duality-gap certificate bookkeeping.
 
-A run maintains three coupled objects:
-
-* :class:`WeightState` -- the averaging weights ``lambda^k_i`` and carry
+* :func:`weight_rows` -- the averaging weights ``lambda^k_i`` and carry
   weights ``mu^k_i`` induced by the step sizes: at each step the new entry
   gets ``lambda = alpha_k``, ``mu = 1`` and all older entries are scaled by
   ``(1 - alpha_k)``.  With ``alpha_0 = 1`` the lambda row is a probability
   vector for every k.
-* :class:`GapState` -- the recursive upper bound on the duality gap, in a
-  plain variant (Bregman increments) and a sharpened variant (Bregman plus
-  the convexity slack of the nonsmooth part; never larger than plain).
+* :func:`step_divergence_primal` / :func:`step_divergence_dual` -- the
+  one-step increments of the recursive gap bound: the Bregman term of the
+  smooth part (the plain bound) plus the Jensen slack of the nonsmooth part
+  (the sharpened bound, never larger than plain).
 * :class:`CertificateAggregate` -- the dual (or primal) certificate, either
   the lambda-weighted running average or the best value seen so far.
 
@@ -22,8 +21,8 @@ bookkeeping used while the run was live.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,78 +30,20 @@ from .oracles import (
     INF,
     InfiniteValue,
     ProblemSpec,
-    RangeError,
     StateError,
     bregman_f,
     bregman_hconj,
 )
 
 __all__ = [
-    "WeightState",
-    "update_weights",
     "weight_rows",
-    "GapState",
-    "gap_update",
     "CertificateAggregate",
     "step_divergence_primal",
     "step_divergence_dual",
-    "cg_identity_residual",
     "cg_identity_residuals",
-    "md_identity_residual",
     "md_identity_residuals",
-    "hybrid_identity_residual",
     "hybrid_identity_residuals",
 ]
-
-
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WeightState:
-    """Step-size induced weight rows; streaming keeps O(1) state."""
-
-    mode: str = "streaming"
-    k: int = 0
-    alphas: List[float] = field(default_factory=list)
-    lambda_sum: float = 0.0
-    lambda_rows: List[np.ndarray] = field(default_factory=list)
-    mu_rows: List[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in ("streaming", "full-history"):
-            raise StateError(f"unknown weight mode {self.mode!r}")
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        if self.mode != "full-history":
-            raise StateError("lambda rows are only stored in full-history mode")
-        return self.lambda_rows[-1]
-
-    @property
-    def mus(self) -> np.ndarray:
-        if self.mode != "full-history":
-            raise StateError("mu rows are only stored in full-history mode")
-        return self.mu_rows[-1]
-
-    def update(self, alpha: float) -> "WeightState":
-        if not (0.0 <= alpha <= 1.0):
-            raise RangeError(f"step size must lie in [0, 1], got {alpha}")
-        self.lambda_sum = (1.0 - alpha) * self.lambda_sum + alpha
-        if self.mode == "full-history":
-            prev_l = self.lambda_rows[-1] if self.lambda_rows else np.empty(0)
-            prev_m = self.mu_rows[-1] if self.mu_rows else np.empty(0)
-            self.lambda_rows.append(np.append((1.0 - alpha) * prev_l, alpha))
-            self.mu_rows.append(np.append((1.0 - alpha) * prev_m, 1.0))
-        self.alphas.append(float(alpha))
-        self.k += 1
-        return self
-
-
-def update_weights(state: WeightState, alpha: float) -> WeightState:
-    """Advance the weight rows by one step size."""
-    return state.update(alpha)
 
 
 def weight_rows(alphas) -> tuple:
@@ -134,6 +75,25 @@ def _guarded(coeff: float, value: float, what: str) -> float:
     return coeff * value
 
 
+def _step_increment(lift, breg, nonsmooth, what: str, base, target, alpha: float,
+                    spec: ProblemSpec, sharp: bool = True):
+    """Certificate increment of one side's step from ``base`` toward ``target``.
+
+    The Bregman term D = breg(lift(comb), lift(base)) at the interpolated
+    point comb, alone, or with ``sharp`` the pair (D, sharpened value) where
+    the sharpened value adds the Jensen slack of ``nonsmooth`` at the same
+    interpolation.  D is evaluated once for both.
+    """
+    comb = (1.0 - alpha) * base + alpha * target
+    d = breg(lift(comb), lift(base), spec)
+    if not sharp:
+        return d
+    value = d + _guarded(1.0, float(nonsmooth(comb)), f"{what} at the interpolated point")
+    value -= _guarded(1.0 - alpha, float(nonsmooth(base)), f"{what} at the base point")
+    value -= _guarded(alpha, float(nonsmooth(target)), f"{what} at the target point")
+    return d, value
+
+
 def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: ProblemSpec) -> float:
     """One-step certificate increment on the primal side.
 
@@ -142,13 +102,7 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     term alone (convexity of h), which is what makes the sharpened gap
     recursion at least as tight as the plain one.
     """
-    comb = (1.0 - alpha) * x + alpha * s
-    A = spec.linmap.apply
-    d = bregman_f(A(comb), A(x), spec)
-    value = d + _guarded(1.0, float(spec.h_val(comb)), "h at the interpolated point")
-    value -= _guarded(1.0 - alpha, float(spec.h_val(x)), "h at the base point")
-    value -= _guarded(alpha, float(spec.h_val(s)), "h at the target point")
-    return value
+    return _step_increment(spec.linmap.apply, bregman_f, spec.h_val, "h", x, s, alpha, spec)[1]
 
 
 def step_divergence_dual(v: np.ndarray, neg_z: np.ndarray, alpha: float, spec: ProblemSpec) -> float:
@@ -157,93 +111,8 @@ def step_divergence_dual(v: np.ndarray, neg_z: np.ndarray, alpha: float, spec: P
     Mirror image of :func:`step_divergence_primal` with h* in the smooth role
     (composed with the adjoint map) and u -> f*(-u) in the nonsmooth role.
     """
-    comb = (1.0 - alpha) * v + alpha * neg_z
-    At = spec.linmap.adjoint
-    d = bregman_hconj(At(comb), At(v), spec)
-    value = d + _guarded(1.0, float(spec.f_conj_val(-comb)), "f* at the interpolated point")
-    value -= _guarded(1.0 - alpha, float(spec.f_conj_val(-v)), "f* at the base point")
-    value -= _guarded(alpha, float(spec.f_conj_val(-neg_z)), "f* at the target point")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# gap recursions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GapState:
-    """Recursive duality-gap bound for one run; kind is 'cg', 'md' or 'hyb'.
-
-    ``plain`` accumulates Bregman increments, ``sharp`` accumulates the full
-    step divergences.  Both share the same base case (the two coincide for a
-    full first step) and must be seeded via :meth:`initialize` before
-    :meth:`update` may be called.
-    """
-
-    kind: str
-    plain: Optional[float] = None
-    sharp: Optional[float] = None
-    k: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("cg", "md", "hyb"):
-            raise StateError(f"unknown gap kind {self.kind!r}")
-
-    @property
-    def initialized(self) -> bool:
-        return self.plain is not None
-
-    def bound(self, mode: str = "plain") -> float:
-        if not self.initialized:
-            raise StateError("gap state queried before base-case initialization")
-        return self.sharp if mode == "sharp" else self.plain
-
-    def initialize(self, spec: ProblemSpec, *, x0=None, s0=None, v0=None, z0=None, u0=None):
-        """Base case after the forced full first step (alpha_0 = 1)."""
-        A, At = spec.linmap.apply, spec.linmap.adjoint
-        if self.kind == "cg":
-            base = bregman_f(A(s0), A(x0), spec)
-        elif self.kind == "md":
-            base = bregman_hconj(-At(z0), At(v0), spec)
-        else:
-            base = bregman_f(A(s0), A(x0), spec) + bregman_hconj(-At(z0), -At(u0), spec)
-        self.plain = base
-        self.sharp = base
-        self.k = 1
-        return self
-
-    def update(self, alpha: float, spec: ProblemSpec, *, x=None, s=None, v=None, z=None, u=None):
-        """Advance both gap variants by one step of size ``alpha``."""
-        if not self.initialized:
-            raise StateError("gap update called before base-case initialization")
-        if not (0.0 <= alpha <= 1.0):
-            raise RangeError(f"step size must lie in [0, 1], got {alpha}")
-        A, At = spec.linmap.apply, spec.linmap.adjoint
-        keep = 1.0 - alpha
-        if self.kind == "cg":
-            comb = keep * x + alpha * s
-            plain_inc = bregman_f(A(comb), A(x), spec)
-            sharp_inc = step_divergence_primal(x, s, alpha, spec)
-        elif self.kind == "md":
-            comb = keep * v - alpha * z
-            plain_inc = bregman_hconj(At(comb), At(v), spec)
-            sharp_inc = step_divergence_dual(v, -z, alpha, spec)
-        else:
-            comb_x = keep * x + alpha * s
-            comb_u = keep * u + alpha * z
-            plain_inc = bregman_f(A(comb_x), A(x), spec)
-            plain_inc += bregman_hconj(-At(comb_u), -At(u), spec)
-            sharp_inc = step_divergence_primal(x, s, alpha, spec)
-            sharp_inc += step_divergence_dual(-u, -z, alpha, spec)
-        self.plain = keep * self.plain + plain_inc
-        self.sharp = keep * self.sharp + sharp_inc
-        self.k += 1
-        return self
-
-
-def gap_update(state: GapState, alpha: float, spec: ProblemSpec, **points) -> GapState:
-    """Functional wrapper around :meth:`GapState.update`."""
-    return state.update(alpha, spec, **points)
+    return _step_increment(spec.linmap.adjoint, bregman_hconj, lambda w: spec.f_conj_val(-w),
+                           "f*", v, neg_z, alpha, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +152,25 @@ class CertificateAggregate:
 # exact identity residuals (recomputed from a finished trace)
 # ---------------------------------------------------------------------------
 
-def _require_full_first_step(alphas):
+def _residuals(alphas, terms) -> np.ndarray:
+    # relative residual of  avg - div + current = 0  at every k >= 1, where
+    # terms(k, lam, mu) gives the three terms under the weight rows of step k
     if len(alphas) == 0 or alphas[0] != 1.0:
         raise StateError("identity residuals require alpha_0 = 1")
+    out = np.empty(len(alphas))
+    for k in range(1, len(alphas) + 1):
+        lam, mu = weight_rows(alphas[:k])
+        avg, div, current = terms(k, lam, mu)
+        out[k - 1] = abs(avg - div + current) / (1.0 + abs(avg) + abs(div) + abs(current))
+    return out
 
 
-def _cg_arrays(trace, spec):
-    # per-iteration oracle values, computed once; the per-k weighted sums are
-    # then pure arithmetic
+def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
+    """Relative residuals of the primal-run identity for every k >= 1.
+
+    The identity: the lambda-average of dual objective values minus the
+    mu-weighted step divergences equals minus the primal value at x_k.
+    """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dv = np.array([
         float(spec.f_conj_val(u)) + float(spec.h_conj_val(-At(u))) for u in trace.us
@@ -302,10 +182,12 @@ def _cg_arrays(trace, spec):
     primal = np.array([
         float(spec.f_val(A(x))) + float(spec.h_val(x)) for x in trace.xs[1:]
     ])
-    return dv, div, primal
+    return _residuals(trace.alphas, lambda k, lam, mu: (
+        float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])))
 
 
-def _md_arrays(trace, spec):
+def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
+    """Relative residuals of the dual-run identity for every k >= 1."""
     A, At = spec.linmap.apply, spec.linmap.adjoint
     pv = np.array([
         float(spec.f_val(A(y))) + float(spec.h_val(y)) for y in trace.ys
@@ -317,10 +199,16 @@ def _md_arrays(trace, spec):
     dual = np.array([
         float(spec.f_conj_val(-v)) + float(spec.h_conj_val(At(v))) for v in trace.vs[1:]
     ])
-    return pv, div, dual
+    return _residuals(trace.alphas, lambda k, lam, mu: (
+        float(lam @ pv[:k]), float(mu @ div[:k]), float(dual[k - 1])))
 
 
-def _hyb_arrays(trace, spec):
+def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
+    """Relative residuals of the symmetric-run gap identity for every k >= 1.
+
+    Here the certificate is exact: the duality gap at (x_k, u_k) equals the
+    mu-weighted sum of primal plus dual step divergences.
+    """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     div = np.array([
         step_divergence_primal(x, s, a, spec) + step_divergence_dual(-u, -z, a, spec)
@@ -332,94 +220,5 @@ def _hyb_arrays(trace, spec):
         + float(spec.f_conj_val(u)) + float(spec.h_conj_val(-At(u)))
         for x, u in zip(trace.xs[1:], trace.us[1:])
     ])
-    return gap, div
-
-
-def _cg_terms(trace, spec, k, arrays=None):
-    dv, div, primal = _cg_arrays(trace, spec) if arrays is None else arrays
-    lam, mu = weight_rows(trace.alphas[:k])
-    return float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])
-
-
-def _md_terms(trace, spec, k, arrays=None):
-    pv, div, dual = _md_arrays(trace, spec) if arrays is None else arrays
-    lam, mu = weight_rows(trace.alphas[:k])
-    return float(lam @ pv[:k]), float(mu @ div[:k]), float(dual[k - 1])
-
-
-def _hyb_terms(trace, spec, k, arrays=None):
-    gap, div = _hyb_arrays(trace, spec) if arrays is None else arrays
-    _, mu = weight_rows(trace.alphas[:k])
-    return float(gap[k - 1]), float(mu @ div[:k])
-
-
-def cg_identity_residual(trace, spec: ProblemSpec, k: Optional[int] = None) -> float:
-    """Absolute residual of the primal-run certificate identity at iteration k.
-
-    The identity: the lambda-average of dual objective values minus the
-    mu-weighted step divergences equals minus the primal value at x_k.
-    Defaults to the final iteration.
-    """
-    _require_full_first_step(trace.alphas)
-    if k is None:
-        k = len(trace.alphas)
-    dual_sum, div_sum, primal = _cg_terms(trace, spec, k)
-    return abs(dual_sum - div_sum + primal)
-
-
-def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
-    """Relative residuals of the primal-run identity for every k >= 1."""
-    _require_full_first_step(trace.alphas)
-    arrays = _cg_arrays(trace, spec)
-    out = np.empty(len(trace.alphas))
-    for k in range(1, len(trace.alphas) + 1):
-        dual_sum, div_sum, primal = _cg_terms(trace, spec, k, arrays)
-        scale = 1.0 + abs(dual_sum) + abs(div_sum) + abs(primal)
-        out[k - 1] = abs(dual_sum - div_sum + primal) / scale
-    return out
-
-
-def md_identity_residual(trace, spec: ProblemSpec, k: Optional[int] = None) -> float:
-    """Absolute residual of the dual-run certificate identity at iteration k."""
-    _require_full_first_step(trace.alphas)
-    if k is None:
-        k = len(trace.alphas)
-    primal_sum, div_sum, dual = _md_terms(trace, spec, k)
-    return abs(primal_sum - div_sum + dual)
-
-
-def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
-    """Relative residuals of the dual-run identity for every k >= 1."""
-    _require_full_first_step(trace.alphas)
-    arrays = _md_arrays(trace, spec)
-    out = np.empty(len(trace.alphas))
-    for k in range(1, len(trace.alphas) + 1):
-        primal_sum, div_sum, dual = _md_terms(trace, spec, k, arrays)
-        scale = 1.0 + abs(primal_sum) + abs(div_sum) + abs(dual)
-        out[k - 1] = abs(primal_sum - div_sum + dual) / scale
-    return out
-
-
-def hybrid_identity_residual(trace, spec: ProblemSpec, k: Optional[int] = None) -> float:
-    """Absolute residual of the symmetric-run gap identity at iteration k.
-
-    Here the certificate is exact: the duality gap at (x_k, u_k) equals the
-    mu-weighted sum of primal plus dual step divergences.
-    """
-    _require_full_first_step(trace.alphas)
-    if k is None:
-        k = len(trace.alphas)
-    gap, div_sum = _hyb_terms(trace, spec, k)
-    return abs(gap - div_sum)
-
-
-def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
-    """Relative residuals of the symmetric-run identity for every k >= 1."""
-    _require_full_first_step(trace.alphas)
-    arrays = _hyb_arrays(trace, spec)
-    out = np.empty(len(trace.alphas))
-    for k in range(1, len(trace.alphas) + 1):
-        gap, div_sum = _hyb_terms(trace, spec, k, arrays)
-        scale = 1.0 + abs(gap) + abs(div_sum)
-        out[k - 1] = abs(gap - div_sum) / scale
-    return out
+    return _residuals(trace.alphas, lambda k, lam, mu: (
+        float(gap[k - 1]), float(mu @ div[:k]), 0.0))

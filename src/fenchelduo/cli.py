@@ -231,6 +231,9 @@ def _validated(config: dict):
     policy = {"avg": "average", "average": "average", "best": "best"}.get(config.get("policy", "average"))
     if policy is None:
         raise ConfigError("policy must be avg|best")
+    if algo == "hybrid" and policy == "best":
+        raise ConfigError("policy best needs an aggregate; hybrid certifies its iterates "
+                          "(use avg)")
     mode = config.get("mode", "plain")
     if mode not in ("plain", "sharp"):
         raise ConfigError("mode must be plain|sharp")

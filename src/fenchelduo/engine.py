@@ -1,20 +1,22 @@
 """Iteration engine.
 
-Three projection-free drivers built on the same oracle pair
-``(x, u) -> ((h*)'(-A*u), f'(Ax))``:
+Three projection-free drivers built on one joint oracle step
+``(x, u) -> (s, z) = ((h*)'(-A*u), f'(Ax))``, seen from the primal side, the
+dual side, or both:
 
-* :func:`run_gcs`   -- conditional-subgradient steps on the primal iterate,
-  dual certificate aggregated from the observed subgradients;
-* :func:`run_gmd`   -- mirror-descent steps on a dual iterate, primal
-  certificate aggregated from the observed mirror points;
-* :func:`run_hybrid` -- simultaneous convex-combination update of the
-  primal/dual pair, which makes the certified gap exact.
+* :func:`run_gcs`   -- conditional-subgradient steps move the primal iterate
+  x toward s and read u := z off it; the dual certificate aggregates the u_k;
+* :func:`run_gmd`   -- mirror-descent steps move the dual iterate u = -v
+  toward z and read x := s off it; the primal certificate aggregates the
+  mirror points;
+* :func:`run_hybrid` -- both coordinates move with the same step size, which
+  makes the certified gap exact.
 
-A general linear map is threaded through everywhere; the identity map is the
-special case with zero overhead.  Every run records a :class:`Trace` with the
-full iterate history, both gap-bound variants (plain and sharpened), the true
-duality gap of the certificate pair, and a streaming residual of the exact
-certificate identity.
+All three run through one kernel.  A general linear map is threaded through
+everywhere; the identity map is the special case with zero overhead.  Every
+run records a :class:`Trace` with the full iterate history, both gap-bound
+variants (plain and sharpened), the true duality gap of the certificate
+pair, and a streaming residual of the exact certificate identity.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certificates import (
-    CertificateAggregate,
-    GapState,
-    step_divergence_dual,
-    step_divergence_primal,
-)
+from .certificates import CertificateAggregate, _step_increment
 from .oracles import (
     DomainError,
     InfiniteValue,
@@ -120,6 +117,127 @@ def _fy_debug(spec, y=None, w=None):
         raise DomainError(f"conjugate-pair defect {defect:.3e} exceeds {_FY_DEBUG_TOL}")
 
 
+def _primal_value(spec: ProblemSpec, x) -> float:
+    return (_oracle_value(spec.f_val, spec.linmap.apply(x), "f_val")
+            + _oracle_value(spec.h_val, x, "h_val"))
+
+
+def _dual_value(spec: ProblemSpec, u) -> float:
+    return (_oracle_value(spec.f_conj_val, u, "f_conj_val")
+            + _oracle_value(spec.h_conj_val, -spec.linmap.adjoint(u), "h_conj_val"))
+
+
+def _run(algo: str, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
+         epsilon: Optional[float], policy: str, mode: str, debug: bool) -> Trace:
+    """The joint-step kernel: gcs moves x (u := z), gmd moves u (x := s),
+    hybrid moves both with one step size.
+
+    The certificate increment of a step is the primal-side divergence (f(A .)
+    and h between x and s), the dual-side one (h*(-A* .) and f* between u and
+    z), or their sum.  A side that does not move is certified by the
+    aggregate of its step points instead of its iterate.
+    """
+    A, At = spec.linmap.apply, spec.linmap.adjoint
+    moves_x, moves_u = algo != "gmd", algo != "gcs"
+    sharp_mode = mode == "sharp"
+    trace = Trace(algo=algo, mode=mode, policy=policy, meta=dict(spec.meta))
+    # gmd records its dual iterate in the mirror-descent sign, v = -u
+    u_hist, u_record = (trace.vs, np.negative) if algo == "gmd" else (trace.us, np.copy)
+    if moves_x:
+        trace.xs.append(x.copy())
+    if moves_u:
+        u_hist.append(u_record(u))
+    agg = None if algo == "hybrid" else CertificateAggregate(policy)
+    avg = 0.0  # lambda-average of the aggregated side's values, for the residual
+
+    def neg_adjoint(w):
+        return -At(w)
+
+    def increment(a, sharp):
+        # the Bregman term alone, or with sharp the pair (Bregman, sharpened)
+        if moves_x:
+            p = _step_increment(A, bregman_f, spec.h_val, "h", x, s, a, spec, sharp)
+        if moves_u:
+            d = _step_increment(neg_adjoint, bregman_hconj, spec.f_conj_val, "f*", u, z, a, spec,
+                                sharp)
+        if not moves_u:
+            return p
+        if not moves_x:
+            return d
+        return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
+
+    def probe(a):
+        return increment(a, True)[1] if sharp_mode else increment(a, False)
+
+    def side_value(value_fn, moves, iterate):
+        if moves:
+            return value_fn(spec, iterate)
+        return value_fn(spec, agg.point) if policy == "average" else agg.best_value
+
+    plain = sharp = None
+    start = time.perf_counter()
+    try:
+        for k in range(k_max):
+            if moves_u:
+                s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
+                if not moves_x:
+                    x = s
+            z = _oracle_point(spec.f_grad, A(x), "f_grad")
+            if not moves_u:
+                u = z
+                s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
+            if debug:
+                _fy_debug(spec, y=A(x), w=-At(u))
+            if agg is not None:
+                step_value = _dual_value(spec, u) if moves_x else _primal_value(spec, x)
+
+            alpha = 1.0 if k == 0 else float(rule.select(k, sharp if sharp_mode else plain, probe))
+            if not (0.0 <= alpha <= 1.0):
+                raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
+
+            if k == 0:
+                plain = sharp = increment(1.0, False)
+            else:
+                d_plain, d_sharp = increment(alpha, True)
+                plain = (1.0 - alpha) * plain + d_plain
+                sharp = (1.0 - alpha) * sharp + d_sharp
+            if agg is not None:
+                agg.update(u if moves_x else x, alpha, step_value)
+                avg = (1.0 - alpha) * avg + alpha * step_value
+            if moves_x:
+                x = (1.0 - alpha) * x + alpha * s
+            if moves_u:
+                u = (1.0 - alpha) * u + alpha * z
+
+            trace.alphas.append(alpha)
+            if moves_x:
+                trace.ss.append(s)
+                trace.xs.append(x.copy())
+            else:
+                trace.ys.append(s)
+            if moves_u:
+                trace.zs.append(z)
+            u_hist.append(u_record(u))
+            p_val = side_value(_primal_value, moves_x, x)
+            u_val = side_value(_dual_value, moves_u, u)
+            # the identity behind the residual: avg + (moving sides' values) = sharp
+            current = p_val + u_val if agg is None else (p_val if moves_x else u_val)
+            trace.primal.append(p_val)
+            trace.dual.append(-u_val)
+            trace.gap_plain.append(plain)
+            trace.gap_sharp.append(sharp)
+            trace.true_gap.append(p_val + u_val)
+            trace.residual.append(abs(avg - sharp + current))
+            trace.t_ms.append((time.perf_counter() - start) * 1e3)
+            if epsilon is not None and (sharp if sharp_mode else plain) < epsilon:
+                break
+    except (DomainError, InfiniteValue) as exc:
+        trace.error = str(exc)
+    point = u if agg is None else agg.point
+    trace.certificate = None if point is None else point.copy()
+    return trace
+
+
 def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
             epsilon: Optional[float] = None, policy: str = "average",
             mode: str = "plain", debug: bool = False) -> Trace:
@@ -131,68 +249,7 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     """
     _check_args(k_max, policy, mode)
     x = as_point(x0, spec.dim_x, "x0")
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gcs", mode=mode, policy=policy, meta=dict(spec.meta))
-    trace.xs.append(x.copy())
-    gap = GapState("cg")
-    agg = CertificateAggregate(policy)
-    dual_avg = 0.0  # lambda-weighted dual objective values, for the residual
-    start = time.perf_counter()
-    try:
-        for k in range(k_max):
-            u = _oracle_point(spec.f_grad, A(x), "f_grad")
-            s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
-            if debug:
-                _fy_debug(spec, y=A(x), w=-At(u))
-            dual_val = _oracle_value(spec.f_conj_val, u, "f_conj_val")
-            dual_val += _oracle_value(spec.h_conj_val, -At(u), "h_conj_val")
-
-            if k == 0:
-                alpha = 1.0
-            else:
-                xi, si = x, s
-                sharp = mode == "sharp"
-
-                def d_fun(a, xi=xi, si=si, sharp=sharp):
-                    if sharp:
-                        return step_divergence_primal(xi, si, a, spec)
-                    return bregman_f(A((1.0 - a) * xi + a * si), A(xi), spec)
-
-                alpha = float(rule.select(k, gap.bound(mode), d_fun))
-            if not (0.0 <= alpha <= 1.0):
-                raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
-
-            if k == 0:
-                gap.initialize(spec, x0=x, s0=s)
-            else:
-                gap.update(alpha, spec, x=x, s=s)
-            agg.update(u, alpha, dual_val)
-            dual_avg = (1.0 - alpha) * dual_avg + alpha * dual_val
-            x = (1.0 - alpha) * x + alpha * s
-
-            trace.alphas.append(alpha)
-            trace.us.append(u)
-            trace.ss.append(s)
-            trace.xs.append(x.copy())
-            primal = _oracle_value(spec.f_val, A(x), "f_val") + _oracle_value(spec.h_val, x, "h_val")
-            if policy == "average":
-                cert_dual = _oracle_value(spec.f_conj_val, agg.point, "f_conj_val")
-                cert_dual += _oracle_value(spec.h_conj_val, -At(agg.point), "h_conj_val")
-            else:
-                cert_dual = agg.best_value
-            trace.primal.append(primal)
-            trace.dual.append(-cert_dual)
-            trace.gap_plain.append(gap.plain)
-            trace.gap_sharp.append(gap.sharp)
-            trace.true_gap.append(primal + cert_dual)
-            trace.residual.append(abs(dual_avg - gap.sharp + primal))
-            trace.t_ms.append((time.perf_counter() - start) * 1e3)
-            if epsilon is not None and gap.bound(mode) < epsilon:
-                break
-    except (DomainError, InfiniteValue) as exc:
-        trace.error = str(exc)
-    trace.certificate = None if agg.point is None else agg.point.copy()
-    return trace
+    return _run("gcs", spec, x, None, rule, k_max, epsilon, policy, mode, debug)
 
 
 def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
@@ -206,69 +263,7 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     """
     _check_args(k_max, policy, mode)
     v = as_point(v0, spec.dim_y, "v0")
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gmd", mode=mode, policy=policy, meta=dict(spec.meta))
-    trace.vs.append(v.copy())
-    gap = GapState("md")
-    agg = CertificateAggregate(policy)
-    primal_avg = 0.0  # lambda-weighted primal objective values, for the residual
-    start = time.perf_counter()
-    try:
-        for k in range(k_max):
-            y = _oracle_point(spec.h_conj_grad, At(v), "h_conj_grad")
-            z = _oracle_point(spec.f_grad, A(y), "f_grad")
-            if debug:
-                _fy_debug(spec, y=A(y), w=At(v))
-            primal_val = _oracle_value(spec.f_val, A(y), "f_val")
-            primal_val += _oracle_value(spec.h_val, y, "h_val")
-
-            if k == 0:
-                alpha = 1.0
-            else:
-                vi, zi = v, z
-                sharp = mode == "sharp"
-
-                def d_fun(a, vi=vi, zi=zi, sharp=sharp):
-                    if sharp:
-                        return step_divergence_dual(vi, -zi, a, spec)
-                    return bregman_hconj(At((1.0 - a) * vi - a * zi), At(vi), spec)
-
-                alpha = float(rule.select(k, gap.bound(mode), d_fun))
-            if not (0.0 <= alpha <= 1.0):
-                raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
-
-            if k == 0:
-                gap.initialize(spec, v0=v, z0=z)
-            else:
-                gap.update(alpha, spec, v=v, z=z)
-            agg.update(y, alpha, primal_val)
-            primal_avg = (1.0 - alpha) * primal_avg + alpha * primal_val
-            v = (1.0 - alpha) * v - alpha * z
-
-            trace.alphas.append(alpha)
-            trace.ys.append(y)
-            trace.zs.append(z)
-            trace.vs.append(v.copy())
-            if policy == "average":
-                cert_primal = _oracle_value(spec.f_val, A(agg.point), "f_val")
-                cert_primal += _oracle_value(spec.h_val, agg.point, "h_val")
-            else:
-                cert_primal = agg.best_value
-            dual_obj = _oracle_value(spec.f_conj_val, -v, "f_conj_val")
-            dual_obj += _oracle_value(spec.h_conj_val, At(v), "h_conj_val")
-            trace.primal.append(cert_primal)
-            trace.dual.append(-dual_obj)
-            trace.gap_plain.append(gap.plain)
-            trace.gap_sharp.append(gap.sharp)
-            trace.true_gap.append(cert_primal + dual_obj)
-            trace.residual.append(abs(primal_avg - gap.sharp + dual_obj))
-            trace.t_ms.append((time.perf_counter() - start) * 1e3)
-            if epsilon is not None and gap.bound(mode) < epsilon:
-                break
-    except (DomainError, InfiniteValue) as exc:
-        trace.error = str(exc)
-    trace.certificate = None if agg.point is None else agg.point.copy()
-    return trace
+    return _run("gmd", spec, None, -v, rule, k_max, epsilon, policy, mode, debug)
 
 
 def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
@@ -278,67 +273,13 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
 
     Both coordinates move toward the joint oracle output
     (s_k, z_k) = ((h*)'(-A*u_k), f'(Ax_k)) with the same step size, and the
-    certified bound coincides with the true duality gap at (x_k, u_k).
+    certified bound coincides with the true duality gap at (x_k, u_k).  The
+    iterates are their own certificate, so only ``policy="average"`` applies.
     """
     _check_args(k_max, policy, mode)
+    if policy != "average":
+        raise RangeError("hybrid runs certify their iterates; "
+                         f"policy must be 'average', got {policy!r}")
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="hybrid", mode=mode, policy=policy, meta=dict(spec.meta))
-    trace.xs.append(x.copy())
-    trace.us.append(u.copy())
-    gap = GapState("hyb")
-    start = time.perf_counter()
-    try:
-        for k in range(k_max):
-            s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
-            z = _oracle_point(spec.f_grad, A(x), "f_grad")
-            if debug:
-                _fy_debug(spec, y=A(x), w=-At(u))
-
-            if k == 0:
-                alpha = 1.0
-            else:
-                xi, ui, si, zi = x, u, s, z
-                sharp = mode == "sharp"
-
-                def d_fun(a, xi=xi, ui=ui, si=si, zi=zi, sharp=sharp):
-                    if sharp:
-                        return (step_divergence_primal(xi, si, a, spec)
-                                + step_divergence_dual(-ui, -zi, a, spec))
-                    keep = 1.0 - a
-                    d = bregman_f(A(keep * xi + a * si), A(xi), spec)
-                    return d + bregman_hconj(-At(keep * ui + a * zi), -At(ui), spec)
-
-                alpha = float(rule.select(k, gap.bound(mode), d_fun))
-            if not (0.0 <= alpha <= 1.0):
-                raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
-
-            if k == 0:
-                gap.initialize(spec, x0=x, s0=s, u0=u, z0=z)
-            else:
-                gap.update(alpha, spec, x=x, s=s, u=u, z=z)
-            x = (1.0 - alpha) * x + alpha * s
-            u = (1.0 - alpha) * u + alpha * z
-
-            trace.alphas.append(alpha)
-            trace.ss.append(s)
-            trace.zs.append(z)
-            trace.xs.append(x.copy())
-            trace.us.append(u.copy())
-            primal = _oracle_value(spec.f_val, A(x), "f_val") + _oracle_value(spec.h_val, x, "h_val")
-            dual_obj = _oracle_value(spec.f_conj_val, u, "f_conj_val")
-            dual_obj += _oracle_value(spec.h_conj_val, -At(u), "h_conj_val")
-            trace.primal.append(primal)
-            trace.dual.append(-dual_obj)
-            trace.gap_plain.append(gap.plain)
-            trace.gap_sharp.append(gap.sharp)
-            trace.true_gap.append(primal + dual_obj)
-            trace.residual.append(abs(primal + dual_obj - gap.sharp))
-            trace.t_ms.append((time.perf_counter() - start) * 1e3)
-            if epsilon is not None and gap.bound(mode) < epsilon:
-                break
-    except (DomainError, InfiniteValue) as exc:
-        trace.error = str(exc)
-    trace.certificate = None if trace.us == [] else u.copy()
-    return trace
+    return _run("hybrid", spec, x, u, rule, k_max, epsilon, policy, mode, debug)

@@ -30,7 +30,6 @@ __all__ = [
     "InfiniteValue",
     "RangeError",
     "StateError",
-    "LineSearchError",
     "FitError",
     "as_point",
     "LinearMap",
@@ -70,10 +69,6 @@ class RangeError(FenchelDuoError):
 
 class StateError(FenchelDuoError):
     """An operation was called in an invalid state (e.g. before initialization)."""
-
-
-class LineSearchError(FenchelDuoError):
-    """The line-search surrogate could not be evaluated anywhere on (0, 1]."""
 
 
 class FitError(FenchelDuoError):

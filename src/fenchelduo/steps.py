@@ -22,15 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .oracles import (
-    INF,
-    InfiniteValue,
-    ProblemSpec,
-    RangeError,
-    bregman_f,
-    bregman_hconj,
-)
-from .certificates import step_divergence_primal, step_divergence_dual
+from .oracles import INF, InfiniteValue, RangeError
 
 __all__ = [
     "StepRule",
@@ -40,9 +32,6 @@ __all__ = [
     "ApproxGamma",
     "step_fixed_harmonic",
     "minimize_step_surrogate",
-    "linesearch_cg",
-    "linesearch_md",
-    "linesearch_hyb",
     "approx_gamma_select",
     "make_rule",
 ]
@@ -169,55 +158,10 @@ def minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
 
 
 # ---------------------------------------------------------------------------
-# line searches for the three iterations
-# ---------------------------------------------------------------------------
-
-def linesearch_cg(gap: float, x, s, spec: ProblemSpec, tol: float = 1e-10,
-                  sharpened: bool = False) -> float:
-    """Step size minimizing the primal gap surrogate for the step x -> s."""
-    A = spec.linmap.apply
-
-    def d_fun(a):
-        if sharpened:
-            return step_divergence_primal(x, s, a, spec)
-        return bregman_f(A((1.0 - a) * x + a * s), A(x), spec)
-
-    return minimize_step_surrogate(gap, d_fun, tol)[0]
-
-
-def linesearch_md(gap: float, v, z, spec: ProblemSpec, tol: float = 1e-10,
-                  sharpened: bool = False) -> float:
-    """Step size minimizing the dual gap surrogate for the step v -> -z."""
-    At = spec.linmap.adjoint
-
-    def d_fun(a):
-        if sharpened:
-            return step_divergence_dual(v, -z, a, spec)
-        return bregman_hconj(At((1.0 - a) * v - a * z), At(v), spec)
-
-    return minimize_step_surrogate(gap, d_fun, tol)[0]
-
-
-def linesearch_hyb(gap: float, x, u, s, z, spec: ProblemSpec, tol: float = 1e-10,
-                   sharpened: bool = False) -> float:
-    """Step size minimizing the joint primal+dual gap surrogate."""
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-
-    def d_fun(a):
-        if sharpened:
-            return step_divergence_primal(x, s, a, spec) + step_divergence_dual(-u, -z, a, spec)
-        keep = 1.0 - a
-        d = bregman_f(A(keep * x + a * s), A(x), spec)
-        return d + bregman_hconj(-At(keep * u + a * z), -At(u), spec)
-
-    return minimize_step_surrogate(gap, d_fun, tol)[0]
-
-
-# ---------------------------------------------------------------------------
 # approximate curvature-exponent selection
 # ---------------------------------------------------------------------------
 
-def _exponent_acceptable(gamma_c: float, k: int, d_fun, tol: float) -> bool:
+def _exponent_acceptable(gamma_c: float, k: int, d_fun) -> bool:
     # Probe D(a)/a^gamma_c at three step sizes around the candidate schedule
     # value.  For D ~ c * a^g the ratio grows with a when gamma_c <= g and
     # shrinks when gamma_c > g, so "nondecreasing toward larger a" accepts
@@ -248,16 +192,16 @@ def approx_gamma_select(k: int, gap: float, d_fun, delta: float,
         raise RangeError(f"delta must lie in (0, 1), got {delta}")
     if k < 1:
         return 1.0
-    if _exponent_acceptable(gamma_max, k, d_fun, tol):
+    if _exponent_acceptable(gamma_max, k, d_fun):
         gamma_k = gamma_max
-    elif not _exponent_acceptable(1.0, k, d_fun, tol):
+    elif not _exponent_acceptable(1.0, k, d_fun):
         # bracket collapsed; the surrogate is not power-like here
         return minimize_step_surrogate(gap, d_fun, tol)[0]
     else:
         lo, hi = 1.0, gamma_max
         while hi - lo > 0.5 * delta:
             mid = 0.5 * (lo + hi)
-            if _exponent_acceptable(mid, k, d_fun, tol):
+            if _exponent_acceptable(mid, k, d_fun):
                 lo = mid
             else:
                 hi = mid

@@ -175,10 +175,8 @@ def test_criterion_7_weight_properties(rate_runs):
     alphas = rate_runs["runs"]["quad_fh"].alphas
     assert alphas[0] == 1.0
     worst_sum, worst_neg = 0.0, 0.0
-    state = fd.WeightState(mode="full-history")
-    for a in alphas:
-        state.update(a)
-        lam = state.lambdas
+    for k in range(1, len(alphas) + 1):
+        lam, _ = fd.weight_rows(alphas[:k])
         worst_sum = max(worst_sum, abs(float(np.sum(lam)) - 1.0))
         worst_neg = max(worst_neg, float(max(0.0, -np.min(lam))))
     ok = worst_sum <= 1e-12 and worst_neg == 0.0

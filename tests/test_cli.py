@@ -132,6 +132,11 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "cfg.json", algorithm="bfgs")
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_hybrid_rejects_best_policy(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", algorithm="hybrid", policy="best")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "policy" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -152,8 +152,8 @@ class TestRunHygiene:
         calls = {"n": 0}
 
         def flaky_grad(y):
-            # 2 calls in iteration 0, then 3 per iteration (step + both
-            # Bregman fallbacks); budget 8 completes exactly 3 rows
+            # 2 calls per iteration (step + the Bregman fallback of the
+            # certificate increment); budget 8 completes exactly 4 rows
             calls["n"] += 1
             if calls["n"] > 8:
                 raise ValueError("oracle budget exhausted")
@@ -167,7 +167,7 @@ class TestRunHygiene:
         )
         tr = fd.run_gcs(broken, [1.0, 0.0], fd.FixedHarmonic(), 10)
         assert tr.error is not None and "f_grad" in tr.error
-        assert tr.k == 3
+        assert tr.k == 4
 
     def test_rejects_bad_kmax_policy_mode(self):
         spec = fd.make_quadratic_simplex(n=2)
@@ -177,6 +177,11 @@ class TestRunHygiene:
             fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 5, policy="median")
         with pytest.raises(fd.RangeError):
             fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 5, mode="fuzzy")
+
+    def test_hybrid_rejects_best_policy(self):
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match="policy"):
+            fd.run_hybrid(spec, [1.0, 0.0], [1.0, 0.0], fd.FixedHarmonic(), 5, policy="best")
 
     def test_rejects_nonfinite_start(self):
         spec = fd.make_quadratic_simplex(n=2)
@@ -213,8 +218,9 @@ def test_sandwich_everywhere(mode, policy):
             runs = [
                 fd.run_gcs(spec, x0, rule, 100, policy=policy, mode=mode),
                 fd.run_gmd(spec, np.zeros(spec.dim_y), rule, 100, policy=policy, mode=mode),
+                # hybrid has no aggregate and accepts only the default policy
                 fd.run_hybrid(spec, x0, spec.f_grad(spec.linmap.apply(x0)), rule, 100,
-                              policy=policy, mode=mode),
+                              mode=mode),
             ]
             for tr in runs:
                 assert tr.error is None

@@ -100,17 +100,6 @@ class TestSurrogateMinimizer:
         assert 0.0 < a <= 0.3
         assert val <= 1.0
 
-    def test_linesearch_wrappers(self):
-        spec = fd.make_quadratic_simplex(n=2)
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        # D(a) = a^2 here, so this is the closed-form case again
-        a = fd.linesearch_cg(1.0, e1, e2, spec)
-        assert a == pytest.approx(0.5, abs=1e-10)
-        a_md = fd.linesearch_md(0.5, np.array([0.5, -0.5]), np.array([0.2, 0.1]), spec)
-        assert 0.0 <= a_md <= 1.0
-        a_h = fd.linesearch_hyb(1.0, e1, e1, e2, e1, spec)
-        assert 0.0 <= a_h <= 1.0
-
 
 class TestApproxGamma:
     def test_schedule_formula(self):
