@@ -1,12 +1,16 @@
 """Command-line harness: run experiments, verify certificate identities,
 probe curvature, fit rates, and compare configurations.
 
-Subcommands: run, verify, probe, rate, compare.  Experiments are described by
-a JSON config; unknown keys are rejected before any oracle is built.  Traces
-are written as CSV with a fixed column set at 17 significant digits so files
-round-trip 64-bit floats; summaries are JSON with sorted keys.  Exit codes:
-2 for config errors, 3 for oracle/domain errors (a partial trace is still
-written), 1 for failed verification.
+Subcommands: run, verify, probe, rate, compare; each takes only the flags it
+reads (``_SUBCOMMANDS``).  Experiments are described by a JSON config.  A flag
+sets the config key of the same name (``--kmax`` sets ``k_max``; ``--gamma``,
+``--delta`` and ``--tol`` set that key of the effective rule), and ``resolve``
+checks every key once, unknown keys and types included, before any oracle is
+built.  Traces are written as CSV with a fixed column set at 17 significant
+digits so files round-trip 64-bit floats; summaries are JSON with sorted keys.
+Exit codes: 1 for failed verification, 2 for config and usage errors, 3 for
+oracle/domain errors (a partial trace is still written), 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,9 +43,7 @@ from .problems import (
     make_quadratic_simplex,
     random_linear_map,
 )
-from .steps import FixedHarmonic, make_rule
-
-log = logging.getLogger("fenchelduo")
+from .steps import FixedHarmonic, StepRule, make_rule
 
 CSV_HEADER = "k,alpha,primal,dual,gap_bound,true_gap,residual,t_ms"
 
@@ -77,80 +79,82 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _as_matrix(value, where: str) -> np.ndarray:
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} is not a numeric matrix: {exc}") from exc
-    if m.ndim != 2:
-        raise ConfigError(f"{where} must be a row-major list of rows")
-    return m
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _build_map(aconf, n: int, rng: np.random.Generator) -> Optional[LinearMap]:
+def _number(value, where: str, integer: bool = False):
+    """``value`` if it is a JSON number (an integer if asked); a boolean is neither."""
+    if not _is_number(value) or (integer and not isinstance(value, int)):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return value
+
+
+def _array(value, where: str, ndim: int) -> np.ndarray:
+    """A list of numbers (``ndim`` 1), or a nonempty list of equal-length rows
+    of numbers (``ndim`` 2), as a float array."""
+    rows = value if ndim == 2 and isinstance(value, (list, tuple)) else [value]
+    if not (all(isinstance(r, (list, tuple)) and all(map(_is_number, r)) for r in rows)
+            and len({len(r) for r in rows}) == 1):
+        raise ConfigError(f"{where} must be a list of {'equal-length rows of ' * (ndim - 1)}"
+                          "numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _build_map(aconf, n: int, seed: int) -> Optional[LinearMap]:
     if aconf is None:
         return None
     if isinstance(aconf, dict):
         _reject_unknown(aconf, {"random"}, "problem.a")
         shape = aconf.get("random")
         if (not isinstance(shape, (list, tuple)) or len(shape) != 2
-                or not all(isinstance(v, int) and v > 0 for v in shape)):
+                or not all(_is_number(v) and isinstance(v, int) and v > 0 for v in shape)):
             raise ConfigError("problem.a.random must be [m, n] with positive integers")
         if shape[1] != n:
             raise ConfigError(f"problem.a.random second entry must equal n = {n}")
-        return random_linear_map(shape[0], shape[1], rng)
-    return LinearMap.from_matrix(_as_matrix(aconf, "problem.a"))
+        return random_linear_map(shape[0], shape[1], np.random.default_rng(seed))
+    return LinearMap.from_matrix(_array(aconf, "problem.a", 2))
 
 
-def _build_q(qconf, m: int):
-    if qconf is None or qconf == "identity":
-        return None
-    if isinstance(qconf, (int, float)):
-        return float(qconf) * np.eye(m)
-    return _as_matrix(qconf, "problem.q")
-
-
-def _build_b(bconf, m: int):
-    if bconf is None:
-        return None
-    if isinstance(bconf, (int, float)):
-        return float(bconf) * np.ones(m)
-    b = np.asarray(bconf, dtype=float)
-    if b.shape != (m,):
-        raise ConfigError(f"problem.b must have length {m}")
-    return b
+def _scaled(value, where: str, ndim: int, unit):
+    """A list ``ndim`` deep as a float array, a number times ``unit()``, or None."""
+    if isinstance(value, (list, tuple)):
+        return _array(value, where, ndim)
+    return None if value is None else float(_number(value, where)) * unit()
 
 
 def build_problem(pconf: dict, seed: int) -> ProblemSpec:
     """Construct the spec named by a problem descriptor dictionary."""
-    if not isinstance(pconf, dict) or "name" not in pconf:
+    if not isinstance(pconf, dict) or not isinstance(pconf.get("name"), str):
         raise ConfigError("config.problem must be an object with a 'name'")
     name = pconf["name"]
     if name not in _PROBLEM_KEYS:
         raise ConfigError(f"unknown problem {name!r} (options: {sorted(_PROBLEM_KEYS)})")
     _reject_unknown(pconf, _PROBLEM_KEYS[name], f"problem {name!r}")
-    n = pconf.get("n", 2)
-    if not isinstance(n, int) or n < 1:
+    n = _number(pconf.get("n", 2), "problem.n", integer=True)
+    if n < 1:
         raise ConfigError("problem.n must be a positive integer")
-    rng = np.random.default_rng(seed)
-    linmap = _build_map(pconf.get("a"), n, rng)
+    linmap = _build_map(pconf.get("a"), n, seed)
     m = linmap.dim_out if linmap is not None else n
+    q = pconf.get("q")
+    q = _scaled(None if q == "identity" else q, "problem.q", 2, lambda: np.eye(m))
+    b = _scaled(pconf.get("b"), "problem.b", 1, lambda: np.ones(m))
+    if b is not None and b.shape != (m,):
+        raise ConfigError(f"problem.b must have length {m}")
     try:
         if name == "quadratic-simplex":
-            return make_quadratic_simplex(_build_q(pconf.get("q"), m),
-                                          _build_b(pconf.get("b"), m), n, a=linmap)
+            return make_quadratic_simplex(q, b, n, a=linmap)
         if name == "quadratic-box":
-            return make_quadratic_box(_build_q(pconf.get("q"), m), _build_b(pconf.get("b"), m),
-                                      lower=pconf.get("lower"), upper=pconf.get("upper"),
-                                      n=n, a=linmap)
+            lower, upper = (_scaled(pconf.get(k), f"problem.{k}", 1, lambda: np.ones(n))
+                            for k in ("lower", "upper"))
+            return make_quadratic_box(q, b, lower=lower, upper=upper, n=n, a=linmap)
         if name == "quadratic-l1":
-            return make_quadratic_l1_ball(_build_q(pconf.get("q"), m),
-                                          _build_b(pconf.get("b"), m),
-                                          radius=pconf.get("radius", 1.0), n=n, a=linmap)
+            radius = _number(pconf.get("radius", 1.0), "problem.radius")
+            return make_quadratic_l1_ball(q, b, radius=radius, n=n, a=linmap)
         if name == "entropy-lse":
-            return make_entropy_lse(n, a=linmap, f_kind=pconf.get("f", "quadratic"),
-                                    Q=_build_q(pconf.get("q"), m), b=_build_b(pconf.get("b"), m))
-        return make_holder_power_simplex(pconf.get("p", 1.5), n, a=linmap)
+            return make_entropy_lse(n, a=linmap, f_kind=pconf.get("f", "quadratic"), Q=q, b=b)
+        return make_holder_power_simplex(_number(pconf.get("p", 1.5), "problem.p"), n, a=linmap)
     except FenchelDuoError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -160,13 +164,13 @@ def build_rule(rconf):
         return FixedHarmonic()
     if isinstance(rconf, str):
         rconf = {"name": rconf}
-    if not isinstance(rconf, dict) or "name" not in rconf:
+    if not isinstance(rconf, dict) or not isinstance(rconf.get("name"), str):
         raise ConfigError("config.rule must be a name or an object with a 'name'")
     name = rconf["name"]
     if name not in _RULE_KEYS:
         raise ConfigError(f"unknown rule {name!r} (options: {sorted(_RULE_KEYS)})")
     _reject_unknown(rconf, _RULE_KEYS[name] | {"name"}, f"rule {name!r}")
-    params = {k: v for k, v in rconf.items() if k != "name"}
+    params = {k: _number(v, f"rule.{k}") for k, v in rconf.items() if k != "name"}
     try:
         return make_rule(name, **params)
     except FenchelDuoError as exc:
@@ -183,86 +187,87 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(config, _TOP_KEYS, "config")
     return config
 
 
-def _apply_overrides(config: dict, args) -> dict:
-    config = dict(config)
-    if getattr(args, "kmax", None) is not None:
-        config["k_max"] = args.kmax
-    if getattr(args, "policy", None) is not None:
-        config["policy"] = args.policy
-    if getattr(args, "mode", None) is not None:
-        config["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        config["out"] = args.out
-    if getattr(args, "rule", None) is not None:
-        rule = {"name": args.rule}
-        if args.rule == "open_loop" and getattr(args, "gamma", None) is not None:
-            rule["gamma"] = args.gamma
-        if args.rule == "approx_gamma" and getattr(args, "delta", None) is not None:
-            rule["delta"] = args.delta
-        if args.rule in ("exact_ls", "approx_gamma") and getattr(args, "tol", None) is not None:
-            rule["tol"] = args.tol
-        config["rule"] = rule
+_TOP_FLAGS = {"kmax": "k_max", "policy": "policy", "mode": "mode", "seed": "seed", "out": "out"}
+
+
+def _with_flags(config: dict, args) -> dict:
+    """The config with each given flag set on the key of the same name:
+    ``--rule`` replaces the rule, and ``--gamma``, ``--delta`` and ``--tol``
+    then set that key of the effective rule, to be checked like config keys."""
+    given = {flag: v for flag, v in vars(args).items() if v is not None}
+    config = {**config, **{key: given[f] for f, key in _TOP_FLAGS.items() if f in given}}
+    if "rule" in given:
+        config["rule"] = {"name": given["rule"]}
+    params = {f: given[f] for f in ("gamma", "delta", "tol") if f in given}
+    if params:
+        rule = config.get("rule", "fixed_harmonic")
+        rule = {"name": rule} if isinstance(rule, str) else rule
+        config["rule"] = {**rule, **params} if isinstance(rule, dict) else rule
     return config
 
 
-def _validated(config: dict):
-    """Translate a config dict into engine arguments."""
+class Setup(NamedTuple):
+    """The parts of one run, built from a checked config."""
+
+    spec: ProblemSpec
+    algo: str
+    rule: StepRule
+    k_max: int
+    epsilon: Optional[float]
+    policy: str
+    mode: str
+    seed: int
+    x0: np.ndarray
+    u0: np.ndarray
+    v0: np.ndarray
+
+
+def resolve(config: dict) -> Setup:
+    """Check every key of a config once and build the parts of its run."""
     _reject_unknown(config, _TOP_KEYS, "config")
     if "problem" not in config:
         raise ConfigError("config needs a 'problem'")
     algo = config.get("algorithm", "gcs")
     if algo not in ("gcs", "gmd", "hybrid"):
         raise ConfigError(f"algorithm must be gcs|gmd|hybrid, got {algo!r}")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    k_max = config.get("k_max", 100)
-    if not isinstance(k_max, int) or k_max < 1:
+    seed = _number(config.get("seed", 0), "seed", integer=True)
+    k_max = _number(config.get("k_max", 100), "k_max", integer=True)
+    if k_max < 1:
         raise ConfigError("k_max must be a positive integer")
     epsilon = config.get("epsilon")
-    if epsilon is not None and not isinstance(epsilon, (int, float)):
-        raise ConfigError("epsilon must be a number or null")
-    policy = {"avg": "average", "average": "average", "best": "best"}.get(config.get("policy", "average"))
-    if policy is None:
+    epsilon = None if epsilon is None else _number(epsilon, "epsilon")
+    policy = config.get("policy", "average")
+    if policy not in ("avg", "average", "best"):
         raise ConfigError("policy must be avg|best")
+    policy = "average" if policy == "avg" else policy
     if algo == "hybrid" and policy == "best":
         raise ConfigError("policy best needs an aggregate; hybrid certifies its iterates "
                           "(use avg)")
     mode = config.get("mode", "plain")
     if mode not in ("plain", "sharp"):
         raise ConfigError("mode must be plain|sharp")
+    x0, u0, v0 = (None if config.get(k) is None else _array(config[k], k, 1)
+                  for k in ("x0", "u0", "v0"))
     spec = build_problem(config["problem"], seed)
     rule = build_rule(config.get("rule"))
-    return spec, algo, rule, k_max, epsilon, policy, mode, seed
-
-
-def _start_points(config: dict, spec: ProblemSpec):
-    x0 = config.get("x0")
-    u0 = config.get("u0")
-    v0 = config.get("v0")
-    x0 = np.asarray(x0, dtype=float) if x0 is not None else spec.h_conj_grad(np.zeros(spec.dim_x))
-    v0 = np.asarray(v0, dtype=float) if v0 is not None else np.zeros(spec.dim_y)
-    u0 = np.asarray(u0, dtype=float) if u0 is not None else np.asarray(
-        spec.f_grad(spec.linmap.apply(x0)), dtype=float)
-    return x0, u0, v0
+    x0 = spec.h_conj_grad(np.zeros(spec.dim_x)) if x0 is None else x0
+    v0 = np.zeros(spec.dim_y) if v0 is None else v0
+    u0 = np.asarray(spec.f_grad(spec.linmap.apply(x0)), dtype=float) if u0 is None else u0
+    return Setup(spec, algo, rule, k_max, epsilon, policy, mode, seed, x0, u0, v0)
 
 
 def execute(config: dict) -> Trace:
     """Run the experiment a config describes and return its trace."""
-    spec, algo, rule, k_max, epsilon, policy, mode, _ = _validated(config)
-    x0, u0, v0 = _start_points(config, spec)
-    kwargs = dict(epsilon=epsilon, policy=policy, mode=mode)
-    if algo == "gcs":
-        return run_gcs(spec, x0, rule, k_max, **kwargs)
-    if algo == "gmd":
-        return run_gmd(spec, v0, rule, k_max, **kwargs)
-    return run_hybrid(spec, x0, u0, rule, k_max, **kwargs)
+    setup = resolve(config)
+    kwargs = dict(epsilon=setup.epsilon, policy=setup.policy, mode=setup.mode)
+    if setup.algo == "gcs":
+        return run_gcs(setup.spec, setup.x0, setup.rule, setup.k_max, **kwargs)
+    if setup.algo == "gmd":
+        return run_gmd(setup.spec, setup.v0, setup.rule, setup.k_max, **kwargs)
+    return run_hybrid(setup.spec, setup.x0, setup.u0, setup.rule, setup.k_max, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +283,8 @@ def write_trace_csv(trace: Trace, path: str):
         fh.write(CSV_HEADER + "\n")
         for i in range(trace.k):
             r = trace.row(i)
-            fh.write(",".join([
-                str(r["k"]), _fmt(r["alpha"]), _fmt(r["primal"]), _fmt(r["dual"]),
-                _fmt(r["gap_bound"]), _fmt(r["true_gap"]), _fmt(r["residual"]),
-                _fmt(r["t_ms"]),
-            ]) + "\n")
+            fh.write(",".join([str(r["k"])] + [_fmt(r[c]) for c in CSV_HEADER.split(",")[1:]])
+                     + "\n")
 
 
 def summarize(trace: Trace, config: dict) -> dict:
@@ -315,7 +317,7 @@ def write_summary(summary: dict, path: str):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _with_flags(load_config(args.config), args)
     trace = execute(config)
     outdir = config.get("out", ".")
     os.makedirs(outdir, exist_ok=True)
@@ -340,10 +342,9 @@ _DEFAULT_VERIFY = [
 
 
 def _verify_one(config: dict, k_max: int, report: list) -> bool:
-    spec, _, _, _, _, _, _, _ = _validated({**config, "algorithm": "gcs"})
+    setup = resolve({**config, "algorithm": "gcs"})
+    spec, rule, x0, u0 = setup.spec, setup.rule, setup.x0, setup.u0
     label = spec.name if spec.linmap.is_identity else f"{spec.name}(general-A)"
-    rule = build_rule(config.get("rule"))
-    x0, u0, v0 = _start_points(config, spec)
     ok = True
 
     def check(name: str, value: float, tol: float) -> bool:
@@ -353,7 +354,7 @@ def _verify_one(config: dict, k_max: int, report: list) -> bool:
 
     traces = {
         "gcs": run_gcs(spec, x0, rule, k_max),
-        "gmd": run_gmd(spec, v0, rule, k_max),
+        "gmd": run_gmd(spec, setup.v0, rule, k_max),
         "hybrid": run_hybrid(spec, x0, u0, rule, k_max),
     }
     residual_fns = {
@@ -399,11 +400,12 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    spec = build_problem(config["problem"], seed)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    setup = resolve(config)
     gamma = args.gamma if args.gamma is not None else 2.0
-    est = probe_curvature(spec, gamma, n_samples=200, seed=seed)
-    print(f"problem: {spec.name}")
+    est = probe_curvature(setup.spec, gamma, n_samples=200, seed=setup.seed)
+    print(f"problem: {setup.spec.name}")
     print(f"gamma: {est.gamma}")
     print(f"c_hat (sampled lower estimate): {_fmt(est.c_hat)}")
     print(f"samples: {est.samples}  skipped: {est.skipped}")
@@ -422,14 +424,16 @@ def _read_trace_gaps(path: str) -> np.ndarray:
 
 
 def cmd_rate(args) -> int:
-    if (args.trace is None) == (args.config is None):
-        raise ConfigError("rate needs exactly one of: a trace file or --config")
+    given = [flag for flag in _FLAGS if getattr(args, flag[2:], None) is not None]
+    if args.trace is not None and given:
+        raise ConfigError(f"rate on a trace file takes no flags, got {' '.join(given)}")
+    if args.trace is None and args.config is None:
+        raise ConfigError("rate needs a trace file or --config")
     if args.trace is not None:
         gaps = _read_trace_gaps(args.trace)
         source = args.trace
     else:
-        config = _apply_overrides(load_config(args.config), args)
-        trace = execute(config)
+        trace = execute(_with_flags(load_config(args.config), args))
         if trace.error:
             print(f"error: {trace.error}", file=sys.stderr)
             return 3
@@ -445,26 +449,23 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _problem_signature(spec: ProblemSpec):
-    mat = None if spec.linmap.matrix is None else spec.linmap.matrix.tobytes()
-    return (spec.name, spec.dim_x, spec.dim_y, mat)
+def _problem_of(config: dict):
+    """What fixes the problem a config runs: its problem object, and the
+    seed when that object draws a random map."""
+    problem = config.get("problem")
+    random_map = isinstance(problem, dict) and isinstance(problem.get("a"), dict)
+    return problem, config.get("seed", 0) if random_map else None
 
 
 def cmd_compare(args) -> int:
     if len(args.configs) < 2:
         raise ConfigError("compare needs at least two configs")
-    configs = [_apply_overrides(load_config(p), args) for p in args.configs]
+    configs = [_with_flags(load_config(p), args) for p in args.configs]
     labels = [os.path.splitext(os.path.basename(p))[0] for p in args.configs]
-    signature = None
-    traces = []
-    for path, config in zip(args.configs, configs):
-        spec, *_ = _validated(config)
-        sig = _problem_signature(spec)
-        if signature is None:
-            signature = sig
-        elif sig != signature:
+    for path, config in zip(args.configs[1:], configs[1:]):
+        if _problem_of(config) != _problem_of(configs[0]):
             raise ConfigError(f"config {path} runs a different problem than {args.configs[0]}")
-        traces.append(execute(config))
+    traces = [execute(config) for config in configs]
     for path, trace in zip(args.configs, traces):
         if trace.error:
             print(f"error in {path}: {trace.error}", file=sys.stderr)
@@ -475,19 +476,13 @@ def cmd_compare(args) -> int:
     width = max(12, max(len(lab) for lab in labels) + 2)
     print("k".rjust(6) + "".join(lab.rjust(width) for lab in labels))
     for k in marks:
-        row = f"{k:6d}"
-        for trace in traces:
-            row += f"{trace.gap_bound[k - 1]:{width}.4e}"
-        print(row)
-    exponents = []
+        print(f"{k:6d}" + "".join(f"{t.gap_bound[k - 1]:{width}.4e}" for t in traces))
+    print("rate exponents (log-log slope of the certified gap):")
     for lab, trace in zip(labels, traces):
         try:
             exponent, r2 = fit_rate(trace)
-            exponents.append((lab, exponent, r2))
         except FitError:
-            exponents.append((lab, float("nan"), float("nan")))
-    print("rate exponents (log-log slope of the certified gap):")
-    for lab, exponent, r2 in exponents:
+            exponent = r2 = float("nan")
         print(f"  {lab}: {exponent:.4f} (r^2 {r2:.4f})")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -504,17 +499,30 @@ def cmd_compare(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="JSON experiment config")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--kmax", type=int, help="iteration budget override")
-    p.add_argument("--rule", choices=sorted(_RULE_KEYS), help="step rule override")
-    p.add_argument("--gamma", type=float, help="open-loop schedule exponent / probe exponent")
-    p.add_argument("--delta", type=float, help="exponent slack for approx_gamma")
-    p.add_argument("--tol", type=float, help="line-search tolerance")
-    p.add_argument("--policy", choices=["avg", "best"], help="certificate aggregation policy")
-    p.add_argument("--mode", choices=["plain", "sharp"], help="gap recursion variant")
-    p.add_argument("--seed", type=int, help="seed for problem-library sampling")
+_FLAGS = {
+    "--config": {"help": "JSON experiment config"},
+    "--out": {"help": "output directory"},
+    "--kmax": {"type": int, "help": "iteration budget"},
+    "--rule": {"choices": sorted(_RULE_KEYS), "help": "step rule (replaces the config's)"},
+    "--gamma": {"type": float, "help": "open_loop exponent (probe: curvature exponent)"},
+    "--delta": {"type": float, "help": "exponent slack of approx_gamma"},
+    "--tol": {"type": float, "help": "line-search tolerance of exact_ls and approx_gamma"},
+    "--policy": {"choices": ["avg", "best"], "help": "certificate aggregation policy"},
+    "--mode": {"choices": ["plain", "sharp"], "help": "gap recursion variant"},
+    "--seed": {"type": int, "help": "seed for problem-library sampling"},
+}
+# subcommand -> (function, help, the flags it reads); verify's --kmax is the
+# suite's budget and probe's --gamma the probed exponent, not config keys
+_SUBCOMMANDS = {
+    "run": (cmd_run, "run one experiment, write trace.csv + summary.json", tuple(_FLAGS)),
+    "verify": (cmd_verify, "run the identity/equivalence suite",
+               ("--config", "--kmax", "--seed")),
+    "probe": (cmd_probe, "estimate a relative curvature constant",
+              ("--config", "--gamma", "--seed")),
+    "rate": (cmd_rate, "fit the gap decay exponent", tuple(f for f in _FLAGS if f != "--out")),
+    "compare": (cmd_compare, "aligned gap table for several configs",
+                tuple(f for f in _FLAGS if f != "--config")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,32 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment, write trace.csv + summary.json")
-    _add_common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_verify = sub.add_parser("verify", help="run the identity/equivalence suite")
-    _add_common(p_verify, config_required=False)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_probe = sub.add_parser("probe", help="estimate a relative curvature constant")
-    _add_common(p_probe)
-    p_probe.set_defaults(fn=cmd_probe)
-
-    p_rate = sub.add_parser("rate", help="fit the gap decay exponent")
-    p_rate.add_argument("trace", nargs="?", help="existing trace.csv")
-    _add_common(p_rate, config_required=False)
-    p_rate.set_defaults(fn=cmd_rate)
-
-    p_cmp = sub.add_parser("compare", help="aligned gap table for several configs")
-    p_cmp.add_argument("configs", nargs="+", help="two or more config files")
-    for flag, kw in (("--out", {}), ("--kmax", {"type": int}), ("--rule", {"choices": sorted(_RULE_KEYS)}),
-                     ("--gamma", {"type": float}), ("--delta", {"type": float}),
-                     ("--tol", {"type": float}), ("--policy", {"choices": ["avg", "best"]}),
-                     ("--mode", {"choices": ["plain", "sharp"]}), ("--seed", {"type": int})):
-        p_cmp.add_argument(flag, **kw)
-    p_cmp.set_defaults(fn=cmd_compare)
+    for name, (fn, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "rate":
+            p.add_argument("trace", nargs="?", help="existing trace.csv")
+        if name == "compare":
+            p.add_argument("configs", nargs="+", help="two or more config files")
+        for flag in flags:
+            p.add_argument(flag, required=flag == "--config" and name in ("run", "probe"),
+                           **_FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -559,7 +551,14 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point stdout at devnull so the
+        # final flush at exit cannot raise again; 141 = 128 + SIGPIPE, as a shell reports
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

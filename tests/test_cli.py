@@ -2,6 +2,10 @@
 and the five subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,24 @@ class TestRun:
         assert summary["policy"] == "best"
 
 
+# (key named in the error, config overrides): wrong JSON types
+WRONG_TYPES = [
+    ("k_max", {"k_max": True}),
+    ("seed", {"seed": True}),
+    ("epsilon", {"epsilon": False}),
+    ("problem.n", {"problem": {"name": "quadratic-simplex", "n": True}}),
+    ("problem.p", {"problem": {"name": "holder-power-simplex", "p": "1.5"}}),
+    ("problem.radius", {"problem": {"name": "quadratic-l1", "radius": True}}),
+    ("problem.q", {"problem": {"name": "quadratic-simplex", "q": True}}),
+    ("problem.b", {"problem": {"name": "quadratic-simplex", "b": [0.5, True]}}),
+    ("problem.a", {"problem": {"name": "quadratic-simplex", "a": [[1, 0], [1]]}}),
+    ("problem.lower", {"problem": {"name": "quadratic-box", "lower": "-1"}}),
+    ("rule.gamma", {"rule": {"name": "open_loop", "gamma": "x"}}),
+    ("rule.max_iters", {"rule": {"name": "exact_ls", "max_iters": True}}),
+    ("x0", {"x0": [1, "0"]}),
+]
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", stepsize=0.1)
@@ -155,6 +177,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "cfg.json",
                            problem={"name": "holder-power-simplex", "n": 2, "p": 3.0})
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, overrides", WRONG_TYPES, ids=[k for k, _ in WRONG_TYPES])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, key, overrides):
+        # a boolean is not a number, and no string is coerced into one
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
 
 class TestVerify:
@@ -223,10 +253,99 @@ class TestProbeRateCompare:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["compare", str(cfg)]) == 2
 
-    def test_compare_rejects_mismatched_problems(self, tmp_path):
-        c1 = write_config(tmp_path / "a.json")
-        c2 = write_config(tmp_path / "b.json", problem={"name": "quadratic-simplex", "n": 3})
+    @pytest.mark.parametrize("first, second", [
+        ({"name": "quadratic-simplex", "n": 2}, {"name": "quadratic-simplex", "n": 3}),
+        ({"name": "quadratic-simplex", "n": 3, "b": [0, 0, 0]},
+         {"name": "quadratic-simplex", "n": 3, "b": [5, -5, 9]}),
+        ({"name": "holder-power-simplex", "n": 3, "p": 1.2},
+         {"name": "holder-power-simplex", "n": 3, "p": 2.0}),
+    ], ids=["dimension", "b", "p"])
+    def test_compare_rejects_mismatched_problems(self, tmp_path, first, second):
+        c1 = write_config(tmp_path / "a.json", problem=first)
+        c2 = write_config(tmp_path / "b.json", problem=second)
         assert main(["compare", str(c1), str(c2)]) == 2
+
+    def test_compare_random_map_needs_same_seed(self, tmp_path):
+        problem = {"name": "quadratic-simplex", "n": 3, "a": {"random": [4, 3]}}
+        c1 = write_config(tmp_path / "a.json", problem=problem, seed=0)
+        c2 = write_config(tmp_path / "b.json", problem=problem, seed=1)
+        assert main(["compare", str(c1), str(c2)]) == 2
+        assert main(["compare", str(c1), str(c2), "--seed", "4"]) == 0
+
+    def test_probe_without_problem_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 10}))
+        assert main(["probe", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    """main's return value, or the exit status argparse raises with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlags:
+    FLAGS = {
+        "run": {"--config", "--out", "--kmax", "--rule", "--gamma", "--delta", "--tol",
+                "--policy", "--mode", "--seed"},
+        "verify": {"--config", "--kmax", "--seed"},
+        "probe": {"--config", "--gamma", "--seed"},
+        "rate": {"--config", "--kmax", "--rule", "--gamma", "--delta", "--tol",
+                 "--policy", "--mode", "--seed"},
+        "compare": {"--out", "--kmax", "--rule", "--gamma", "--delta", "--tol",
+                    "--policy", "--mode", "--seed"},
+    }
+
+    @staticmethod
+    def parser_flags():
+        sub = next(a for a in cli.build_parser()._actions if a.choices and "run" in a.choices)
+        return {name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+                for name, p in sub.choices.items()}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, command):
+        flags = self.parser_flags()
+        assert flags[command] == self.FLAGS[command]
+        assert sum(len(f) for f in flags.values()) == 34
+
+    def test_flag_a_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        assert exit_code(["verify", "--mode", "sharp"]) == 2
+        assert exit_code(["probe", "--config", str(cfg), "--kmax", "3"]) == 2
+        assert exit_code(["rate", str(out / "trace.csv"), "--kmax", "5"]) == 2
+        # fixed_harmonic has no tolerance: a rule flag is checked like a config key
+        assert exit_code(["run", "--config", str(cfg), "--tol", "1e-8",
+                          "--out", str(tmp_path / "o2")]) == 2
+        assert "'tol'" in capsys.readouterr().err
+
+    def test_rule_flag_sets_key_of_config_rule(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", rule={"name": "open_loop", "gamma": 1.5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--gamma", "3"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rule"] == {"gamma": 3.0, "name": "open_loop"}
+        rows = read_rows(out / "trace.csv")
+        assert float(rows[1][1]) == 3.0 / 4.0  # second step: gamma / (1 + gamma)
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    """`fenchel-duo compare ... | head` when the reader is gone first"""
+    c1 = write_config(tmp_path / "a.json", k_max=300)
+    c2 = write_config(tmp_path / "b.json", k_max=300, rule={"name": "exact_ls"})
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "fenchelduo", "compare", str(c1), str(c2)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_oracle_error_exits_three(tmp_path, monkeypatch, capsys):
