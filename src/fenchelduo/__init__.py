@@ -18,9 +18,9 @@ from .oracles import (
     StateError,
     as_point,
     bregman_f,
-    bregman_hconj,
     dual_pair_step,
     duality_gap,
+    dualize,
     fenchel_young_residual,
 )
 from .problems import (
@@ -29,7 +29,6 @@ from .problems import (
     L1BallRegion,
     QuadraticF,
     SimplexRegion,
-    kl_divergence,
     log_sum_exp,
     make_entropy_lse,
     make_holder_power_simplex,
@@ -45,7 +44,6 @@ from .certificates import (
     cg_identity_residuals,
     hybrid_identity_residuals,
     md_identity_residuals,
-    step_divergence_dual,
     step_divergence_primal,
     weight_rows,
 )
@@ -61,7 +59,7 @@ from .steps import (
     step_fixed_harmonic,
 )
 from .engine import Trace, run_gcs, run_gmd, run_hybrid
-from .duality import check_bach_equivalence, check_hybrid_symmetry, dualize
+from .duality import check_bach_equivalence, check_hybrid_symmetry
 from .diagnostics import CurvatureEstimate, curvature_along_trace, fit_rate, probe_curvature
 
 __version__ = "0.1.0"

@@ -5,17 +5,19 @@
   gets ``lambda = alpha_k``, ``mu = 1`` and all older entries are scaled by
   ``(1 - alpha_k)``.  With ``alpha_0 = 1`` the lambda row is a probability
   vector for every k.
-* :func:`step_divergence_primal` / :func:`step_divergence_dual` -- the
-  one-step increments of the recursive gap bound: the Bregman term of the
-  smooth part (the plain bound) plus the Jensen slack of the nonsmooth part
-  (the sharpened bound, never larger than plain).
+* :func:`step_divergence_primal` -- the one-step increment of the
+  recursive gap bound: the Bregman term of the smooth part (the plain bound)
+  plus the Jensen slack of the nonsmooth part (the sharpened bound, never
+  larger than plain).  The dual side's increment is the same function on
+  :func:`~fenchelduo.oracles.dualize` of the spec, from v toward -z.
 * :class:`CertificateAggregate` -- the dual (or primal) certificate, either
   the lambda-weighted running average or the best value seen so far.
 
 The ``*_identity_residuals`` functions replay a finished trace against the
 exact algebraic identities the certificates are built on; they rebuild the
 weight rows from the recorded step sizes, independently of the streaming
-bookkeeping used while the run was live.
+bookkeeping used while the run was live.  A mirror-descent trace replays as
+a conditional-subgradient trace of the dual spec.
 """
 
 from __future__ import annotations
@@ -26,20 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .oracles import (
-    INF,
-    InfiniteValue,
-    ProblemSpec,
-    StateError,
-    bregman_f,
-    bregman_hconj,
-)
+from .oracles import INF, InfiniteValue, ProblemSpec, StateError, bregman_f, dualize
 
 __all__ = [
     "weight_rows",
     "CertificateAggregate",
     "step_divergence_primal",
-    "step_divergence_dual",
     "cg_identity_residuals",
     "md_identity_residuals",
     "hybrid_identity_residuals",
@@ -75,17 +69,17 @@ def _guarded(coeff: float, value: float, what: str) -> float:
     return coeff * value
 
 
-def _step_increment(lift, breg, nonsmooth, what: str, base, target, alpha: float,
+def _step_increment(lift, nonsmooth, what: str, base, target, alpha: float,
                     spec: ProblemSpec, sharp: bool = True):
     """Certificate increment of one side's step from ``base`` toward ``target``.
 
-    The Bregman term D = breg(lift(comb), lift(base)) at the interpolated
-    point comb, alone, or with ``sharp`` the pair (D, sharpened value) where
-    the sharpened value adds the Jensen slack of ``nonsmooth`` at the same
-    interpolation.  D is evaluated once for both.
+    The Bregman term D = D_f(lift(comb), lift(base)) of ``spec`` at the
+    interpolated point comb, alone, or with ``sharp`` the pair (D, sharpened
+    value) where the sharpened value adds the Jensen slack of ``nonsmooth``
+    at the same interpolation.  D is evaluated once for both.
     """
     comb = (1.0 - alpha) * base + alpha * target
-    d = breg(lift(comb), lift(base), spec)
+    d = bregman_f(lift(comb), lift(base), spec)
     if not sharp:
         return d
     value = d + _guarded(1.0, float(nonsmooth(comb)), f"{what} at the interpolated point")
@@ -100,19 +94,11 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     Bregman distance of f(A .) across the step from x toward s, plus the
     Jensen slack of h at the same interpolation.  Never exceeds the Bregman
     term alone (convexity of h), which is what makes the sharpened gap
-    recursion at least as tight as the plain one.
+    recursion at least as tight as the plain one.  On ``dualize(spec)``,
+    from v toward -z, it is the dual side's increment: D_{h*} along A* plus
+    the Jensen slack of w -> f*(-w).
     """
-    return _step_increment(spec.linmap.apply, bregman_f, spec.h_val, "h", x, s, alpha, spec)[1]
-
-
-def step_divergence_dual(v: np.ndarray, neg_z: np.ndarray, alpha: float, spec: ProblemSpec) -> float:
-    """One-step certificate increment on the dual side.
-
-    Mirror image of :func:`step_divergence_primal` with h* in the smooth role
-    (composed with the adjoint map) and u -> f*(-u) in the nonsmooth role.
-    """
-    return _step_increment(spec.linmap.adjoint, bregman_hconj, lambda w: spec.f_conj_val(-w),
-                           "f*", v, neg_z, alpha, spec)[1]
+    return _step_increment(spec.linmap.apply, spec.h_val, "h", x, s, alpha, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,42 +151,38 @@ def _residuals(alphas, terms) -> np.ndarray:
     return out
 
 
+def _cg_residuals(xs, us, ss, alphas, spec: ProblemSpec) -> np.ndarray:
+    A, At = spec.linmap.apply, spec.linmap.adjoint
+    dv = np.array([
+        float(spec.f_conj_val(u)) + float(spec.h_conj_val(-At(u))) for u in us
+    ])
+    div = np.array([
+        step_divergence_primal(x, s, a, spec) for x, s, a in zip(xs[:-1], ss, alphas)
+    ])
+    primal = np.array([
+        float(spec.f_val(A(x))) + float(spec.h_val(x)) for x in xs[1:]
+    ])
+    return _residuals(alphas, lambda k, lam, mu: (
+        float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])))
+
+
 def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     """Relative residuals of the primal-run identity for every k >= 1.
 
     The identity: the lambda-average of dual objective values minus the
     mu-weighted step divergences equals minus the primal value at x_k.
     """
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-    dv = np.array([
-        float(spec.f_conj_val(u)) + float(spec.h_conj_val(-At(u))) for u in trace.us
-    ])
-    div = np.array([
-        step_divergence_primal(x, s, a, spec)
-        for x, s, a in zip(trace.xs[:-1], trace.ss, trace.alphas)
-    ])
-    primal = np.array([
-        float(spec.f_val(A(x))) + float(spec.h_val(x)) for x in trace.xs[1:]
-    ])
-    return _residuals(trace.alphas, lambda k, lam, mu: (
-        float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])))
+    return _cg_residuals(trace.xs, trace.us, trace.ss, trace.alphas, spec)
 
 
 def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
-    """Relative residuals of the dual-run identity for every k >= 1."""
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-    pv = np.array([
-        float(spec.f_val(A(y))) + float(spec.h_val(y)) for y in trace.ys
-    ])
-    div = np.array([
-        step_divergence_dual(v, -z, a, spec)
-        for v, z, a in zip(trace.vs[:-1], trace.zs, trace.alphas)
-    ])
-    dual = np.array([
-        float(spec.f_conj_val(-v)) + float(spec.h_conj_val(At(v))) for v in trace.vs[1:]
-    ])
-    return _residuals(trace.alphas, lambda k, lam, mu: (
-        float(lam @ pv[:k]), float(mu @ div[:k]), float(dual[k - 1])))
+    """Relative residuals of the dual-run identity for every k >= 1.
+
+    The primal-run identity of ``dualize(spec)``, read through the map
+    (x, u, s) = (v, y, -z).
+    """
+    return _cg_residuals(trace.vs, trace.ys, (-z for z in trace.zs), trace.alphas,
+                         dualize(spec))
 
 
 def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
@@ -210,8 +192,9 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     mu-weighted sum of primal plus dual step divergences.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
+    dual = dualize(spec)
     div = np.array([
-        step_divergence_primal(x, s, a, spec) + step_divergence_dual(-u, -z, a, spec)
+        step_divergence_primal(x, s, a, spec) + step_divergence_primal(-u, -z, a, dual)
         for x, u, s, z, a in zip(trace.xs[:-1], trace.us[:-1], trace.ss, trace.zs,
                                  trace.alphas)
     ])

@@ -153,7 +153,11 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
             radius = _number(pconf.get("radius", 1.0), "problem.radius")
             return make_quadratic_l1_ball(q, b, radius=radius, n=n, a=linmap)
         if name == "entropy-lse":
-            return make_entropy_lse(n, a=linmap, f_kind=pconf.get("f", "quadratic"), Q=q, b=b)
+            f_kind = pconf.get("f", "quadratic")
+            unread = [f"problem.{k}" for k in ("q", "b") if pconf.get(k) is not None]
+            if f_kind == "lse" and unread:
+                raise ConfigError(f"entropy-lse with f = 'lse' takes no {' or '.join(unread)}")
+            return make_entropy_lse(n, a=linmap, f_kind=f_kind, Q=q, b=b)
         return make_holder_power_simplex(_number(pconf.get("p", 1.5), "problem.p"), n, a=linmap)
     except FenchelDuoError as exc:
         raise ConfigError(str(exc)) from exc
@@ -234,6 +238,8 @@ def resolve(config: dict) -> Setup:
     if algo not in ("gcs", "gmd", "hybrid"):
         raise ConfigError(f"algorithm must be gcs|gmd|hybrid, got {algo!r}")
     seed = _number(config.get("seed", 0), "seed", integer=True)
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     k_max = _number(config.get("k_max", 100), "k_max", integer=True)
     if k_max < 1:
         raise ConfigError("k_max must be a positive integer")
@@ -252,6 +258,9 @@ def resolve(config: dict) -> Setup:
     x0, u0, v0 = (None if config.get(k) is None else _array(config[k], k, 1)
                   for k in ("x0", "u0", "v0"))
     spec = build_problem(config["problem"], seed)
+    for key, point, dim in (("x0", x0, spec.dim_x), ("u0", u0, spec.dim_y), ("v0", v0, spec.dim_y)):
+        if point is not None and point.shape != (dim,):
+            raise ConfigError(f"{key} must have length {dim}, got {point.shape[0]}")
     rule = build_rule(config.get("rule"))
     x0 = spec.h_conj_grad(np.zeros(spec.dim_x)) if x0 is None else x0
     v0 = np.zeros(spec.dim_y) if v0 is None else v0
@@ -341,9 +350,9 @@ _DEFAULT_VERIFY = [
 ]
 
 
-def _verify_one(config: dict, k_max: int, report: list) -> bool:
+def _verify_one(config: dict, report: list) -> bool:
     setup = resolve({**config, "algorithm": "gcs"})
-    spec, rule, x0, u0 = setup.spec, setup.rule, setup.x0, setup.u0
+    spec, rule, k_max, x0, u0 = setup.spec, setup.rule, setup.k_max, setup.x0, setup.u0
     label = spec.name if spec.linmap.is_identity else f"{spec.name}(general-A)"
     ok = True
 
@@ -385,13 +394,13 @@ def _verify_one(config: dict, k_max: int, report: list) -> bool:
 
 def cmd_verify(args) -> int:
     configs = [load_config(args.config)] if args.config else [dict(c) for c in _DEFAULT_VERIFY]
-    k_max = args.kmax if args.kmax is not None else 150
     report: list = []
     all_ok = True
     for config in configs:
         if args.seed is not None:
             config["seed"] = args.seed
-        all_ok &= _verify_one(config, k_max, report)
+        config["k_max"] = args.kmax if args.kmax is not None else config.get("k_max", 150)
+        all_ok &= _verify_one(config, report)
     print("\n".join(report))
     print(f"{'OK' if all_ok else 'FAILED'}: {sum(r.startswith('PASS') for r in report)} passed, "
           f"{sum(not r.startswith('PASS') for r in report)} failed")
@@ -415,12 +424,21 @@ def cmd_probe(args) -> int:
 
 
 def _read_trace_gaps(path: str) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"{path} is not a trace file (header mismatch)")
-        col = CSV_HEADER.split(",").index("gap_bound")
-        return np.array([float(line.split(",")[col]) for line in fh if line.strip()])
+    col = CSV_HEADER.split(",").index("gap_bound")
+    try:
+        with open(path) as fh:
+            if fh.readline().strip() != CSV_HEADER:
+                raise ConfigError(f"{path} is not a trace file (header mismatch)")
+            rows = [(i, line.split(",")) for i, line in enumerate(fh, start=2) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    gaps = []
+    for i, fields in rows:
+        try:
+            gaps.append(float(fields[col]))
+        except (IndexError, ValueError):
+            raise ConfigError(f"{path} line {i}: gap_bound is not a number") from None
+    return np.array(gaps)
 
 
 def cmd_rate(args) -> int:
@@ -511,8 +529,8 @@ _FLAGS = {
     "--mode": {"choices": ["plain", "sharp"], "help": "gap recursion variant"},
     "--seed": {"type": int, "help": "seed for problem-library sampling"},
 }
-# subcommand -> (function, help, the flags it reads); verify's --kmax is the
-# suite's budget and probe's --gamma the probed exponent, not config keys
+# subcommand -> (function, help, the flags it reads); probe's --gamma is the
+# probed exponent, not a config key
 _SUBCOMMANDS = {
     "run": (cmd_run, "run one experiment, write trace.csv + summary.json", tuple(_FLAGS)),
     "verify": (cmd_verify, "run the identity/equivalence suite",

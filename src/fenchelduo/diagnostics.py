@@ -26,7 +26,7 @@ from .oracles import (
     ProblemSpec,
     RangeError,
     bregman_f,
-    bregman_hconj,
+    dualize,
 )
 
 __all__ = ["CurvatureEstimate", "probe_curvature", "curvature_along_trace", "fit_rate"]
@@ -45,14 +45,12 @@ class CurvatureEstimate:
     skipped: int = 0
 
 
-def _default_alpha_grid() -> np.ndarray:
-    # log grid: the ratio D(alpha)/alpha^gamma discriminates most at small alpha
-    return np.geomspace(1e-3, 1.0, 64)
+# log grid: the ratio D(alpha)/alpha^gamma discriminates most at small alpha
+_ALPHAS = np.geomspace(1e-3, 1.0, 64)
 
 
 def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
-                    alpha_grid=None, seed: int = 0,
-                    rng: Optional[np.random.Generator] = None) -> CurvatureEstimate:
+                    seed: int = 0) -> CurvatureEstimate:
     """Estimate the curvature constant of the smooth part relative to the
     nonsmooth part by random (point, covector) probes.
 
@@ -63,9 +61,7 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
     """
     if gamma <= 1.0:
         raise RangeError(f"curvature exponent must exceed 1, got {gamma}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    alphas = _default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
+    rng = np.random.default_rng(seed)
     A = spec.linmap.apply
     c_hat = 0.0
     witness = None
@@ -81,7 +77,7 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
         except Exception:  # noqa: BLE001 - probe outside dom((h*)') is skippable
             skipped += 1
             continue
-        for a in alphas:
+        for a in _ALPHAS:
             try:
                 d = bregman_f(A((1.0 - a) * x + a * s), A(x), spec)
             except (InfiniteValue, DomainError):
@@ -95,43 +91,35 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
                              samples=n_samples, witness=witness, skipped=skipped)
 
 
-def curvature_along_trace(trace, spec: ProblemSpec, gamma: float, alpha_grid=None):
+def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     """Smallest constants making the curvature inequality hold on the step
     lines of a finished run.
 
     Returns a float for single-sided runs ('gcs': primal side, 'gmd': dual
     side) and a (primal, dual) pair for 'hybrid'.  A bound computed with these
     constants is guaranteed for that same run, which is how rate statements
-    are checked on problems whose global constant is unbounded.
+    are checked on problems whose global constant is unbounded.  The dual
+    side is the primal side of ``dualize(spec)``.
     """
     if gamma <= 1.0:
         raise RangeError(f"curvature exponent must exceed 1, got {gamma}")
-    alphas = _default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
-    A, At = spec.linmap.apply, spec.linmap.adjoint
 
-    def primal_sup(pairs):
+    def sup(pairs, side):
+        A = side.linmap.apply
         c = 0.0
         for x, s in pairs:
-            for a in alphas:
-                d = bregman_f(A((1.0 - a) * x + a * s), A(x), spec)
-                c = max(c, gamma * d / a ** gamma)
-        return c
-
-    def dual_sup(pairs):
-        c = 0.0
-        for v, w in pairs:
-            for a in alphas:
-                d = bregman_hconj(At((1.0 - a) * v + a * w), At(v), spec)
+            for a in _ALPHAS:
+                d = bregman_f(A((1.0 - a) * x + a * s), A(x), side)
                 c = max(c, gamma * d / a ** gamma)
         return c
 
     if trace.algo == "gcs":
-        return primal_sup(zip(trace.xs[:-1], trace.ss))
+        return sup(zip(trace.xs[:-1], trace.ss), spec)
     if trace.algo == "gmd":
-        return dual_sup((v, -z) for v, z in zip(trace.vs[:-1], trace.zs))
+        return sup(((v, -z) for v, z in zip(trace.vs[:-1], trace.zs)), dualize(spec))
     if trace.algo == "hybrid":
-        cp = primal_sup(zip(trace.xs[:-1], trace.ss))
-        cd = dual_sup((-u, -z) for u, z in zip(trace.us[:-1], trace.zs))
+        cp = sup(zip(trace.xs[:-1], trace.ss), spec)
+        cd = sup(((-u, -z) for u, z in zip(trace.us[:-1], trace.zs)), dualize(spec))
         return cp, cd
     raise RangeError(f"unknown trace algo {trace.algo!r}")
 

@@ -1,9 +1,10 @@
-"""Fenchel-dual problem construction and executable equivalence checks.
+"""Executable equivalence checks across the Fenchel dual.
 
 The dual of  min_x f(Ax) + h(x)  can itself be written in the same composite
 shape,  min_v F(Bv) + H(v),  with F = h*, B = A*, and H(v) = f*(-v).  All
 oracles of the dual spec are sign-and-swap rewirings of the primal oracles,
-so a spec satisfying the oracle contracts dualizes for free.
+so a spec satisfying the oracle contracts dualizes for free;
+:func:`~fenchelduo.oracles.dualize` builds it and is re-exported here.
 
 Two classic consequences become deterministic numerical checks here: a
 conditional-subgradient run on the primal replays, sign-flipped, as a
@@ -16,49 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import run_gcs, run_gmd, run_hybrid
-from .oracles import ConstructionError, LinearMap, ProblemSpec, RangeError
+from .oracles import ConstructionError, ProblemSpec, RangeError, dualize
 from .steps import StepRule
 
 __all__ = ["dualize", "check_bach_equivalence", "check_hybrid_symmetry"]
-
-
-def dualize(spec: ProblemSpec) -> ProblemSpec:
-    """Problem spec of the Fenchel dual  min_v h*(A*v) + f*(-v).
-
-    The smooth role is taken by h* (so the primal's conjugate-subgradient
-    oracle becomes the new subgradient oracle) and the nonsmooth role by
-    v -> f*(-v), whose conjugate-subgradient oracle is w -> -f'(-w).
-    Closed-form Bregman distances are carried over with the matching sign
-    flips.  Dualizing twice reproduces the primal oracles composed with
-    negation on both sides.
-    """
-    for attr in ("f_conj_val", "h_conj_val", "h_conj_grad"):
-        if getattr(spec, attr) is None:
-            raise ConstructionError(f"dualization needs the {attr} oracle")
-    lm = spec.linmap
-    dual_map = LinearMap(
-        apply=lm.adjoint,
-        adjoint=lm.apply,
-        dim_in=lm.dim_out,
-        dim_out=lm.dim_in,
-        matrix=None if lm.matrix is None else lm.matrix.T,
-    )
-    return ProblemSpec(
-        f_val=spec.h_conj_val,
-        f_grad=spec.h_conj_grad,
-        f_conj_val=spec.h_val,
-        h_val=lambda w: spec.f_conj_val(-np.asarray(w, dtype=float)),
-        h_conj_val=lambda y: spec.f_val(-np.asarray(y, dtype=float)),
-        h_conj_grad=lambda w: -np.asarray(spec.f_grad(-np.asarray(w, dtype=float)), dtype=float),
-        linmap=dual_map,
-        breg_f=spec.breg_hconj,
-        breg_hconj=None if spec.breg_f is None else (lambda y2, y1: spec.breg_f(-y2, -y1)),
-        breg_fconj=spec.breg_h,
-        breg_h=None if spec.breg_fconj is None else (lambda w2, w1: spec.breg_fconj(-w2, -w1)),
-        name=f"dual({spec.name})" if spec.name else "dual",
-        sample_x=None,
-        meta={"dual_of": spec.name, **{k: v for k, v in spec.meta.items() if k != "problem"}},
-    )
 
 
 def _require_schedule(rule: StepRule):

@@ -34,8 +34,7 @@ from .oracles import (
     ProblemSpec,
     RangeError,
     as_point,
-    bregman_f,
-    bregman_hconj,
+    dualize,
     fenchel_young_residual,
     _oracle_point,
     _oracle_value,
@@ -134,11 +133,13 @@ def _run(algo: str, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
     The certificate increment of a step is the primal-side divergence (f(A .)
     and h between x and s), the dual-side one (h*(-A* .) and f* between u and
-    z), or their sum.  A side that does not move is certified by the
-    aggregate of its step points instead of its iterate.
+    z, with D_{h*} taken as D_f of the dual spec), or their sum.  A side that
+    does not move is certified by the aggregate of its step points instead of
+    its iterate.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     moves_x, moves_u = algo != "gmd", algo != "gcs"
+    dual = dualize(spec) if moves_u else None
     sharp_mode = mode == "sharp"
     trace = Trace(algo=algo, mode=mode, policy=policy, meta=dict(spec.meta))
     # gmd records its dual iterate in the mirror-descent sign, v = -u
@@ -156,10 +157,9 @@ def _run(algo: str, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     def increment(a, sharp):
         # the Bregman term alone, or with sharp the pair (Bregman, sharpened)
         if moves_x:
-            p = _step_increment(A, bregman_f, spec.h_val, "h", x, s, a, spec, sharp)
+            p = _step_increment(A, spec.h_val, "h", x, s, a, spec, sharp)
         if moves_u:
-            d = _step_increment(neg_adjoint, bregman_hconj, spec.f_conj_val, "f*", u, z, a, spec,
-                                sharp)
+            d = _step_increment(neg_adjoint, spec.f_conj_val, "f*", u, z, a, dual, sharp)
         if not moves_u:
             return p
         if not moves_x:

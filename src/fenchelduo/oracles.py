@@ -35,7 +35,7 @@ __all__ = [
     "LinearMap",
     "ProblemSpec",
     "bregman_f",
-    "bregman_hconj",
+    "dualize",
     "dual_pair_step",
     "duality_gap",
     "fenchel_young_residual",
@@ -146,8 +146,8 @@ class ProblemSpec:
 
     Optional closed-form Bregman distances avoid cancellation in the
     certificate arithmetic: breg_f(y2, y1) for D_f and breg_hconj(w2, w1)
-    for D_{h*}.  breg_fconj / breg_h cover the conjugate side and are only
-    needed to propagate closed forms through :func:`fenchelduo.duality.dualize`.
+    for D_{h*}.  :func:`dualize` swaps the two, so D_{h*} is computed as
+    ``bregman_f`` of the dual spec.
 
     All oracles must be pure; a spec may be shared across concurrent runs.
     """
@@ -161,8 +161,6 @@ class ProblemSpec:
     linmap: LinearMap
     breg_f: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     breg_hconj: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    breg_fconj: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    breg_h: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     name: str = ""
     sample_x: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
@@ -174,6 +172,47 @@ class ProblemSpec:
     @property
     def dim_y(self) -> int:
         return self.linmap.dim_out
+
+
+def dualize(spec: ProblemSpec) -> ProblemSpec:
+    """Problem spec of the Fenchel dual  min_v h*(A*v) + f*(-v).
+
+    The smooth role is taken by h* (so the primal's conjugate-subgradient
+    oracle becomes the new subgradient oracle) and the nonsmooth role by
+    v -> f*(-v), whose conjugate-subgradient oracle is w -> -f'(-w).
+    Closed-form Bregman distances are carried over with the matching sign
+    flips.  Dualizing twice reproduces the primal oracles composed with
+    negation on both sides.
+
+    This is the one place that knows the primal-dual sign map: every
+    dual-side quantity of the package is the primal-side function applied
+    to the dual spec.
+    """
+    for attr in ("f_conj_val", "h_conj_val", "h_conj_grad"):
+        if getattr(spec, attr) is None:
+            raise ConstructionError(f"dualization needs the {attr} oracle")
+    lm = spec.linmap
+    dual_map = LinearMap(
+        apply=lm.adjoint,
+        adjoint=lm.apply,
+        dim_in=lm.dim_out,
+        dim_out=lm.dim_in,
+        matrix=None if lm.matrix is None else lm.matrix.T,
+    )
+    return ProblemSpec(
+        f_val=spec.h_conj_val,
+        f_grad=spec.h_conj_grad,
+        f_conj_val=spec.h_val,
+        h_val=lambda w: spec.f_conj_val(-np.asarray(w, dtype=float)),
+        h_conj_val=lambda y: spec.f_val(-np.asarray(y, dtype=float)),
+        h_conj_grad=lambda w: -np.asarray(spec.f_grad(-np.asarray(w, dtype=float)), dtype=float),
+        linmap=dual_map,
+        breg_f=spec.breg_hconj,
+        breg_hconj=None if spec.breg_f is None else (lambda y2, y1: spec.breg_f(-y2, -y1)),
+        name=f"dual({spec.name})" if spec.name else "dual",
+        sample_x=None,
+        meta={"dual_of": spec.name, **{k: v for k, v in spec.meta.items() if k != "problem"}},
+    )
 
 
 def _oracle_point(fn, arg: np.ndarray, oracle: str) -> np.ndarray:
@@ -223,20 +262,6 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
         raise DomainError("f is +inf at the Bregman base point")
     g = _oracle_point(spec.f_grad, x, "f_grad")
     return _snap(fy - fx - float(np.dot(g, y - x)))
-
-
-def bregman_hconj(v: np.ndarray, u: np.ndarray, spec: ProblemSpec) -> float:
-    """Bregman distance D_{h*}(v, u) = h*(v) - h*(u) - <v - u, (h*)'(u)>."""
-    if spec.breg_hconj is not None:
-        return _snap(float(spec.breg_hconj(v, u)))
-    hv = _oracle_value(spec.h_conj_val, v, "h_conj_val")
-    if math.isinf(hv):
-        raise InfiniteValue("h* is +inf at the first Bregman argument")
-    hu = _oracle_value(spec.h_conj_val, u, "h_conj_val")
-    if math.isinf(hu):
-        raise DomainError("h* is +inf at the Bregman base point")
-    g = _oracle_point(spec.h_conj_grad, u, "h_conj_grad")
-    return _snap(hv - hu - float(np.dot(v - u, g)))
 
 
 def dual_pair_step(x: np.ndarray, u: np.ndarray, spec: ProblemSpec):

@@ -24,7 +24,6 @@ __all__ = [
     "HolderPowerF",
     "log_sum_exp",
     "softmax",
-    "kl_divergence",
     "neg_entropy",
     "make_quadratic_simplex",
     "make_quadratic_box",
@@ -53,16 +52,6 @@ def softmax(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     e = np.exp(u - np.max(u))
     return e / np.sum(e)
-
-
-def kl_divergence(p, q) -> float:
-    """sum_i p_i log(p_i / q_i) for nonnegative vectors with equal mass."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return INF
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
 def neg_entropy(x) -> float:
@@ -242,8 +231,6 @@ class QuadraticF:
         self.Q = Q
         self.b = b
         self.m = m
-        self._evals = w
-        self._evecs = V
         self._pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
         self.positive_definite = bool(np.all(w > 0.0))
 
@@ -265,10 +252,6 @@ class QuadraticF:
     def bregman(self, y2, y1) -> float:
         d = np.asarray(y2, dtype=float) - np.asarray(y1, dtype=float)
         return max(0.5 * float(d @ self.Q @ d), 0.0)
-
-    def conj_bregman(self, u2, u1) -> float:
-        d = np.asarray(u2, dtype=float) - np.asarray(u1, dtype=float)
-        return max(0.5 * float(d @ self._pinv @ d), 0.0)
 
 
 class HolderPowerF:
@@ -302,7 +285,6 @@ def _lse_f_oracles():
         "f_conj_val": lambda u: neg_entropy(u) if abs(float(np.sum(u)) - 1.0) <= _SET_TOL
         and float(np.min(u)) >= -_SET_TOL else INF,
         "breg_f": _lse_bregman,
-        "breg_fconj": lambda u2, u1: kl_divergence(u2, u1),
     }
 
 
@@ -340,15 +322,12 @@ def _indicator_spec(region, fpart_oracles, linmap, name, meta) -> ProblemSpec:
 
 
 def _quadratic_oracles(quad: QuadraticF) -> dict:
-    oracles = {
+    return {
         "f_val": quad.val,
         "f_grad": quad.grad,
         "f_conj_val": quad.conj_val,
         "breg_f": quad.bregman,
     }
-    if quad.positive_definite:
-        oracles["breg_fconj"] = quad.conj_bregman
-    return oracles
 
 
 def make_quadratic_simplex(Q=None, b=None, n: int = 2, a=None) -> ProblemSpec:
@@ -360,10 +339,19 @@ def make_quadratic_simplex(Q=None, b=None, n: int = 2, a=None) -> ProblemSpec:
     return _indicator_spec(region, _quadratic_oracles(quad), linmap, "quadratic-simplex", meta)
 
 
+def _box_bound(value, default: float, n: int, name: str) -> np.ndarray:
+    bound = np.asarray(default if value is None else value, dtype=float)
+    if bound.ndim != 0 and bound.shape != (n,):
+        raise ConstructionError(f"box bound {name} must be a scalar or have length {n}, "
+                                f"got shape {bound.shape}")
+    return bound * np.ones(n)
+
+
 def make_quadratic_box(Q=None, b=None, lower=None, upper=None, n: int = 2, a=None) -> ProblemSpec:
-    """Quadratic objective over the box [lower, upper]^n (default [-1, 1]^n)."""
-    lower = -np.ones(n) if lower is None else np.asarray(lower, dtype=float) * np.ones(n)
-    upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float) * np.ones(n)
+    """Quadratic objective over the box [lower, upper]^n (default [-1, 1]^n);
+    each bound is a scalar or a length-n vector."""
+    lower, upper = (_box_bound(v, default, n, name)
+                    for v, default, name in ((lower, -1.0, "lower"), (upper, 1.0, "upper")))
     linmap = _resolve_map(n, a)
     quad = QuadraticF(Q, b, linmap.dim_out)
     region = BoxRegion(lower, upper)
@@ -412,7 +400,6 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
         h_conj_val=log_sum_exp,
         h_conj_grad=softmax,
         breg_hconj=_lse_bregman,
-        breg_h=lambda x2, x1: kl_divergence(x2, x1),
         name="entropy-lse",
         sample_x=sample_interior,
         meta={"problem": "entropy-lse", "n": n, "m": m, "f_kind": f_kind},

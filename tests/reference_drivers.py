@@ -4,19 +4,24 @@ These are the conditional-subgradient, mirror-descent and symmetric loops
 written out separately, with the gap recursion spelled out inline: the
 plain bound accumulates Bregman increments, the sharpened bound the full
 step divergences, both seeded by the Bregman distance of the forced full
-first step.  They share the oracle and certificate primitives with the
-package but none of its iteration code, so comparing the package drivers
+first step.  They share the oracle and primal-side certificate primitives with
+the package but none of its iteration code, so comparing the package drivers
 against them (and running the equivalence checks on them) stays a check
 of one wiring against another.
+
+The dual side is spelled out by hand here: ``bregman_hconj`` and
+``step_divergence_dual`` are literal copies of the package's former
+dual-side twins, which it now computes as the primal-side functions of
+``dualize(spec)``.  The mirror-descent and symmetric loops use these copies,
+never ``dualize``.
 """
 
+import math
 import time
 
-from fenchelduo.certificates import (
-    CertificateAggregate,
-    step_divergence_dual,
-    step_divergence_primal,
-)
+import numpy as np
+
+from fenchelduo.certificates import CertificateAggregate, step_divergence_primal, weight_rows
 from fenchelduo.engine import Trace
 from fenchelduo.oracles import (
     DomainError,
@@ -24,11 +29,45 @@ from fenchelduo.oracles import (
     RangeError,
     as_point,
     bregman_f,
-    bregman_hconj,
     fenchel_young_residual,
     _oracle_point,
     _oracle_value,
+    _snap,
 )
+
+
+def bregman_hconj(v, u, spec):
+    """Bregman distance D_{h*}(v, u) = h*(v) - h*(u) - <v - u, (h*)'(u)>."""
+    if spec.breg_hconj is not None:
+        return _snap(float(spec.breg_hconj(v, u)))
+    hv = _oracle_value(spec.h_conj_val, v, "h_conj_val")
+    if math.isinf(hv):
+        raise InfiniteValue("h* is +inf at the first Bregman argument")
+    hu = _oracle_value(spec.h_conj_val, u, "h_conj_val")
+    if math.isinf(hu):
+        raise DomainError("h* is +inf at the Bregman base point")
+    g = _oracle_point(spec.h_conj_grad, u, "h_conj_grad")
+    return _snap(hv - hu - float(np.dot(v - u, g)))
+
+
+def _guarded(coeff, value, what):
+    if coeff == 0.0:
+        return 0.0
+    if math.isinf(value):
+        raise InfiniteValue(f"{what} is +inf inside a step divergence")
+    return coeff * value
+
+
+def step_divergence_dual(v, neg_z, alpha, spec):
+    """Bregman distance of h*(A* .) across the step from v toward -z, plus
+    the Jensen slack of w -> f*(-w) at the same interpolation."""
+    At = spec.linmap.adjoint
+    comb = (1.0 - alpha) * v + alpha * neg_z
+    value = bregman_hconj(At(comb), At(v), spec)
+    value += _guarded(1.0, float(spec.f_conj_val(-comb)), "f* at the interpolated point")
+    value -= _guarded(1.0 - alpha, float(spec.f_conj_val(-v)), "f* at the base point")
+    value -= _guarded(alpha, float(spec.f_conj_val(-neg_z)), "f* at the target point")
+    return value
 
 
 def _check_args(k_max, policy, mode):
@@ -49,6 +88,24 @@ def _fy_debug(spec, y=None, w=None):
 def _check_alpha(alpha):
     if not (0.0 <= alpha <= 1.0):
         raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
+
+
+def ref_md_identity_residuals(trace, spec):
+    """Relative residuals of the dual-run identity, replayed on the primal
+    spec: the lambda-average of primal values at the mirror points, minus the
+    mu-weighted dual step divergences, plus the dual value at v_k."""
+    A, At = spec.linmap.apply, spec.linmap.adjoint
+    pv = np.array([float(spec.f_val(A(y))) + float(spec.h_val(y)) for y in trace.ys])
+    div = np.array([step_divergence_dual(v, -z, a, spec)
+                    for v, z, a in zip(trace.vs[:-1], trace.zs, trace.alphas)])
+    dual = np.array([float(spec.f_conj_val(-v)) + float(spec.h_conj_val(At(v)))
+                     for v in trace.vs[1:]])
+    out = np.empty(len(trace.alphas))
+    for k in range(1, len(trace.alphas) + 1):
+        lam, mu = weight_rows(trace.alphas[:k])
+        avg, d, current = float(lam @ pv[:k]), float(mu @ div[:k]), float(dual[k - 1])
+        out[k - 1] = abs(avg - d + current) / (1.0 + abs(avg) + abs(d) + abs(current))
+    return out
 
 
 def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",

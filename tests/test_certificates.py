@@ -84,14 +84,14 @@ class TestStepDivergencePrimal:
 
 class TestStepDivergenceDual:
     def test_all_zero_case(self):
-        spec = fd.make_entropy_lse(2)
+        dual = fd.dualize(fd.make_entropy_lse(2))
         for a in (0.0, 0.3, 1.0):
-            assert fd.step_divergence_dual(np.zeros(2), np.zeros(2), a, spec) == pytest.approx(
+            assert fd.step_divergence_primal(np.zeros(2), np.zeros(2), a, dual) == pytest.approx(
                 0.0, abs=1e-15)
 
     def test_zero_alpha(self):
-        spec = fd.make_entropy_lse(2)
-        got = fd.step_divergence_dual(np.array([1.0, 0.0]), np.array([0.3, -0.2]), 0.0, spec)
+        dual = fd.dualize(fd.make_entropy_lse(2))
+        got = fd.step_divergence_primal(np.array([1.0, 0.0]), np.array([0.3, -0.2]), 0.0, dual)
         assert got == 0.0
 
     def test_lse_quadratic_case_against_high_precision(self):
@@ -99,8 +99,8 @@ class TestStepDivergenceDual:
         # Bregman distance D((0,0), (1,0)) = log 2 - lse(1,0) + e/(1+e).
         # (An approximate decimal elsewhere quotes 0.10651 for this quantity;
         # the exact expression evaluates to 0.110944...)
-        spec = fd.make_entropy_lse(2)
-        got = fd.step_divergence_dual(np.array([1.0, 0.0]), np.zeros(2), 1.0, spec)
+        dual = fd.dualize(fd.make_entropy_lse(2))
+        got = fd.step_divergence_primal(np.array([1.0, 0.0]), np.zeros(2), 1.0, dual)
         e = mpmath.e
         want = float(mpmath.log(2) - mpmath.log(1 + e) + e / (1 + e))
         assert got == pytest.approx(want, rel=1e-12)

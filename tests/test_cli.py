@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fenchelduo as fd
 import fenchelduo.cli as cli
 from fenchelduo.cli import CSV_HEADER, main
 
@@ -187,6 +188,32 @@ class TestConfigValidation:
         assert err.startswith("config error:") and key in err
 
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("lower", {"problem": {"name": "quadratic-box", "n": 3, "lower": [0, 1]}}),
+        ("upper", {"problem": {"name": "quadratic-box", "n": 3, "upper": [1, 2, 3, 4]}}),
+        ("x0", {"problem": {"name": "quadratic-simplex", "n": 3}, "x0": [1, 0]}),
+        ("u0", {"algorithm": "hybrid", "u0": [1, 0, 0]}),
+        ("v0", {"algorithm": "gmd", "v0": [0.5]}),
+        ("seed", {"problem": {"name": "quadratic-simplex", "n": 3, "a": {"random": [2, 3]}},
+                  "seed": -1}),
+        ("problem.q", {"problem": {"name": "entropy-lse", "n": 3, "f": "lse", "q": 5,
+                                   "b": [1, 2, 3]}}),
+        ("problem.b", {"problem": {"name": "entropy-lse", "n": 3, "f": "lse", "b": [1, 2, 3]}}),
+    ], ids=["lower", "upper", "x0", "u0", "v0", "seed", "lse-q-b", "lse-b"])
+    def test_wrong_length_or_unread_value_is_config_error(self, tmp_path, capsys, key,
+                                                          overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    def test_box_bounds_scalar_or_length_n(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "quadratic-box", "n": 3, "lower": [0, -1, 0],
+                                    "upper": 2})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         assert main(["verify", "--kmax", "60"]) == 0
@@ -198,6 +225,20 @@ class TestVerify:
                            problem={"name": "entropy-lse", "n": 3, "b": [0.3, -0.2, 0.1]})
         assert main(["verify", "--config", str(cfg), "--kmax", "50"]) == 0
         assert "entropy-lse" in capsys.readouterr().out
+
+    def test_config_k_max_is_the_budget(self, tmp_path, monkeypatch, capsys):
+        budgets = []
+
+        def run_gcs(spec, x0, rule, k_max, **kw):
+            budgets.append(k_max)
+            return fd.run_gcs(spec, x0, rule, k_max, **kw)
+
+        monkeypatch.setattr(cli, "run_gcs", run_gcs)
+        cfg = write_config(tmp_path / "cfg.json", k_max=7)
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert main(["verify", "--config", str(cfg), "--kmax", "9"]) == 0
+        assert main(["verify", "--kmax", "9"]) == 0
+        assert budgets == [7, 9, 9, 9, 9]
 
     def test_broken_identity_fails_with_name(self, tmp_path, monkeypatch, capsys):
         # negative control: a corrupted residual check must fail, by name
@@ -237,6 +278,19 @@ class TestProbeRateCompare:
         out = tmp_path / "out"
         main(["run", "--config", str(cfg), "--out", str(out)])
         assert main(["rate", str(out / "trace.csv"), "--config", str(cfg)]) == 2
+
+    def test_rate_missing_trace_file_is_config_error(self, tmp_path, capsys):
+        assert main(["rate", str(tmp_path / "nothere.csv")]) == 2
+        assert "nothere.csv" in capsys.readouterr().err
+
+    def test_rate_non_numeric_gap_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        rows = [f"{k},0.5,1,0,{1.0 / k},0.1,0,0" for k in range(1, 20)]
+        rows[4] = "5,0.5,1,0,abc,0.1,0,0"
+        path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert main(["rate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "line 6" in err
 
     def test_compare_table_and_exponents(self, tmp_path, capsys):
         c1 = write_config(tmp_path / "fixed.json", k_max=300)

@@ -161,6 +161,19 @@ def test_l1_lmo_tie_break():
     np.testing.assert_array_equal(region.lmo(np.zeros(3)), [2.0, 0.0, 0.0])
 
 
+class TestBoxBounds:
+    def test_scalar_and_length_n_bounds(self):
+        spec = fd.make_quadratic_box(lower=0.0, upper=[1.0, 2.0, 3.0], n=3)
+        np.testing.assert_array_equal(spec.h_conj_grad(np.ones(3)), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(spec.h_conj_grad(-np.ones(3)), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bounds", [{"lower": [0.0, 1.0]}, {"upper": [1.0] * 4},
+                                        {"lower": [[0.0, 0.0, 0.0]]}])
+    def test_wrong_length_rejected(self, bounds):
+        with pytest.raises(fd.ConstructionError, match="length 3"):
+            fd.make_quadratic_box(n=3, **bounds)
+
+
 def test_samplers_stay_feasible():
     rng = np.random.default_rng(10)
     for region in (fd.SimplexRegion(4), fd.BoxRegion(-np.ones(3), np.ones(3)),

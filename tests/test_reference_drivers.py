@@ -1,7 +1,9 @@
 """The package drivers against the literal reference loops in
 ``reference_drivers.py``: every recorded column, iterate history and
 certificate must agree bit for bit, and the equivalence checks must hold
-when one side of them runs the reference loops."""
+when one side of them runs the reference loops.  The package's dual side,
+the primal side of ``dualize(spec)``, must agree bit for bit with the
+hand-mirrored dual-side functions kept there."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,14 @@ import pytest
 import fenchelduo as fd
 from fenchelduo import duality
 
-from reference_drivers import ref_run_gcs, ref_run_gmd, ref_run_hybrid
+from reference_drivers import (
+    bregman_hconj,
+    ref_md_identity_residuals,
+    ref_run_gcs,
+    ref_run_gmd,
+    ref_run_hybrid,
+    step_divergence_dual,
+)
 
 K = 60
 FAMILIES = ("quadratic-simplex", "quadratic-box", "quadratic-l1", "entropy-lse",
@@ -97,3 +106,23 @@ def test_equivalence_checks_against_reference_loops(family, general, monkeypatch
     monkeypatch.setattr(duality, "run_hybrid", ref_run_hybrid)
     assert fd.check_bach_equivalence(spec, x0, fd.FixedHarmonic(), 50) <= 1e-12
     assert fd.check_hybrid_symmetry(spec, x0, u0, fd.FixedHarmonic(), 30) <= 1e-12
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dual_side_is_primal_side_of_dualize(family, general):
+    spec = build(family, general)
+    dual = fd.dualize(spec)
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        v, u = rng.standard_normal((2, spec.dim_x))
+        assert bits(fd.bregman_f(v, u, dual)) == bits(bregman_hconj(v, u, spec))
+        w, z = rng.standard_normal((2, spec.dim_y))
+        a = (0.0, 1.0, rng.random())[min(i, 2)]
+        assert (bits(fd.step_divergence_primal(w, -z, a, dual))
+                == bits(step_divergence_dual(w, -z, a, spec)))
+    _, _, v0 = start(spec)
+    trace = fd.run_gmd(spec, v0, fd.ExactLineSearch(), K)
+    assert trace.error is None
+    assert (bits(fd.md_identity_residuals(trace, spec))
+            == bits(ref_md_identity_residuals(trace, spec)))
