@@ -69,22 +69,22 @@ def _guarded(coeff: float, value: float, what: str) -> float:
     return coeff * value
 
 
-def _step_increment(lift, nonsmooth, what: str, base, target, alpha: float,
-                    spec: ProblemSpec, sharp: bool = True):
-    """Certificate increment of one side's step from ``base`` toward ``target``.
+def _step_increment(base, target, alpha: float, spec: ProblemSpec, sharp: bool = True):
+    """Certificate increment of a step from ``base`` toward ``target``.
 
-    The Bregman term D = D_f(lift(comb), lift(base)) of ``spec`` at the
-    interpolated point comb, alone, or with ``sharp`` the pair (D, sharpened
-    value) where the sharpened value adds the Jensen slack of ``nonsmooth``
-    at the same interpolation.  D is evaluated once for both.
+    The Bregman term D = D_f(A comb, A base) of ``spec`` at the interpolated
+    point comb, alone, or with ``sharp`` the pair (D, sharpened value) where
+    the sharpened value adds the Jensen slack of h at the same interpolation.
+    D is evaluated once for both.
     """
+    A, h = spec.linmap.apply, spec.h_val
     comb = (1.0 - alpha) * base + alpha * target
-    d = bregman_f(lift(comb), lift(base), spec)
+    d = bregman_f(A(comb), A(base), spec)
     if not sharp:
         return d
-    value = d + _guarded(1.0, float(nonsmooth(comb)), f"{what} at the interpolated point")
-    value -= _guarded(1.0 - alpha, float(nonsmooth(base)), f"{what} at the base point")
-    value -= _guarded(alpha, float(nonsmooth(target)), f"{what} at the target point")
+    value = d + _guarded(1.0, float(h(comb)), "h at the interpolated point")
+    value -= _guarded(1.0 - alpha, float(h(base)), "h at the base point")
+    value -= _guarded(alpha, float(h(target)), "h at the target point")
     return d, value
 
 
@@ -98,7 +98,7 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     from v toward -z, it is the dual side's increment: D_{h*} along A* plus
     the Jensen slack of w -> f*(-w).
     """
-    return _step_increment(spec.linmap.apply, spec.h_val, "h", x, s, alpha, spec)[1]
+    return _step_increment(x, s, alpha, spec)[1]
 
 
 # ---------------------------------------------------------------------------

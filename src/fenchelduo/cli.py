@@ -16,6 +16,7 @@ closes stdout early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -34,7 +35,7 @@ from .certificates import (
 from .diagnostics import fit_rate, probe_curvature
 from .duality import check_bach_equivalence, check_hybrid_symmetry
 from .engine import Trace, run_gcs, run_gmd, run_hybrid
-from .oracles import FenchelDuoError, FitError, LinearMap, ProblemSpec
+from .oracles import ConstructionError, FenchelDuoError, FitError, LinearMap, ProblemSpec
 from .problems import (
     make_entropy_lse,
     make_holder_power_simplex,
@@ -43,7 +44,7 @@ from .problems import (
     make_quadratic_simplex,
     random_linear_map,
 )
-from .steps import FixedHarmonic, StepRule, make_rule
+from .steps import _RULES, FixedHarmonic, StepRule, make_rule
 
 CSV_HEADER = "k,alpha,primal,dual,gap_bound,true_gap,residual,t_ms"
 
@@ -65,12 +66,7 @@ _PROBLEM_KEYS = {
     "entropy-lse": {"name", "n", "f", "q", "b", "a"},
     "holder-power-simplex": {"name", "n", "p", "a"},
 }
-_RULE_KEYS = {
-    "fixed_harmonic": set(),
-    "open_loop": {"gamma"},
-    "exact_ls": {"tol", "max_iters"},
-    "approx_gamma": {"delta", "tol", "gamma_max"},
-}
+_RULE_KEYS = {name: {f.name for f in dataclasses.fields(cls)} for name, cls in _RULES.items()}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -385,10 +381,16 @@ def _verify_one(config: dict, report: list) -> bool:
         ok &= check(f"{algo} sandwich defect", float(np.max(tg - trace.gap_bound)), 1e-8)
         sharp_excess = float(np.max(np.asarray(trace.gap_sharp) - np.asarray(trace.gap_plain)))
         ok &= check(f"{algo} sharpened-vs-plain excess", max(0.0, sharp_excess), 1e-12)
-    ok &= check("run-equivalence deviation",
-                check_bach_equivalence(spec, x0, FixedHarmonic(), min(50, k_max)), 1e-12)
-    ok &= check("symmetry deviation",
-                check_hybrid_symmetry(spec, x0, u0, FixedHarmonic(), min(30, k_max)), 1e-12)
+    for name, run_check, starts, k in (
+            ("run-equivalence deviation", check_bach_equivalence, (x0,), 50),
+            ("symmetry deviation", check_hybrid_symmetry, (x0, u0), 30)):
+        try:
+            value = run_check(spec, *starts, FixedHarmonic(), min(k, k_max))
+        except ConstructionError as exc:  # one of the compared runs aborted
+            report.append(f"FAIL {label} {name}: {exc}")
+            ok = False
+            continue
+        ok &= check(name, value, 1e-12)
     return ok
 
 
@@ -413,6 +415,8 @@ def cmd_probe(args) -> int:
         config["seed"] = args.seed
     setup = resolve(config)
     gamma = args.gamma if args.gamma is not None else 2.0
+    if not gamma > 1.0:
+        raise ConfigError(f"--gamma must exceed 1, got {gamma}")
     est = probe_curvature(setup.spec, gamma, n_samples=200, seed=setup.seed)
     print(f"problem: {setup.spec.name}")
     print(f"gamma: {est.gamma}")

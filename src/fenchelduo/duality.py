@@ -38,7 +38,10 @@ def check_bach_equivalence(spec: ProblemSpec, x0, rule: StepRule, k_max: int) ->
     The correspondence is (v_k, y_k, z_k) = (-x_k, -u_k, s_k); the returned
     value is the worst infinity-norm defect of those three pairings over the
     whole run.  Exact in theory, so anything above 1e-12 indicates a wiring
-    error.
+    error.  ``run_gmd`` is itself the conditional-subgradient run of the dual
+    spec, so this checks that ``dualize`` applied twice and the sign map that
+    relabels a gmd trace give back the primal run; the comparison with a
+    literal mirror-descent loop is in the test suite.
     """
     _require_schedule(rule)
     primal = run_gcs(spec, x0, rule, k_max)

@@ -6,9 +6,9 @@ dual side, or both:
 
 * :func:`run_gcs`   -- conditional-subgradient steps move the primal iterate
   x toward s and read u := z off it; the dual certificate aggregates the u_k;
-* :func:`run_gmd`   -- mirror-descent steps move the dual iterate u = -v
-  toward z and read x := s off it; the primal certificate aggregates the
-  mirror points;
+* :func:`run_gmd`   -- mirror descent on the dual iterate: :func:`run_gcs` on
+  ``dualize(spec)``, read back through the sign map; the primal certificate
+  aggregates the mirror points;
 * :func:`run_hybrid` -- both coordinates move with the same step size, which
   makes the certified gap exact.
 
@@ -34,6 +34,7 @@ from .oracles import (
     ProblemSpec,
     RangeError,
     as_point,
+    dual_pair_step,
     dualize,
     fenchel_young_residual,
     _oracle_point,
@@ -126,70 +127,50 @@ def _dual_value(spec: ProblemSpec, u) -> float:
             + _oracle_value(spec.h_conj_val, -spec.linmap.adjoint(u), "h_conj_val"))
 
 
-def _run(algo: str, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
+def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
          epsilon: Optional[float], policy: str, mode: str, debug: bool) -> Trace:
-    """The joint-step kernel: gcs moves x (u := z), gmd moves u (x := s),
-    hybrid moves both with one step size.
+    """The joint-step kernel: gcs moves x (u := z), hybrid moves both with
+    one step size.  gmd is this kernel's gcs path on ``dualize(spec)``.
 
     The certificate increment of a step is the primal-side divergence (f(A .)
-    and h between x and s), the dual-side one (h*(-A* .) and f* between u and
-    z, with D_{h*} taken as D_f of the dual spec), or their sum.  A side that
-    does not move is certified by the aggregate of its step points instead of
-    its iterate.
+    and h between x and s), plus for hybrid the same divergence on
+    ``dualize(spec)`` from -u toward -z.  gcs certifies its dual side by the
+    aggregate of the u_k instead of its iterate.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    moves_x, moves_u = algo != "gmd", algo != "gcs"
-    dual = dualize(spec) if moves_u else None
+    dual = dualize(spec) if hybrid else None
     sharp_mode = mode == "sharp"
-    trace = Trace(algo=algo, mode=mode, policy=policy, meta=dict(spec.meta))
-    # gmd records its dual iterate in the mirror-descent sign, v = -u
-    u_hist, u_record = (trace.vs, np.negative) if algo == "gmd" else (trace.us, np.copy)
-    if moves_x:
-        trace.xs.append(x.copy())
-    if moves_u:
-        u_hist.append(u_record(u))
-    agg = None if algo == "hybrid" else CertificateAggregate(policy)
-    avg = 0.0  # lambda-average of the aggregated side's values, for the residual
-
-    def neg_adjoint(w):
-        return -At(w)
+    trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode, policy=policy,
+                  meta=dict(spec.meta))
+    trace.xs.append(x.copy())
+    if hybrid:
+        trace.us.append(u.copy())
+    agg = None if hybrid else CertificateAggregate(policy)
+    avg = 0.0  # lambda-average of the aggregated u_k's dual values, for the residual
 
     def increment(a, sharp):
         # the Bregman term alone, or with sharp the pair (Bregman, sharpened)
-        if moves_x:
-            p = _step_increment(A, spec.h_val, "h", x, s, a, spec, sharp)
-        if moves_u:
-            d = _step_increment(neg_adjoint, spec.f_conj_val, "f*", u, z, a, dual, sharp)
-        if not moves_u:
+        p = _step_increment(x, s, a, spec, sharp)
+        if not hybrid:
             return p
-        if not moves_x:
-            return d
+        d = _step_increment(neg_u, neg_z, a, dual, sharp)
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
 
     def probe(a):
         return increment(a, True)[1] if sharp_mode else increment(a, False)
 
-    def side_value(value_fn, moves, iterate):
-        if moves:
-            return value_fn(spec, iterate)
-        return value_fn(spec, agg.point) if policy == "average" else agg.best_value
-
-    plain = sharp = None
     start = time.perf_counter()
     try:
         for k in range(k_max):
-            if moves_u:
+            if hybrid:
+                s, z = dual_pair_step(x, u, spec)
+                neg_u, neg_z = -u, -z
+            else:
+                u = _oracle_point(spec.f_grad, A(x), "f_grad")
                 s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
-                if not moves_x:
-                    x = s
-            z = _oracle_point(spec.f_grad, A(x), "f_grad")
-            if not moves_u:
-                u = z
-                s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
+                step_value = _dual_value(spec, u)
             if debug:
                 _fy_debug(spec, y=A(x), w=-At(u))
-            if agg is not None:
-                step_value = _dual_value(spec, u) if moves_x else _primal_value(spec, x)
 
             alpha = 1.0 if k == 0 else float(rule.select(k, sharp if sharp_mode else plain, probe))
             if not (0.0 <= alpha <= 1.0):
@@ -201,27 +182,25 @@ def _run(algo: str, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 d_plain, d_sharp = increment(alpha, True)
                 plain = (1.0 - alpha) * plain + d_plain
                 sharp = (1.0 - alpha) * sharp + d_sharp
-            if agg is not None:
-                agg.update(u if moves_x else x, alpha, step_value)
-                avg = (1.0 - alpha) * avg + alpha * step_value
-            if moves_x:
-                x = (1.0 - alpha) * x + alpha * s
-            if moves_u:
+            x = (1.0 - alpha) * x + alpha * s
+            p_val = _primal_value(spec, x)
+            # the identity behind the residual: avg + (moving sides' values) = sharp
+            if hybrid:
                 u = (1.0 - alpha) * u + alpha * z
+                u_val = _dual_value(spec, u)
+                current = p_val + u_val
+            else:
+                agg.update(u, alpha, step_value)
+                avg = (1.0 - alpha) * avg + alpha * step_value
+                u_val = _dual_value(spec, agg.point) if policy == "average" else agg.best_value
+                current = p_val
 
             trace.alphas.append(alpha)
-            if moves_x:
-                trace.ss.append(s)
-                trace.xs.append(x.copy())
-            else:
-                trace.ys.append(s)
-            if moves_u:
+            trace.ss.append(s)
+            trace.xs.append(x.copy())
+            trace.us.append(u.copy())
+            if hybrid:
                 trace.zs.append(z)
-            u_hist.append(u_record(u))
-            p_val = side_value(_primal_value, moves_x, x)
-            u_val = side_value(_dual_value, moves_u, u)
-            # the identity behind the residual: avg + (moving sides' values) = sharp
-            current = p_val + u_val if agg is None else (p_val if moves_x else u_val)
             trace.primal.append(p_val)
             trace.dual.append(-u_val)
             trace.gap_plain.append(plain)
@@ -233,7 +212,7 @@ def _run(algo: str, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 break
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
-    point = u if agg is None else agg.point
+    point = u if hybrid else agg.point
     trace.certificate = None if point is None else point.copy()
     return trace
 
@@ -249,13 +228,15 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     """
     _check_args(k_max, policy, mode)
     x = as_point(x0, spec.dim_x, "x0")
-    return _run("gcs", spec, x, None, rule, k_max, epsilon, policy, mode, debug)
+    return _run(False, spec, x, None, rule, k_max, epsilon, policy, mode, debug)
 
 
 def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
             epsilon: Optional[float] = None, policy: str = "average",
             mode: str = "plain", debug: bool = False) -> Trace:
-    """Mirror-descent run from a dual point ``v0`` in dom((h*)' o A*).
+    """Mirror-descent run from a dual point ``v0`` in dom((h*)' o A*): the
+    conditional-subgradient run (x', u', s') of ``dualize(spec)`` from v0,
+    read through the sign map (v, y, z) = (x', u', -s') (Bach's equivalence).
 
     Each step reads the mirror point y_k = (h*)'(A* v_k) and the subgradient
     z_k = f'(A y_k), then moves v_{k+1} = (1-alpha_k) v_k - alpha_k z_k.  The
@@ -263,7 +244,14 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     """
     _check_args(k_max, policy, mode)
     v = as_point(v0, spec.dim_y, "v0")
-    return _run("gmd", spec, None, -v, rule, k_max, epsilon, policy, mode, debug)
+    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode, debug)
+    trace.algo, trace.meta = "gmd", dict(spec.meta)
+    trace.vs, trace.ys, trace.zs = trace.xs, trace.us, trace.ss
+    trace.xs, trace.us, trace.ss = [], [], []
+    for z in trace.zs:
+        np.negative(z, out=z)
+    trace.primal, trace.dual = [-d for d in trace.dual], [-p for p in trace.primal]
+    return trace
 
 
 def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
@@ -282,4 +270,4 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
                          f"policy must be 'average', got {policy!r}")
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
-    return _run("hybrid", spec, x, u, rule, k_max, epsilon, policy, mode, debug)
+    return _run(True, spec, x, u, rule, k_max, epsilon, policy, mode, debug)

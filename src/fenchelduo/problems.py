@@ -81,7 +81,6 @@ class SimplexRegion:
     """Probability simplex {x >= 0, sum x = 1}."""
 
     n: int
-    kind: str = "simplex"
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -111,7 +110,6 @@ class BoxRegion:
 
     lower: np.ndarray
     upper: np.ndarray
-    kind: str = "box"
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -160,7 +158,6 @@ class L1BallRegion:
 
     n: int
     radius: float
-    kind: str = "l1_ball"
 
     def __post_init__(self):
         if self.radius <= 0.0:
@@ -370,8 +367,8 @@ def make_quadratic_l1_ball(Q=None, b=None, radius: float = 1.0, n: int = 2, a=No
 
 def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) -> ProblemSpec:
     """Negative entropy on the simplex as h, so h* = log-sum-exp and the
-    conjugate-subgradient oracle is softmax.  f is quadratic by default or
-    log-sum-exp when ``f_kind="lse"``."""
+    conjugate-subgradient oracle is softmax.  f is quadratic (``Q``, ``b``)
+    by default or log-sum-exp, which takes neither, when ``f_kind="lse"``."""
     if n < 2:
         raise ConstructionError(f"entropy problem needs n >= 2, got {n}")
     linmap = _resolve_map(n, a)
@@ -380,6 +377,9 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
     if f_kind == "quadratic":
         fpart = _quadratic_oracles(QuadraticF(Q, b, m))
     elif f_kind == "lse":
+        unread = [name for name, value in (("Q", Q), ("b", b)) if value is not None]
+        if unread:
+            raise ConstructionError(f"f_kind 'lse' takes no {' or '.join(unread)}")
         fpart = _lse_f_oracles()
     else:
         raise ConstructionError(f"unknown f_kind {f_kind!r} (expected 'quadratic' or 'lse')")

@@ -230,7 +230,9 @@ class StepRule:
 
     @property
     def label(self) -> str:
-        return type(self).__name__
+        """The rule's config name, or its class name for a rule outside ``_RULES``."""
+        names = {cls: name for name, cls in _RULES.items()}
+        return names.get(type(self), type(self).__name__)
 
 
 @dataclass(frozen=True)
@@ -239,10 +241,6 @@ class FixedHarmonic(StepRule):
 
     def select(self, k, gap, d_fun):
         return step_fixed_harmonic(k)
-
-    @property
-    def label(self):
-        return "fixed_harmonic"
 
 
 @dataclass(frozen=True)
@@ -257,10 +255,6 @@ class OpenLoop(StepRule):
     def select(self, k, gap, d_fun):
         return 1.0 if k == 0 else self.gamma / (k + self.gamma)
 
-    @property
-    def label(self):
-        return "open_loop"
-
 
 @dataclass(frozen=True)
 class ExactLineSearch(StepRule):
@@ -271,10 +265,6 @@ class ExactLineSearch(StepRule):
         if k == 0:
             return 1.0
         return minimize_step_surrogate(gap, d_fun, self.tol, self.max_iters)[0]
-
-    @property
-    def label(self):
-        return "exact_ls"
 
 
 @dataclass(frozen=True)
@@ -292,19 +282,17 @@ class ApproxGamma(StepRule):
             return 1.0
         return approx_gamma_select(k, gap, d_fun, self.delta, self.tol, self.gamma_max)
 
-    @property
-    def label(self):
-        return "approx_gamma"
+
+_RULES = {
+    "fixed_harmonic": FixedHarmonic,
+    "open_loop": OpenLoop,
+    "exact_ls": ExactLineSearch,
+    "approx_gamma": ApproxGamma,
+}
 
 
 def make_rule(name: str, **params) -> StepRule:
     """Rule factory used by configs: fixed_harmonic | open_loop | exact_ls | approx_gamma."""
-    table = {
-        "fixed_harmonic": FixedHarmonic,
-        "open_loop": OpenLoop,
-        "exact_ls": ExactLineSearch,
-        "approx_gamma": ApproxGamma,
-    }
-    if name not in table:
-        raise RangeError(f"unknown step rule {name!r} (options: {sorted(table)})")
-    return table[name](**params)
+    if name not in _RULES:
+        raise RangeError(f"unknown step rule {name!r} (options: {sorted(_RULES)})")
+    return _RULES[name](**params)

@@ -250,6 +250,18 @@ class TestVerify:
         assert "FAIL" in out and "gcs identity residual" in out
 
 
+    def test_aborted_equivalence_run_fails_with_name(self, tmp_path, monkeypatch, capsys):
+        def aborted(*args):
+            raise fd.ConstructionError("dual run aborted: injected")
+
+        monkeypatch.setattr(cli, "check_bach_equivalence", aborted)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["verify", "--config", str(cfg), "--kmax", "30"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL quadratic-simplex run-equivalence deviation: dual run aborted" in out
+        assert "PASS quadratic-simplex symmetry deviation" in out
+
+
 class TestProbeRateCompare:
     def test_probe_reports_constant(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -257,6 +269,13 @@ class TestProbeRateCompare:
         out = capsys.readouterr().out
         line = [l for l in out.splitlines() if l.startswith("c_hat")][0]
         assert float(line.split(":")[1]) == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("gamma", ["1", "0.5", "nan"])
+    def test_probe_gamma_at_most_one_is_config_error(self, tmp_path, capsys, gamma):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["probe", "--config", str(cfg), "--gamma", gamma]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--gamma" in err
 
     def test_rate_from_config_and_trace(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", k_max=400,

@@ -1,7 +1,7 @@
 """Engine behavior: exact hand-traced iterates, update-rule equivalences,
 stopping, aborts, and the certified-gap sandwich."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -265,3 +265,86 @@ def test_approx_gamma_run_meets_slackened_bound():
     k = np.arange(1, tr.k + 1)
     bound = 2.0 * (g / (k + g)) ** (g - 1.0)
     assert np.all(np.asarray(tr.true_gap) <= bound + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# failure injection: an oracle that breaks mid-run
+# ---------------------------------------------------------------------------
+
+def _injection_specs():
+    rng = np.random.default_rng(5)
+    return {
+        # closed-form D_f only: the dual-side increments call h_conj_grad
+        "quadratic-random-A": fd.make_quadratic_simplex(
+            Q=np.eye(4), b=0.3 * rng.standard_normal(4), n=3, a=fd.random_linear_map(4, 3, rng)),
+        # no closed forms: the primal-side increments call f_grad
+        "holder": fd.make_holder_power_simplex(1.5, 3),
+    }
+
+
+def _drive(algo, spec, start, rule, k_max=30):
+    x0, u0 = start
+    if algo == "gcs":
+        return fd.run_gcs(spec, x0, rule, k_max)
+    if algo == "gmd":
+        return fd.run_gmd(spec, np.zeros(spec.dim_y), rule, k_max)
+    return fd.run_hybrid(spec, x0, u0, rule, k_max)
+
+
+def _wrapped(spec, oracle, fail_from, failure):
+    """``spec`` whose ``oracle`` raises, or returns NaN, from call
+    ``fail_from`` on (never, with None); also returns the call counter."""
+    real = getattr(spec, oracle)
+    calls = {"n": 0}
+
+    def flaky(w):
+        calls["n"] += 1
+        if fail_from is not None and calls["n"] >= fail_from:
+            if failure == "raise":
+                raise ValueError("injected failure")
+            return np.full(np.shape(real(w)), np.nan)
+        return real(w)
+
+    return replace(spec, **{oracle: flaky}), calls
+
+
+_COLUMNS = ("alphas", "primal", "dual", "gap_plain", "gap_sharp", "true_gap", "residual")
+# iterate histories each driver records, with their extra start entry
+_HISTORIES = {
+    "gcs": {"xs": 1, "us": 0, "ss": 0},
+    "gmd": {"vs": 1, "ys": 0, "zs": 0},
+    "hybrid": {"xs": 1, "us": 1, "ss": 0, "zs": 0},
+}
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+@pytest.mark.parametrize("oracle", ["h_conj_grad", "f_grad"])
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+@pytest.mark.parametrize("rule", [fd.FixedHarmonic(), fd.ExactLineSearch()],
+                         ids=["fixed_harmonic", "exact_ls"])
+@pytest.mark.parametrize("family", ["quadratic-random-A", "holder"])
+def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, failure):
+    spec = _injection_specs()[family]
+    x0 = spec.h_conj_grad(np.zeros(spec.dim_x))
+    start = (x0, spec.f_grad(spec.linmap.apply(x0)))
+    counted, calls = _wrapped(spec, oracle, None, failure)
+    healthy = _drive(algo, counted, start, rule)
+    assert healthy.error is None and healthy.k == 30
+    for fail_from in (1, calls["n"] // 2):
+        broken = _drive(algo, _wrapped(spec, oracle, fail_from, failure)[0], start, rule)
+        assert broken.error is not None
+        if failure == "raise":
+            assert "injected failure" in broken.error
+        else:
+            assert "non-finite" in broken.error
+        k = broken.k
+        assert (k > 0) == (fail_from > 1) and k < healthy.k
+        assert all(len(getattr(broken, c)) == k for c in _COLUMNS + ("t_ms",))
+        recorded = _HISTORIES[algo]
+        for name in ("xs", "us", "ss", "zs", "vs", "ys"):
+            history = getattr(broken, name)
+            assert len(history) == (k + recorded[name] if name in recorded else 0)
+            for got, want in zip(history, getattr(healthy, name)):
+                assert got.tobytes() == want.tobytes()
+        for c in _COLUMNS:
+            assert getattr(broken, c) == getattr(healthy, c)[:k]

@@ -91,6 +91,12 @@ class TestEntropyLse:
         assert spec.f_conj_val(np.array([0.5, 0.5])) == pytest.approx(-np.log(2.0), rel=1e-15)
         assert spec.f_conj_val(np.array([0.5, 0.6])) == np.inf
 
+    def test_lse_f_kind_rejects_quadratic_data(self):
+        with pytest.raises(fd.ConstructionError, match="takes no Q or b"):
+            fd.make_entropy_lse(3, f_kind="lse", Q=5.0 * np.eye(3), b=np.ones(3))
+        with pytest.raises(fd.ConstructionError, match="takes no b"):
+            fd.make_entropy_lse(3, f_kind="lse", b=np.ones(3))
+
     def test_rejects_tiny_dimension(self):
         with pytest.raises(fd.ConstructionError):
             fd.make_entropy_lse(1)
