@@ -18,29 +18,22 @@ from .oracles import (
     StateError,
     as_point,
     bregman_f,
-    dual_pair_step,
-    duality_gap,
     dualize,
     fenchel_young_residual,
 )
 from .problems import (
     BoxRegion,
-    HolderPowerF,
     L1BallRegion,
-    QuadraticF,
     SimplexRegion,
-    log_sum_exp,
     make_entropy_lse,
     make_holder_power_simplex,
     make_quadratic_box,
     make_quadratic_l1_ball,
     make_quadratic_simplex,
-    neg_entropy,
     random_linear_map,
     softmax,
 )
 from .certificates import (
-    CertificateAggregate,
     cg_identity_residuals,
     hybrid_identity_residuals,
     md_identity_residuals,
@@ -53,10 +46,7 @@ from .steps import (
     FixedHarmonic,
     OpenLoop,
     StepRule,
-    approx_gamma_select,
     make_rule,
-    minimize_step_surrogate,
-    step_fixed_harmonic,
 )
 from .engine import Trace, run_gcs, run_gmd, run_hybrid
 from .duality import check_bach_equivalence, check_hybrid_symmetry

@@ -10,29 +10,25 @@
   plus the Jensen slack of the nonsmooth part (the sharpened bound, never
   larger than plain).  The dual side's increment is the same function on
   :func:`~fenchelduo.oracles.dualize` of the spec, from v toward -z.
-* :class:`CertificateAggregate` -- the dual (or primal) certificate, either
-  the lambda-weighted running average or the best value seen so far.
 
 The ``*_identity_residuals`` functions replay a finished trace against the
 exact algebraic identities the certificates are built on; they rebuild the
 weight rows from the recorded step sizes, independently of the streaming
-bookkeeping used while the run was live.  A mirror-descent trace replays as
-a conditional-subgradient trace of the dual spec.
+bookkeeping of the engine's kernel, which also keeps the running certificate
+(the lambda-weighted average or the best point seen).  A mirror-descent
+trace replays as a conditional-subgradient trace of the dual spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .oracles import INF, InfiniteValue, ProblemSpec, StateError, bregman_f, dualize
+from .oracles import InfiniteValue, ProblemSpec, StateError, bregman_f, dualize
 
 __all__ = [
     "weight_rows",
-    "CertificateAggregate",
     "step_divergence_primal",
     "cg_identity_residuals",
     "md_identity_residuals",
@@ -99,39 +95,6 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     the Jensen slack of w -> f*(-w).
     """
     return _step_increment(x, s, alpha, spec)[1]
-
-
-# ---------------------------------------------------------------------------
-# certificate aggregates
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CertificateAggregate:
-    """Running certificate: lambda-weighted average or best objective value."""
-
-    policy: str = "average"
-    point: Optional[np.ndarray] = None
-    best_value: float = INF
-
-    def __post_init__(self):
-        if self.policy not in ("average", "best"):
-            raise StateError(f"unknown aggregate policy {self.policy!r}")
-
-    def update(self, point: np.ndarray, alpha: float, value: Optional[float] = None):
-        if self.policy == "average":
-            if self.point is None:
-                if alpha != 1.0:
-                    raise StateError("averaged certificates require a full first step")
-                self.point = np.array(point, dtype=float)
-            else:
-                self.point = (1.0 - alpha) * self.point + alpha * np.asarray(point, dtype=float)
-        else:
-            if value is None:
-                raise StateError("best-value policy needs the objective value")
-            if value < self.best_value:
-                self.best_value = float(value)
-                self.point = np.array(point, dtype=float)
-        return self
 
 
 # ---------------------------------------------------------------------------

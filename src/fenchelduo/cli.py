@@ -35,7 +35,8 @@ from .certificates import (
 from .diagnostics import fit_rate, probe_curvature
 from .duality import check_bach_equivalence, check_hybrid_symmetry
 from .engine import Trace, run_gcs, run_gmd, run_hybrid
-from .oracles import ConstructionError, FenchelDuoError, FitError, LinearMap, ProblemSpec
+from .oracles import (ConstructionError, FenchelDuoError, FitError, LinearMap, ProblemSpec,
+                      RangeError)
 from .problems import (
     make_entropy_lse,
     make_holder_power_simplex,
@@ -415,9 +416,10 @@ def cmd_probe(args) -> int:
         config["seed"] = args.seed
     setup = resolve(config)
     gamma = args.gamma if args.gamma is not None else 2.0
-    if not gamma > 1.0:
-        raise ConfigError(f"--gamma must exceed 1, got {gamma}")
-    est = probe_curvature(setup.spec, gamma, n_samples=200, seed=setup.seed)
+    try:
+        est = probe_curvature(setup.spec, gamma, n_samples=200, seed=setup.seed)
+    except RangeError as exc:
+        raise ConfigError(f"--gamma: {exc}") from exc
     print(f"problem: {setup.spec.name}")
     print(f"gamma: {est.gamma}")
     print(f"c_hat (sampled lower estimate): {_fmt(est.c_hat)}")

@@ -14,6 +14,7 @@ exponent off a trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,23 @@ class CurvatureEstimate:
 _ALPHAS = np.geomspace(1e-3, 1.0, 64)
 
 
+def _check_exponent(gamma: float) -> None:
+    if not gamma > 1.0:
+        raise RangeError(f"curvature exponent must exceed 1, got {gamma}")
+    # every ratio divides by alpha^gamma, smallest at the grid's smallest alpha
+    if not _ALPHAS[0] ** gamma > 0.0:
+        raise RangeError(f"curvature exponent {gamma} has no finite estimate: "
+                         f"alpha^gamma underflows to 0 at alpha = {_ALPHAS[0]}")
+
+
+# the ratios divide by float(a ** gamma): in Python floats an overflow is inf,
+# with no numpy warning, and this check turns it into a RangeError
+def _finite(c: float, gamma: float) -> float:
+    if not math.isfinite(c):
+        raise RangeError(f"curvature estimate for exponent {gamma} is not finite")
+    return c
+
+
 def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
                     seed: int = 0) -> CurvatureEstimate:
     """Estimate the curvature constant of the smooth part relative to the
@@ -59,8 +77,7 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
     nondecreasing in ``n_samples`` for a fixed seed, and is a lower bound on
     the true constant.
     """
-    if gamma <= 1.0:
-        raise RangeError(f"curvature exponent must exceed 1, got {gamma}")
+    _check_exponent(gamma)
     rng = np.random.default_rng(seed)
     A = spec.linmap.apply
     c_hat = 0.0
@@ -83,11 +100,11 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
             except (InfiniteValue, DomainError):
                 skipped += 1
                 break
-            ratio = gamma * d / a ** gamma
+            ratio = gamma * d / float(a ** gamma)
             if ratio > c_hat:
                 c_hat = ratio
                 witness = {"x": x.copy(), "v": v.copy(), "alpha": float(a)}
-    return CurvatureEstimate(gamma=float(gamma), c_hat=float(c_hat),
+    return CurvatureEstimate(gamma=float(gamma), c_hat=_finite(float(c_hat), gamma),
                              samples=n_samples, witness=witness, skipped=skipped)
 
 
@@ -101,8 +118,7 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     are checked on problems whose global constant is unbounded.  The dual
     side is the primal side of ``dualize(spec)``.
     """
-    if gamma <= 1.0:
-        raise RangeError(f"curvature exponent must exceed 1, got {gamma}")
+    _check_exponent(gamma)
 
     def sup(pairs, side):
         A = side.linmap.apply
@@ -110,8 +126,8 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
         for x, s in pairs:
             for a in _ALPHAS:
                 d = bregman_f(A((1.0 - a) * x + a * s), A(x), side)
-                c = max(c, gamma * d / a ** gamma)
-        return c
+                c = max(c, gamma * d / float(a ** gamma))
+        return _finite(c, gamma)
 
     if trace.algo == "gcs":
         return sup(zip(trace.xs[:-1], trace.ss), spec)

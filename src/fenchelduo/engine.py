@@ -27,18 +27,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certificates import CertificateAggregate, _step_increment
+from .certificates import _step_increment
 from .oracles import (
+    INF,
     DomainError,
     InfiniteValue,
     ProblemSpec,
     RangeError,
     as_point,
-    dual_pair_step,
     dualize,
     fenchel_young_residual,
     _oracle_point,
     _oracle_value,
+    _primal_oracle_message,
 )
 from .steps import StepRule
 
@@ -135,7 +136,8 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     The certificate increment of a step is the primal-side divergence (f(A .)
     and h between x and s), plus for hybrid the same divergence on
     ``dualize(spec)`` from -u toward -z.  gcs certifies its dual side by the
-    aggregate of the u_k instead of its iterate.
+    aggregate of the u_k instead of its iterate: their lambda-weighted
+    average, or the first u_k of least dual value.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec) if hybrid else None
@@ -145,7 +147,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     trace.xs.append(x.copy())
     if hybrid:
         trace.us.append(u.copy())
-    agg = None if hybrid else CertificateAggregate(policy)
+    cert, best = None, INF  # gcs: the aggregated u_k, and its dual value under "best"
     avg = 0.0  # lambda-average of the aggregated u_k's dual values, for the residual
 
     def increment(a, sharp):
@@ -153,7 +155,10 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
         p = _step_increment(x, s, a, spec, sharp)
         if not hybrid:
             return p
-        d = _step_increment(neg_u, neg_z, a, dual, sharp)
+        try:
+            d = _step_increment(neg_u, neg_z, a, dual, sharp)
+        except DomainError as exc:
+            raise DomainError(_primal_oracle_message(str(exc))) from exc
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
 
     def probe(a):
@@ -162,12 +167,12 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     start = time.perf_counter()
     try:
         for k in range(k_max):
+            z = _oracle_point(spec.f_grad, A(x), "f_grad")
+            u = u if hybrid else z
+            s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
             if hybrid:
-                s, z = dual_pair_step(x, u, spec)
                 neg_u, neg_z = -u, -z
             else:
-                u = _oracle_point(spec.f_grad, A(x), "f_grad")
-                s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
                 step_value = _dual_value(spec, u)
             if debug:
                 _fy_debug(spec, y=A(x), w=-At(u))
@@ -190,9 +195,12 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 u_val = _dual_value(spec, u)
                 current = p_val + u_val
             else:
-                agg.update(u, alpha, step_value)
                 avg = (1.0 - alpha) * avg + alpha * step_value
-                u_val = _dual_value(spec, agg.point) if policy == "average" else agg.best_value
+                if policy == "average":
+                    cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
+                elif step_value < best:
+                    best, cert = step_value, u.copy()
+                u_val = _dual_value(spec, cert) if policy == "average" else best
                 current = p_val
 
             trace.alphas.append(alpha)
@@ -212,7 +220,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 break
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
-    point = u if hybrid else agg.point
+    point = u if hybrid else cert
     trace.certificate = None if point is None else point.copy()
     return trace
 
@@ -251,6 +259,8 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     for z in trace.zs:
         np.negative(z, out=z)
     trace.primal, trace.dual = [-d for d in trace.dual], [-p for p in trace.primal]
+    if trace.error is not None:
+        trace.error = _primal_oracle_message(trace.error)
     return trace
 
 

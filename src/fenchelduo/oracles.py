@@ -36,8 +36,6 @@ __all__ = [
     "ProblemSpec",
     "bregman_f",
     "dualize",
-    "dual_pair_step",
-    "duality_gap",
     "fenchel_young_residual",
 ]
 
@@ -174,6 +172,11 @@ class ProblemSpec:
         return self.linmap.dim_out
 
 
+# dualize's wiring: the oracle of spec that each oracle of dualize(spec) calls
+_DUAL_ROLES = {"f_val": "h_conj_val", "f_grad": "h_conj_grad", "f_conj_val": "h_val",
+               "h_val": "f_conj_val", "h_conj_val": "f_val", "h_conj_grad": "f_grad"}
+
+
 def dualize(spec: ProblemSpec) -> ProblemSpec:
     """Problem spec of the Fenchel dual  min_v h*(A*v) + f*(-v).
 
@@ -213,6 +216,14 @@ def dualize(spec: ProblemSpec) -> ProblemSpec:
         sample_x=None,
         meta={"dual_of": spec.name, **{k: v for k, v in spec.meta.items() if k != "problem"}},
     )
+
+
+def _primal_oracle_message(message: str) -> str:
+    """An oracle error of ``dualize(spec)``, naming the oracle of ``spec`` it called."""
+    words = message.split(" ", 2)
+    if len(words) == 3 and words[0] == "oracle" and words[1] in _DUAL_ROLES:
+        words[1] = _DUAL_ROLES[words[1]]
+    return " ".join(words)
 
 
 def _oracle_point(fn, arg: np.ndarray, oracle: str) -> np.ndarray:
@@ -262,35 +273,6 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
         raise DomainError("f is +inf at the Bregman base point")
     g = _oracle_point(spec.f_grad, x, "f_grad")
     return _snap(fy - fx - float(np.dot(g, y - x)))
-
-
-def dual_pair_step(x: np.ndarray, u: np.ndarray, spec: ProblemSpec):
-    """The joint oracle step (x, u) -> (s, z) = ((h*)'(-A*u), f'(Ax)).
-
-    ``s`` is primal-feasible and ``z`` dual-feasible whenever the spec honours
-    the oracle-closure contract, which is what makes the iteration well posed.
-    """
-    s = _oracle_point(spec.h_conj_grad, -spec.linmap.adjoint(u), "h_conj_grad")
-    z = _oracle_point(spec.f_grad, spec.linmap.apply(x), "f_grad")
-    return s, z
-
-
-def duality_gap(x: np.ndarray, u: np.ndarray, spec: ProblemSpec) -> float:
-    """f(Ax) + h(x) + f*(u) + h*(-A*u); nonnegative by weak duality.
-
-    Raises :class:`InfiniteValue` when any of the four terms is +inf, which
-    signals an infeasible primal-dual certificate pair.
-    """
-    terms = (
-        _oracle_value(spec.f_val, spec.linmap.apply(x), "f_val"),
-        _oracle_value(spec.h_val, x, "h_val"),
-        _oracle_value(spec.f_conj_val, u, "f_conj_val"),
-        _oracle_value(spec.h_conj_val, -spec.linmap.adjoint(u), "h_conj_val"),
-    )
-    for t in terms:
-        if math.isinf(t):
-            raise InfiniteValue("duality gap has an infinite term (infeasible pair)")
-    return float(sum(terms))
 
 
 def fenchel_young_residual(spec: ProblemSpec, y: Optional[np.ndarray] = None,

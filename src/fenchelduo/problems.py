@@ -3,7 +3,8 @@ and the entropy geometry whose conjugate is log-sum-exp.
 
 Each constructor returns a :class:`~fenchelduo.oracles.ProblemSpec` whose
 conjugates and Bregman distances are closed forms, so certificate identities
-can be tested to tight tolerances.
+can be tested to tight tolerances.  Each part of a spec (a feasible region,
+or a smooth f) comes from a private function that returns its oracles as a dict.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ __all__ = [
     "SimplexRegion",
     "BoxRegion",
     "L1BallRegion",
-    "QuadraticF",
-    "HolderPowerF",
-    "log_sum_exp",
     "softmax",
-    "neg_entropy",
     "make_quadratic_simplex",
     "make_quadratic_box",
     "make_quadratic_l1_ball",
@@ -40,7 +37,7 @@ _SET_TOL = 1e-9
 # numerically careful scalar building blocks
 # ---------------------------------------------------------------------------
 
-def log_sum_exp(u) -> float:
+def _log_sum_exp(u) -> float:
     """log(sum_i exp(u_i)) with max subtraction for overflow safety."""
     u = np.asarray(u, dtype=float)
     m = float(np.max(u))
@@ -54,7 +51,7 @@ def softmax(u) -> np.ndarray:
     return e / np.sum(e)
 
 
-def neg_entropy(x) -> float:
+def _neg_entropy(x) -> float:
     """sum_i x_i log x_i with 0 log 0 = 0; expects nonnegative input."""
     x = np.asarray(x, dtype=float)
     mask = x > 0.0
@@ -66,8 +63,8 @@ def _lse_bregman(v2, v1) -> float:
     # probabilities so nearby arguments do not cancel.
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    logp1 = v1 - log_sum_exp(v1)
-    logp2 = v2 - log_sum_exp(v2)
+    logp1 = v1 - _log_sum_exp(v1)
+    logp2 = v2 - _log_sum_exp(v2)
     p1 = np.exp(logp1)
     return max(float(np.sum(p1 * (logp1 - logp2))), 0.0)
 
@@ -204,82 +201,79 @@ def _indicator_oracles(region):
 # smooth parts
 # ---------------------------------------------------------------------------
 
-class QuadraticF:
+def _quadratic_oracles(Q, b, m: int) -> dict:
     """f(y) = 1/2 y'Qy + b'y with symmetric positive semidefinite Q.
 
     The conjugate is 1/2 (u-b)'Q^+(u-b) on b + range(Q) and +inf outside,
     which covers the singular and the zero-matrix cases.
     """
+    Q = np.eye(m) if Q is None else np.asarray(Q, dtype=float)
+    b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
+    if Q.shape != (m, m):
+        raise ConstructionError(f"Q must be {m}x{m}, got {Q.shape}")
+    if b.shape != (m,):
+        raise ConstructionError(f"b must have length {m}, got {b.shape}")
+    if not np.array_equal(Q, Q.T):
+        raise ConstructionError("Q must be exactly symmetric")
+    w, V = np.linalg.eigh(Q)
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    if float(np.min(w)) < -1e-12 * scale:
+        raise ConstructionError("Q must be positive semidefinite")
+    w = np.where(w > 1e-12 * scale, w, 0.0)
+    pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
+    positive_definite = bool(np.all(w > 0.0))
 
-    def __init__(self, Q, b, m: int):
-        Q = np.eye(m) if Q is None else np.asarray(Q, dtype=float)
-        b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
-        if Q.shape != (m, m):
-            raise ConstructionError(f"Q must be {m}x{m}, got {Q.shape}")
-        if b.shape != (m,):
-            raise ConstructionError(f"b must have length {m}, got {b.shape}")
-        if not np.array_equal(Q, Q.T):
-            raise ConstructionError("Q must be exactly symmetric")
-        w, V = np.linalg.eigh(Q)
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-        if float(np.min(w)) < -1e-12 * scale:
-            raise ConstructionError("Q must be positive semidefinite")
-        w = np.where(w > 1e-12 * scale, w, 0.0)
-        self.Q = Q
-        self.b = b
-        self.m = m
-        self._pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
-        self.positive_definite = bool(np.all(w > 0.0))
+    def f_val(y) -> float:
+        return 0.5 * float(y @ Q @ y) + float(b @ y)
 
-    def val(self, y) -> float:
-        return 0.5 * float(y @ self.Q @ y) + float(self.b @ y)
+    def f_grad(y) -> np.ndarray:
+        return Q @ y + b
 
-    def grad(self, y) -> np.ndarray:
-        return self.Q @ y + self.b
-
-    def conj_val(self, u) -> float:
-        d = np.asarray(u, dtype=float) - self.b
-        if not self.positive_definite:
+    def f_conj_val(u) -> float:
+        d = np.asarray(u, dtype=float) - b
+        if not positive_definite:
             # range test: d must be reproduced by Q Q^+ d
-            resid = d - self.Q @ (self._pinv @ d)
+            resid = d - Q @ (pinv @ d)
             if float(np.linalg.norm(resid)) > 1e-9 * (1.0 + float(np.linalg.norm(d))):
                 return INF
-        return 0.5 * float(d @ self._pinv @ d)
+        return 0.5 * float(d @ pinv @ d)
 
-    def bregman(self, y2, y1) -> float:
+    def breg_f(y2, y1) -> float:
         d = np.asarray(y2, dtype=float) - np.asarray(y1, dtype=float)
-        return max(0.5 * float(d @ self.Q @ d), 0.0)
+        return max(0.5 * float(d @ Q @ d), 0.0)
+
+    return {"f_val": f_val, "f_grad": f_grad, "f_conj_val": f_conj_val, "breg_f": breg_f}
 
 
-class HolderPowerF:
+def _holder_oracles(p: float) -> dict:
     """f(y) = (1/p) sum |y_i|^p for p in (1, 2]; gradient sign(y)|y|^{p-1}.
 
     The gradient is Holder continuous of order p-1, so the certificate decays
     like k^{-(p-1)} instead of the quadratic-case k^{-1}.
     """
+    if not (1.0 < p <= 2.0):
+        raise ConstructionError(f"power exponent must be in (1, 2], got {p}")
+    p = float(p)
+    q = p / (p - 1.0)
 
-    def __init__(self, p: float):
-        if not (1.0 < p <= 2.0):
-            raise ConstructionError(f"power exponent must be in (1, 2], got {p}")
-        self.p = float(p)
-        self.q = self.p / (self.p - 1.0)
+    def f_val(y) -> float:
+        return float(np.sum(np.abs(y) ** p)) / p
 
-    def val(self, y) -> float:
-        return float(np.sum(np.abs(y) ** self.p)) / self.p
-
-    def grad(self, y) -> np.ndarray:
+    def f_grad(y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.sign(y) * np.abs(y) ** (self.p - 1.0)
+        return np.sign(y) * np.abs(y) ** (p - 1.0)
 
-    def conj_val(self, u) -> float:
-        return float(np.sum(np.abs(u) ** self.q)) / self.q
+    def f_conj_val(u) -> float:
+        return float(np.sum(np.abs(u) ** q)) / q
+
+    return {"f_val": f_val, "f_grad": f_grad, "f_conj_val": f_conj_val}
 
 
 def _lse_f_oracles():
     return {
-        "f_val": log_sum_exp,
+        "f_val": _log_sum_exp,
         "f_grad": softmax,
-        "f_conj_val": lambda u: neg_entropy(u) if abs(float(np.sum(u)) - 1.0) <= _SET_TOL
+        "f_conj_val": lambda u: _neg_entropy(u) if abs(float(np.sum(u)) - 1.0) <= _SET_TOL
         and float(np.min(u)) >= -_SET_TOL else INF,
         "breg_f": _lse_bregman,
     }
@@ -318,22 +312,13 @@ def _indicator_spec(region, fpart_oracles, linmap, name, meta) -> ProblemSpec:
     )
 
 
-def _quadratic_oracles(quad: QuadraticF) -> dict:
-    return {
-        "f_val": quad.val,
-        "f_grad": quad.grad,
-        "f_conj_val": quad.conj_val,
-        "breg_f": quad.bregman,
-    }
-
-
 def make_quadratic_simplex(Q=None, b=None, n: int = 2, a=None) -> ProblemSpec:
     """min 1/2 (Ax)'Q(Ax) + b'(Ax) over the probability simplex."""
     linmap = _resolve_map(n, a)
-    quad = QuadraticF(Q, b, linmap.dim_out)
+    fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = SimplexRegion(n)
     meta = {"problem": "quadratic-simplex", "n": n, "m": linmap.dim_out}
-    return _indicator_spec(region, _quadratic_oracles(quad), linmap, "quadratic-simplex", meta)
+    return _indicator_spec(region, fpart, linmap, "quadratic-simplex", meta)
 
 
 def _box_bound(value, default: float, n: int, name: str) -> np.ndarray:
@@ -350,19 +335,19 @@ def make_quadratic_box(Q=None, b=None, lower=None, upper=None, n: int = 2, a=Non
     lower, upper = (_box_bound(v, default, n, name)
                     for v, default, name in ((lower, -1.0, "lower"), (upper, 1.0, "upper")))
     linmap = _resolve_map(n, a)
-    quad = QuadraticF(Q, b, linmap.dim_out)
+    fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = BoxRegion(lower, upper)
     meta = {"problem": "quadratic-box", "n": n, "m": linmap.dim_out}
-    return _indicator_spec(region, _quadratic_oracles(quad), linmap, "quadratic-box", meta)
+    return _indicator_spec(region, fpart, linmap, "quadratic-box", meta)
 
 
 def make_quadratic_l1_ball(Q=None, b=None, radius: float = 1.0, n: int = 2, a=None) -> ProblemSpec:
     """Quadratic objective over the l1 ball of the given radius."""
     linmap = _resolve_map(n, a)
-    quad = QuadraticF(Q, b, linmap.dim_out)
+    fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = L1BallRegion(n, radius)
     meta = {"problem": "quadratic-l1", "n": n, "m": linmap.dim_out}
-    return _indicator_spec(region, _quadratic_oracles(quad), linmap, "quadratic-l1", meta)
+    return _indicator_spec(region, fpart, linmap, "quadratic-l1", meta)
 
 
 def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) -> ProblemSpec:
@@ -375,7 +360,7 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
     m = linmap.dim_out
 
     if f_kind == "quadratic":
-        fpart = _quadratic_oracles(QuadraticF(Q, b, m))
+        fpart = _quadratic_oracles(Q, b, m)
     elif f_kind == "lse":
         unread = [name for name, value in (("Q", Q), ("b", b)) if value is not None]
         if unread:
@@ -389,7 +374,7 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
     def h_val(x):
         if not region.contains(x):
             return INF
-        return neg_entropy(np.maximum(np.asarray(x, dtype=float), 0.0))
+        return _neg_entropy(np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def sample_interior(rng):
         return softmax(rng.standard_normal(n))
@@ -397,7 +382,7 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
     return ProblemSpec(
         linmap=linmap,
         h_val=h_val,
-        h_conj_val=log_sum_exp,
+        h_conj_val=_log_sum_exp,
         h_conj_grad=softmax,
         breg_hconj=_lse_bregman,
         name="entropy-lse",
@@ -410,8 +395,7 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
 def make_holder_power_simplex(p: float, n: int = 2, a=None) -> ProblemSpec:
     """f(x) = (1/p) sum |x_i|^p over the simplex; exercises non-quadratic decay."""
     linmap = _resolve_map(n, a)
-    power = HolderPowerF(p)
+    fpart = _holder_oracles(p)
     region = SimplexRegion(n)
     meta = {"problem": "holder-power-simplex", "n": n, "m": linmap.dim_out, "p": p}
-    fpart = {"f_val": power.val, "f_grad": power.grad, "f_conj_val": power.conj_val}
     return _indicator_spec(region, fpart, linmap, "holder-power-simplex", meta)

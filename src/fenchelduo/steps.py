@@ -6,8 +6,9 @@ exact line search on the gap surrogate
     phi(alpha) = (1 - alpha) * gap_k + D(alpha),
 
 and an approximate rule that estimates the curvature exponent on the fly and
-plays g_k/(k+g_k).  Every rule forces a full first step (alpha_0 = 1), which
-all certificate identities require.
+plays g_k/(k+g_k).  Each is a :class:`StepRule` whose ``select`` holds the
+rule; :func:`make_rule` builds one from its config name.  Every rule forces a
+full first step (alpha_0 = 1), which all certificate identities require.
 
 The surrogate phi is convex on [0, 1] (D is a Bregman distance along a
 segment, convex in alpha) but possibly nonsmooth, so the minimizer brackets
@@ -30,22 +31,12 @@ __all__ = [
     "OpenLoop",
     "ExactLineSearch",
     "ApproxGamma",
-    "step_fixed_harmonic",
-    "minimize_step_surrogate",
-    "approx_gamma_select",
     "make_rule",
 ]
 
 log = logging.getLogger("fenchelduo")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def step_fixed_harmonic(k: int) -> float:
-    """The 2/(k+2) schedule; equals 1 at k = 0."""
-    if k < 0:
-        raise RangeError(f"iteration index must be nonnegative, got {k}")
-    return 2.0 / (k + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +54,8 @@ def _parabola_vertex(a, fa, b, fb, c, fc):
     return v if math.isfinite(v) else None
 
 
-def minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
-                            tol: float = 1e-10, max_iters: int = 200):
+def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
+                             tol: float = 1e-10, max_iters: int = 200):
     """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1].
 
     Returns ``(alpha, phi(alpha), warned)``.  Non-finite phi values shrink the
@@ -181,34 +172,6 @@ def _exponent_acceptable(gamma_c: float, k: int, d_fun) -> bool:
     return ratios[0] <= ratios[2] + slack
 
 
-def approx_gamma_select(k: int, gap: float, d_fun, delta: float,
-                        tol: float = 1e-10, gamma_max: float = 4.0) -> float:
-    """Step size g_k/(k+g_k) with g_k within delta of the curvature exponent.
-
-    Binary search for the largest exponent the 3-point ratio probe accepts;
-    falls back to the exact line search when even exponent 1 is rejected.
-    """
-    if not (0.0 < delta < 1.0):
-        raise RangeError(f"delta must lie in (0, 1), got {delta}")
-    if k < 1:
-        return 1.0
-    if _exponent_acceptable(gamma_max, k, d_fun):
-        gamma_k = gamma_max
-    elif not _exponent_acceptable(1.0, k, d_fun):
-        # bracket collapsed; the surrogate is not power-like here
-        return minimize_step_surrogate(gap, d_fun, tol)[0]
-    else:
-        lo, hi = 1.0, gamma_max
-        while hi - lo > 0.5 * delta:
-            mid = 0.5 * (lo + hi)
-            if _exponent_acceptable(mid, k, d_fun):
-                lo = mid
-            else:
-                hi = mid
-        gamma_k = lo
-    return gamma_k / (k + gamma_k)
-
-
 # ---------------------------------------------------------------------------
 # rule objects used by the engine
 # ---------------------------------------------------------------------------
@@ -240,7 +203,8 @@ class FixedHarmonic(StepRule):
     is_schedule = True
 
     def select(self, k, gap, d_fun):
-        return step_fixed_harmonic(k)
+        """The 2/(k+2) schedule; equals 1 at k = 0."""
+        return 2.0 / (k + 2.0)
 
 
 @dataclass(frozen=True)
@@ -264,7 +228,7 @@ class ExactLineSearch(StepRule):
     def select(self, k, gap, d_fun):
         if k == 0:
             return 1.0
-        return minimize_step_surrogate(gap, d_fun, self.tol, self.max_iters)[0]
+        return _minimize_step_surrogate(gap, d_fun, self.tol, self.max_iters)[0]
 
 
 @dataclass(frozen=True)
@@ -278,9 +242,28 @@ class ApproxGamma(StepRule):
             raise RangeError(f"delta must lie in (0, 1), got {self.delta}")
 
     def select(self, k, gap, d_fun):
+        """Step size g_k/(k+g_k) with g_k within delta of the curvature exponent.
+
+        Binary search for the largest exponent the 3-point ratio probe accepts;
+        falls back to the exact line search when even exponent 1 is rejected.
+        """
         if k == 0:
             return 1.0
-        return approx_gamma_select(k, gap, d_fun, self.delta, self.tol, self.gamma_max)
+        if _exponent_acceptable(self.gamma_max, k, d_fun):
+            gamma_k = self.gamma_max
+        elif not _exponent_acceptable(1.0, k, d_fun):
+            # bracket collapsed; the surrogate is not power-like here
+            return _minimize_step_surrogate(gap, d_fun, self.tol)[0]
+        else:
+            lo, hi = 1.0, self.gamma_max
+            while hi - lo > 0.5 * self.delta:
+                mid = 0.5 * (lo + hi)
+                if _exponent_acceptable(mid, k, d_fun):
+                    lo = mid
+                else:
+                    hi = mid
+            gamma_k = lo
+        return gamma_k / (k + gamma_k)
 
 
 _RULES = {

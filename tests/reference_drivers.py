@@ -4,29 +4,36 @@ These are the conditional-subgradient, mirror-descent and symmetric loops
 written out separately, with the gap recursion spelled out inline: the
 plain bound accumulates Bregman increments, the sharpened bound the full
 step divergences, both seeded by the Bregman distance of the forced full
-first step.  They share the oracle and primal-side certificate primitives with
-the package but none of its iteration code, so comparing the package drivers
-against them (and running the equivalence checks on them) stays a check
-of one wiring against another.
+first step.  They share the oracle-layer primitives (the checked oracle
+calls and ``bregman_f``) with the package, and ``weight_rows``, which its
+kernel never calls, but none of its iteration or certificate code, so
+comparing the package drivers against them (and running the equivalence
+checks on them) stays a check of one wiring against another.
 
-The dual side is spelled out by hand here: ``bregman_hconj`` and
-``step_divergence_dual`` are literal copies of the package's former
-dual-side twins, which it now computes as the primal-side functions of
-``dualize(spec)``.  The mirror-descent and symmetric loops use these copies,
-never ``dualize``.
+The certificate code is spelled out here by hand: ``CertificateAggregate``
+(the averaged or best certificate, which the package's kernel keeps
+inline), ``step_divergence_primal`` (the sharpened increment, which the
+package computes in ``certificates._step_increment``), and the dual-side
+``bregman_hconj`` and ``step_divergence_dual``, which the package computes
+as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
+symmetric loops use these copies, never ``dualize``.
 """
 
 import math
 import time
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from fenchelduo.certificates import CertificateAggregate, step_divergence_primal, weight_rows
+from fenchelduo.certificates import weight_rows
 from fenchelduo.engine import Trace
 from fenchelduo.oracles import (
+    INF,
     DomainError,
     InfiniteValue,
     RangeError,
+    StateError,
     as_point,
     bregman_f,
     fenchel_young_residual,
@@ -58,6 +65,18 @@ def _guarded(coeff, value, what):
     return coeff * value
 
 
+def step_divergence_primal(x, s, alpha, spec):
+    """Bregman distance of f(A .) across the step from x toward s, plus the
+    Jensen slack of h at the same interpolation."""
+    A, h = spec.linmap.apply, spec.h_val
+    comb = (1.0 - alpha) * x + alpha * s
+    value = bregman_f(A(comb), A(x), spec)
+    value += _guarded(1.0, float(h(comb)), "h at the interpolated point")
+    value -= _guarded(1.0 - alpha, float(h(x)), "h at the base point")
+    value -= _guarded(alpha, float(h(s)), "h at the target point")
+    return value
+
+
 def step_divergence_dual(v, neg_z, alpha, spec):
     """Bregman distance of h*(A* .) across the step from v toward -z, plus
     the Jensen slack of w -> f*(-w) at the same interpolation."""
@@ -68,6 +87,35 @@ def step_divergence_dual(v, neg_z, alpha, spec):
     value -= _guarded(1.0 - alpha, float(spec.f_conj_val(-v)), "f* at the base point")
     value -= _guarded(alpha, float(spec.f_conj_val(-neg_z)), "f* at the target point")
     return value
+
+
+@dataclass
+class CertificateAggregate:
+    """Running certificate: lambda-weighted average or best objective value."""
+
+    policy: str = "average"
+    point: Optional[np.ndarray] = None
+    best_value: float = INF
+
+    def __post_init__(self):
+        if self.policy not in ("average", "best"):
+            raise StateError(f"unknown aggregate policy {self.policy!r}")
+
+    def update(self, point, alpha, value=None):
+        if self.policy == "average":
+            if self.point is None:
+                if alpha != 1.0:
+                    raise StateError("averaged certificates require a full first step")
+                self.point = np.array(point, dtype=float)
+            else:
+                self.point = (1.0 - alpha) * self.point + alpha * np.asarray(point, dtype=float)
+        else:
+            if value is None:
+                raise StateError("best-value policy needs the objective value")
+            if value < self.best_value:
+                self.best_value = float(value)
+                self.point = np.array(point, dtype=float)
+        return self
 
 
 def _check_args(k_max, policy, mode):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fenchelduo as fd
-from fenchelduo.steps import minimize_step_surrogate
+from fenchelduo import steps
 
 K_IDENTITY = 500
 K_RATE = 1000
@@ -207,10 +207,10 @@ def test_criterion_9_line_search_optimality():
     for _ in range(100):
         gap = float(rng.uniform(0.05, 10.0))
         curv = float(rng.uniform(0.05, 10.0))
-        _, val, _ = minimize_step_surrogate(gap, lambda t, c=curv: 0.5 * c * t * t)
+        _, val, _ = steps._minimize_step_surrogate(gap, lambda t, c=curv: 0.5 * c * t * t)
         grid_min = float(np.min((1.0 - grid) * gap + 0.5 * curv * grid**2))
         worst = max(worst, val - grid_min)
-    a_closed, _, _ = minimize_step_surrogate(1.0, lambda t: t * t)
+    a_closed, _, _ = steps._minimize_step_surrogate(1.0, lambda t: t * t)
     closed_err = abs(a_closed - 0.5)
     ok = worst <= 1e-8 and closed_err <= 1e-10
     report(9, ok, f"100 random surrogates: worst excess over grid {worst:.2e} <= 1e-8; "

@@ -1,5 +1,6 @@
-"""Weight rows, step divergences, gap recursions, aggregates, and the exact
-identity residuals, each cross-checked against an independent recomputation."""
+"""Weight rows, step divergences, gap recursions, the run's certificate
+aggregate, and the exact identity residuals, each cross-checked against an
+independent recomputation."""
 
 from dataclasses import dataclass
 
@@ -159,39 +160,32 @@ class TestGapState:
 
 
 class TestAggregates:
-    def test_average_matches_hand_value(self):
-        agg = fd.CertificateAggregate("average")
-        agg.update(np.array([1.0, 0.0]), 1.0)
-        agg.update(np.array([0.0, 1.0]), 2.0 / 3.0)
-        np.testing.assert_allclose(agg.point, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+    """The run's certificate against a recomputation from its recorded history."""
+
+    @pytest.mark.parametrize("spec", [
+        fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1])),
+        fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1])),
+    ], ids=["quadratic-simplex", "entropy-lse"])
+    def test_average_is_lambda_weighted_sum(self, spec):
+        trace = fd.run_gcs(spec, np.eye(3)[0], fd.ExactLineSearch(), 50, policy="average")
+        lam, _ = fd.weight_rows(trace.alphas)
+        want = np.sum(lam[:, None] * np.array(trace.us), axis=0)
+        np.testing.assert_allclose(trace.certificate, want, rtol=1e-12, atol=1e-12)
 
     def test_single_iterate(self):
-        agg = fd.CertificateAggregate("average")
-        agg.update(np.array([0.25, 0.75]), 1.0)
-        np.testing.assert_array_equal(agg.point, [0.25, 0.75])
+        spec = fd.make_quadratic_simplex(n=2)
+        trace = fd.run_gcs(spec, [0.25, 0.75], fd.FixedHarmonic(), 1)
+        np.testing.assert_array_equal(trace.certificate, [0.25, 0.75])
 
-    def test_best_policy_argmin(self):
-        agg = fd.CertificateAggregate("best")
-        for i, val in enumerate((0.5, 0.4, 0.7)):
-            agg.update(np.array([float(i)]), 0.5, val)
-        assert agg.best_value == 0.4
-        np.testing.assert_array_equal(agg.point, [1.0])
-
-    def test_average_equals_full_history_recomputation(self):
-        rng = np.random.default_rng(6)
-        alphas = [1.0] + list(rng.random(50))
-        points = [rng.standard_normal(4) for _ in alphas]
-        agg = fd.CertificateAggregate("average")
-        for p, a in zip(points, alphas):
-            agg.update(p, a)
-        lam, _ = fd.weight_rows(alphas)
-        want = np.sum(lam[:, None] * np.array(points), axis=0)
-        np.testing.assert_allclose(agg.point, want, rtol=1e-12, atol=1e-12)
-
-    def test_requires_full_first_step(self):
-        agg = fd.CertificateAggregate("average")
-        with pytest.raises(fd.StateError):
-            agg.update(np.ones(2), 0.5)
+    @pytest.mark.parametrize("rule", [fd.FixedHarmonic(), fd.ExactLineSearch()],
+                             ids=["fixed_harmonic", "exact_ls"])
+    def test_best_is_first_least_dual_value(self, rule):
+        spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+        trace = fd.run_gcs(spec, np.eye(3)[0], rule, 40, policy="best")
+        values = [float(spec.f_conj_val(u)) + float(spec.h_conj_val(-u)) for u in trace.us]
+        first = int(np.argmin(values))
+        np.testing.assert_array_equal(trace.certificate, trace.us[first])
+        assert -trace.dual[-1] == values[first]
 
 
 class TestIdentityResiduals:
@@ -204,7 +198,9 @@ class TestIdentityResiduals:
     def test_hybrid_first_iteration_hand_value(self):
         spec = fd.make_quadratic_simplex(n=2)
         trace = fd.run_hybrid(spec, [1.0, 0.0], [1.0, 0.0], fd.FixedHarmonic(), 1)
-        assert fd.duality_gap(trace.xs[1], trace.us[1], spec) == pytest.approx(1.0, abs=0)
+        x, u = trace.xs[1], trace.us[1]
+        gap = spec.f_val(x) + spec.h_val(x) + spec.f_conj_val(u) + spec.h_conj_val(-u)
+        assert gap == pytest.approx(1.0, abs=0)
         assert fd.hybrid_identity_residuals(trace, spec)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_requires_full_first_step(self):

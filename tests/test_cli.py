@@ -270,7 +270,8 @@ class TestProbeRateCompare:
         line = [l for l in out.splitlines() if l.startswith("c_hat")][0]
         assert float(line.split(":")[1]) == pytest.approx(2.0, rel=1e-6)
 
-    @pytest.mark.parametrize("gamma", ["1", "0.5", "nan"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", ["1", "0.5", "nan", "inf", "1e308"])
     def test_probe_gamma_at_most_one_is_config_error(self, tmp_path, capsys, gamma):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["probe", "--config", str(cfg), "--gamma", gamma]) == 2

@@ -75,6 +75,19 @@ class TestTraceCurvature:
         assert cp > 0.0 and cd > 0.0
 
 
+# inf and 1e308 underflow alpha^gamma to 0 on the probe grid; at 105 it stays
+# positive (subnormal) and the ratio overflows instead
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [np.inf, 1e308, 105.0])
+def test_non_finite_estimate_is_range_error(gamma):
+    spec = fd.make_quadratic_simplex(n=2)
+    tr = fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 10)
+    with pytest.raises(fd.RangeError):
+        fd.curvature_along_trace(tr, spec, gamma)
+    with pytest.raises(fd.RangeError):
+        fd.probe_curvature(spec, gamma, n_samples=20)
+
+
 class TestFitRate:
     def test_harmonic_decay(self):
         k = np.arange(1, 1001)

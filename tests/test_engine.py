@@ -333,6 +333,7 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
     for fail_from in (1, calls["n"] // 2):
         broken = _drive(algo, _wrapped(spec, oracle, fail_from, failure)[0], start, rule)
         assert broken.error is not None
+        assert f"oracle {oracle} " in broken.error
         if failure == "raise":
             assert "injected failure" in broken.error
         else:
