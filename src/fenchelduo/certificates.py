@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .oracles import InfiniteValue, ProblemSpec, StateError, bregman_f, dualize
+from .oracles import InfiniteValue, ProblemSpec, StateError, _oracle_value, bregman_f, dualize
 
 __all__ = [
     "weight_rows",
@@ -42,12 +42,9 @@ def weight_rows(alphas) -> tuple:
     mu_i is the product of (1 - alpha_j) over j > i, and lambda_i = alpha_i * mu_i.
     """
     a = np.asarray(alphas, dtype=float)
-    k = a.shape[0]
-    mu = np.ones(k)
-    running = 1.0
-    for i in range(k - 1, -1, -1):
-        mu[i] = running
-        running *= 1.0 - a[i]
+    mu = np.ones(a.shape[0])
+    # one running product from the last step back (cumprod is sequential)
+    mu[:-1] = np.cumprod(1.0 - a[:0:-1])[::-1]
     return a * mu, mu
 
 
@@ -55,13 +52,14 @@ def weight_rows(alphas) -> tuple:
 # step divergences (certificate increments in sharpened form)
 # ---------------------------------------------------------------------------
 
-def _guarded(coeff: float, value: float, what: str) -> float:
-    # explicit inf handling: a zero coefficient removes the term before the
-    # value is touched, so 0 * inf never occurs
+def _guarded(coeff: float, spec: ProblemSpec, point, where: str) -> float:
+    # coeff * h(point) with explicit inf handling: a zero coefficient drops the
+    # term before the value is used, so 0 * inf never occurs
+    value = _oracle_value(spec.h_val, point, "h_val")
     if coeff == 0.0:
         return 0.0
     if math.isinf(value):
-        raise InfiniteValue(f"{what} is +inf inside a step divergence")
+        raise InfiniteValue(f"oracle h_val returned +inf at the {where} point of a step")
     return coeff * value
 
 
@@ -73,14 +71,14 @@ def _step_increment(base, target, alpha: float, spec: ProblemSpec, sharp: bool =
     the sharpened value adds the Jensen slack of h at the same interpolation.
     D is evaluated once for both.
     """
-    A, h = spec.linmap.apply, spec.h_val
+    A = spec.linmap.apply
     comb = (1.0 - alpha) * base + alpha * target
     d = bregman_f(A(comb), A(base), spec)
     if not sharp:
         return d
-    value = d + _guarded(1.0, float(h(comb)), "h at the interpolated point")
-    value -= _guarded(1.0 - alpha, float(h(base)), "h at the base point")
-    value -= _guarded(alpha, float(h(target)), "h at the target point")
+    value = d + _guarded(1.0, spec, comb, "interpolated")
+    value -= _guarded(1.0 - alpha, spec, base, "base")
+    value -= _guarded(alpha, spec, target, "target")
     return d, value
 
 

@@ -45,7 +45,7 @@ from .problems import (
     make_quadratic_simplex,
     random_linear_map,
 )
-from .steps import _RULES, FixedHarmonic, StepRule, make_rule
+from .steps import _RULES, FixedHarmonic, StepRule
 
 CSV_HEADER = "k,alpha,primal,dual,gap_bound,true_gap,residual,t_ms"
 
@@ -173,7 +173,7 @@ def build_rule(rconf):
     _reject_unknown(rconf, _RULE_KEYS[name] | {"name"}, f"rule {name!r}")
     params = {k: _number(v, f"rule.{k}") for k, v in rconf.items() if k != "name"}
     try:
-        return make_rule(name, **params)
+        return _RULES[name](**params)
     except FenchelDuoError as exc:
         raise ConfigError(str(exc)) from exc
 

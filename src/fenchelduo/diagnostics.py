@@ -33,6 +33,7 @@ from .oracles import (
 __all__ = ["CurvatureEstimate", "probe_curvature", "curvature_along_trace", "fit_rate"]
 
 _SCALES = (0.1, 1.0, 10.0)
+_K_MIN = 10  # first k of the rate fit
 
 
 @dataclass
@@ -140,8 +141,8 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     raise RangeError(f"unknown trace algo {trace.algo!r}")
 
 
-def fit_rate(trace_or_gaps, k_min: int = 10):
-    """Least-squares slope of log(gap) against log(k).
+def fit_rate(trace_or_gaps):
+    """Least-squares slope of log(gap) against log(k) over k >= 10.
 
     Accepts a trace (its certified gap-bound column is used) or a bare gap
     array indexed from k = 1.  Returns ``(exponent, r_squared)``; raises
@@ -150,7 +151,7 @@ def fit_rate(trace_or_gaps, k_min: int = 10):
     gaps = getattr(trace_or_gaps, "gap_bound", trace_or_gaps)
     gaps = np.asarray(gaps, dtype=float)
     k = np.arange(1, gaps.shape[0] + 1)
-    mask = (k >= k_min) & (gaps > 0.0) & np.isfinite(gaps)
+    mask = (k >= _K_MIN) & (gaps > 0.0) & np.isfinite(gaps)
     if int(np.sum(mask)) < 10:
         raise FitError(f"only {int(np.sum(mask))} usable points for the rate fit (need 10)")
     lx = np.log(k[mask].astype(float))

@@ -31,6 +31,15 @@ def _require_schedule(rule: StepRule):
         )
 
 
+def _deviation(*pairings) -> float:
+    # worst |a + sign * b| over paired histories; sign = +-1.0 keeps it exact
+    dev = 0.0
+    for firsts, seconds, sign in pairings:
+        for a, b in zip(firsts, seconds):
+            dev = max(dev, float(np.max(np.abs(a + sign * b))))
+    return dev
+
+
 def check_bach_equivalence(spec: ProblemSpec, x0, rule: StepRule, k_max: int) -> float:
     """Max deviation between a primal conditional-subgradient run and the
     sign-mapped mirror-descent run on the dual started from -x0.
@@ -50,14 +59,8 @@ def check_bach_equivalence(spec: ProblemSpec, x0, rule: StepRule, k_max: int) ->
     dual = run_gmd(dualize(spec), -np.asarray(x0, dtype=float), rule, k_max)
     if dual.error:
         raise ConstructionError(f"dual run aborted: {dual.error}")
-    dev = 0.0
-    for vk, xk in zip(dual.vs, primal.xs):
-        dev = max(dev, float(np.max(np.abs(vk + xk))))
-    for yk, uk in zip(dual.ys, primal.us):
-        dev = max(dev, float(np.max(np.abs(yk + uk))))
-    for zk, sk in zip(dual.zs, primal.ss):
-        dev = max(dev, float(np.max(np.abs(zk - sk))))
-    return dev
+    return _deviation((dual.vs, primal.xs, 1.0), (dual.ys, primal.us, 1.0),
+                      (dual.zs, primal.ss, -1.0))
 
 
 def check_hybrid_symmetry(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int) -> float:
@@ -74,13 +77,5 @@ def check_hybrid_symmetry(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int)
                        np.asarray(x0, dtype=float), rule, k_max)
     if there.error:
         raise ConstructionError(f"dual run aborted: {there.error}")
-    dev = 0.0
-    for xd, uk in zip(there.xs, here.us):
-        dev = max(dev, float(np.max(np.abs(xd + uk))))
-    for ud, xk in zip(there.us, here.xs):
-        dev = max(dev, float(np.max(np.abs(ud - xk))))
-    for sd, zk in zip(there.ss, here.zs):
-        dev = max(dev, float(np.max(np.abs(sd + zk))))
-    for zd, sk in zip(there.zs, here.ss):
-        dev = max(dev, float(np.max(np.abs(zd - sk))))
-    return dev
+    return _deviation((there.xs, here.us, 1.0), (there.us, here.xs, -1.0),
+                      (there.ss, here.zs, 1.0), (there.zs, here.ss, -1.0))

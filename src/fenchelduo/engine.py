@@ -21,6 +21,7 @@ pair, and a streaming residual of the exact certificate identity.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -80,7 +81,6 @@ class Trace:
     ys: List[np.ndarray] = field(default_factory=list)
     certificate: Optional[np.ndarray] = None
     error: Optional[str] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def k(self) -> int:
@@ -118,14 +118,21 @@ def _fy_debug(spec, y=None, w=None):
         raise DomainError(f"conjugate-pair defect {defect:.3e} exceeds {_FY_DEBUG_TOL}")
 
 
+def _finite_value(fn, arg, oracle: str) -> float:
+    value = _oracle_value(fn, arg, oracle)
+    if math.isinf(value):
+        raise InfiniteValue(f"oracle {oracle} returned {value:+} at an iterate")
+    return value
+
+
 def _primal_value(spec: ProblemSpec, x) -> float:
-    return (_oracle_value(spec.f_val, spec.linmap.apply(x), "f_val")
-            + _oracle_value(spec.h_val, x, "h_val"))
+    return (_finite_value(spec.f_val, spec.linmap.apply(x), "f_val")
+            + _finite_value(spec.h_val, x, "h_val"))
 
 
 def _dual_value(spec: ProblemSpec, u) -> float:
-    return (_oracle_value(spec.f_conj_val, u, "f_conj_val")
-            + _oracle_value(spec.h_conj_val, -spec.linmap.adjoint(u), "h_conj_val"))
+    return (_finite_value(spec.f_conj_val, u, "f_conj_val")
+            + _finite_value(spec.h_conj_val, -spec.linmap.adjoint(u), "h_conj_val"))
 
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
@@ -142,8 +149,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec) if hybrid else None
     sharp_mode = mode == "sharp"
-    trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode, policy=policy,
-                  meta=dict(spec.meta))
+    trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode, policy=policy)
     trace.xs.append(x.copy())
     if hybrid:
         trace.us.append(u.copy())
@@ -157,8 +163,8 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
             return p
         try:
             d = _step_increment(neg_u, neg_z, a, dual, sharp)
-        except DomainError as exc:
-            raise DomainError(_primal_oracle_message(str(exc))) from exc
+        except (DomainError, InfiniteValue) as exc:  # same type: a probe shrinks on +inf
+            raise type(exc)(_primal_oracle_message(str(exc))) from exc
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
 
     def probe(a):
@@ -253,7 +259,7 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     _check_args(k_max, policy, mode)
     v = as_point(v0, spec.dim_y, "v0")
     trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode, debug)
-    trace.algo, trace.meta = "gmd", dict(spec.meta)
+    trace.algo = "gmd"
     trace.vs, trace.ys, trace.zs = trace.xs, trace.us, trace.ss
     trace.xs, trace.us, trace.ss = [], [], []
     for z in trace.zs:

@@ -18,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -161,7 +161,6 @@ class ProblemSpec:
     breg_hconj: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     name: str = ""
     sample_x: Optional[Callable[[np.random.Generator], np.ndarray]] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim_x(self) -> int:
@@ -214,7 +213,6 @@ def dualize(spec: ProblemSpec) -> ProblemSpec:
         breg_hconj=None if spec.breg_f is None else (lambda y2, y1: spec.breg_f(-y2, -y1)),
         name=f"dual({spec.name})" if spec.name else "dual",
         sample_x=None,
-        meta={"dual_of": spec.name, **{k: v for k, v in spec.meta.items() if k != "problem"}},
     )
 
 
@@ -267,10 +265,10 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
         return _snap(float(spec.breg_f(y, x)))
     fy = _oracle_value(spec.f_val, y, "f_val")
     if math.isinf(fy):
-        raise InfiniteValue("f is +inf at the first Bregman argument")
+        raise InfiniteValue("oracle f_val returned +inf at the first Bregman argument")
     fx = _oracle_value(spec.f_val, x, "f_val")
     if math.isinf(fx):
-        raise DomainError("f is +inf at the Bregman base point")
+        raise DomainError("oracle f_val returned +inf at the Bregman base point")
     g = _oracle_point(spec.f_grad, x, "f_grad")
     return _snap(fy - fx - float(np.dot(g, y - x)))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -301,12 +300,11 @@ def random_linear_map(m: int, n: int, rng: np.random.Generator) -> LinearMap:
     return LinearMap.from_matrix(rng.standard_normal((m, n)))
 
 
-def _indicator_spec(region, fpart_oracles, linmap, name, meta) -> ProblemSpec:
+def _indicator_spec(region, fpart_oracles, linmap, name) -> ProblemSpec:
     return ProblemSpec(
         linmap=linmap,
         name=name,
         sample_x=region.sample,
-        meta=meta,
         **_indicator_oracles(region),
         **fpart_oracles,
     )
@@ -317,8 +315,7 @@ def make_quadratic_simplex(Q=None, b=None, n: int = 2, a=None) -> ProblemSpec:
     linmap = _resolve_map(n, a)
     fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = SimplexRegion(n)
-    meta = {"problem": "quadratic-simplex", "n": n, "m": linmap.dim_out}
-    return _indicator_spec(region, fpart, linmap, "quadratic-simplex", meta)
+    return _indicator_spec(region, fpart, linmap, "quadratic-simplex")
 
 
 def _box_bound(value, default: float, n: int, name: str) -> np.ndarray:
@@ -337,8 +334,7 @@ def make_quadratic_box(Q=None, b=None, lower=None, upper=None, n: int = 2, a=Non
     linmap = _resolve_map(n, a)
     fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = BoxRegion(lower, upper)
-    meta = {"problem": "quadratic-box", "n": n, "m": linmap.dim_out}
-    return _indicator_spec(region, fpart, linmap, "quadratic-box", meta)
+    return _indicator_spec(region, fpart, linmap, "quadratic-box")
 
 
 def make_quadratic_l1_ball(Q=None, b=None, radius: float = 1.0, n: int = 2, a=None) -> ProblemSpec:
@@ -346,8 +342,7 @@ def make_quadratic_l1_ball(Q=None, b=None, radius: float = 1.0, n: int = 2, a=No
     linmap = _resolve_map(n, a)
     fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = L1BallRegion(n, radius)
-    meta = {"problem": "quadratic-l1", "n": n, "m": linmap.dim_out}
-    return _indicator_spec(region, fpart, linmap, "quadratic-l1", meta)
+    return _indicator_spec(region, fpart, linmap, "quadratic-l1")
 
 
 def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) -> ProblemSpec:
@@ -387,7 +382,6 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
         breg_hconj=_lse_bregman,
         name="entropy-lse",
         sample_x=sample_interior,
-        meta={"problem": "entropy-lse", "n": n, "m": m, "f_kind": f_kind},
         **fpart,
     )
 
@@ -397,5 +391,4 @@ def make_holder_power_simplex(p: float, n: int = 2, a=None) -> ProblemSpec:
     linmap = _resolve_map(n, a)
     fpart = _holder_oracles(p)
     region = SimplexRegion(n)
-    meta = {"problem": "holder-power-simplex", "n": n, "m": linmap.dim_out, "p": p}
-    return _indicator_spec(region, fpart, linmap, "holder-power-simplex", meta)
+    return _indicator_spec(region, fpart, linmap, "holder-power-simplex")

@@ -7,7 +7,7 @@ exact line search on the gap surrogate
 
 and an approximate rule that estimates the curvature exponent on the fly and
 plays g_k/(k+g_k).  Each is a :class:`StepRule` whose ``select`` holds the
-rule; :func:`make_rule` builds one from its config name.  Every rule forces a
+rule; ``_RULES`` maps each config name to its class.  Every rule forces a
 full first step (alpha_0 = 1), which all certificate identities require.
 
 The surrogate phi is convex on [0, 1] (D is a Bregman distance along a
@@ -31,12 +31,13 @@ __all__ = [
     "OpenLoop",
     "ExactLineSearch",
     "ApproxGamma",
-    "make_rule",
 ]
 
 log = logging.getLogger("fenchelduo")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_EVALS = 200  # surrogate evaluations per line search
+_GAMMA_MAX = 4.0  # largest curvature exponent the approximate rule tries
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ def _parabola_vertex(a, fa, b, fb, c, fc):
 
 
 def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
-                             tol: float = 1e-10, max_iters: int = 200):
+                             tol: float = 1e-10):
     """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1].
 
     Returns ``(alpha, phi(alpha), warned)``.  Non-finite phi values shrink the
@@ -76,7 +77,7 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
     hi = 1.0
     phi_hi = phi(hi)
     evals += 2
-    while not math.isfinite(phi_hi) and hi > 1e-14 and evals < max_iters:
+    while not math.isfinite(phi_hi) and hi > 1e-14 and evals < _MAX_EVALS:
         hi *= 0.5
         phi_hi = phi(hi)
         evals += 1
@@ -92,7 +93,7 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
     f1, f2 = phi(x1), phi(x2)
     evals += 2
     best_a, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    while hi - lo > 1e-6 and evals < max_iters:
+    while hi - lo > 1e-6 and evals < _MAX_EVALS:
         if f1 <= f2:
             hi, phi_hi = x2, f2
             x2, f2 = x1, f1
@@ -135,7 +136,7 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
                 a, fa, b, fb = b, fb, v, fv
             else:
                 c, fc = v, fv
-        if evals >= max_iters:
+        if evals >= _MAX_EVALS:
             break
 
     # candidate order resolves exact ties: prefer 0, then the polished point
@@ -223,19 +224,17 @@ class OpenLoop(StepRule):
 @dataclass(frozen=True)
 class ExactLineSearch(StepRule):
     tol: float = 1e-10
-    max_iters: int = 200
 
     def select(self, k, gap, d_fun):
         if k == 0:
             return 1.0
-        return _minimize_step_surrogate(gap, d_fun, self.tol, self.max_iters)[0]
+        return _minimize_step_surrogate(gap, d_fun, self.tol)[0]
 
 
 @dataclass(frozen=True)
 class ApproxGamma(StepRule):
     delta: float = 0.1
     tol: float = 1e-10
-    gamma_max: float = 4.0
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -249,13 +248,13 @@ class ApproxGamma(StepRule):
         """
         if k == 0:
             return 1.0
-        if _exponent_acceptable(self.gamma_max, k, d_fun):
-            gamma_k = self.gamma_max
+        if _exponent_acceptable(_GAMMA_MAX, k, d_fun):
+            gamma_k = _GAMMA_MAX
         elif not _exponent_acceptable(1.0, k, d_fun):
             # bracket collapsed; the surrogate is not power-like here
             return _minimize_step_surrogate(gap, d_fun, self.tol)[0]
         else:
-            lo, hi = 1.0, self.gamma_max
+            lo, hi = 1.0, _GAMMA_MAX
             while hi - lo > 0.5 * self.delta:
                 mid = 0.5 * (lo + hi)
                 if _exponent_acceptable(mid, k, d_fun):
@@ -272,10 +271,3 @@ _RULES = {
     "exact_ls": ExactLineSearch,
     "approx_gamma": ApproxGamma,
 }
-
-
-def make_rule(name: str, **params) -> StepRule:
-    """Rule factory used by configs: fixed_harmonic | open_loop | exact_ls | approx_gamma."""
-    if name not in _RULES:
-        raise RangeError(f"unknown step rule {name!r} (options: {sorted(_RULES)})")
-    return _RULES[name](**params)

@@ -161,7 +161,7 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
     _check_args(k_max, policy, mode)
     x = as_point(x0, spec.dim_x, "x0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gcs", mode=mode, policy=policy, meta=dict(spec.meta))
+    trace = Trace(algo="gcs", mode=mode, policy=policy)
     trace.xs.append(x.copy())
     plain = sharp = None
     agg = CertificateAggregate(policy)
@@ -227,7 +227,7 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
     _check_args(k_max, policy, mode)
     v = as_point(v0, spec.dim_y, "v0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gmd", mode=mode, policy=policy, meta=dict(spec.meta))
+    trace = Trace(algo="gmd", mode=mode, policy=policy)
     trace.vs.append(v.copy())
     plain = sharp = None
     agg = CertificateAggregate(policy)
@@ -295,7 +295,7 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, policy="average",
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="hybrid", mode=mode, policy=policy, meta=dict(spec.meta))
+    trace = Trace(algo="hybrid", mode=mode, policy=policy)
     trace.xs.append(x.copy())
     trace.us.append(u.copy())
     plain = sharp = None

@@ -22,6 +22,17 @@ def brute_weight_rows(alphas):
     return np.array(lam), np.array(mu)
 
 
+def loop_weight_rows(alphas):
+    """Running product from the last step back, one factor at a time."""
+    a = np.asarray(alphas, dtype=float)
+    mu = np.ones(len(a))
+    running = 1.0
+    for i in range(len(a) - 1, -1, -1):
+        mu[i] = running
+        running *= 1.0 - a[i]
+    return a * mu, mu
+
+
 class TestWeights:
     @pytest.mark.parametrize("alphas,lam,mu", [
         ([1.0, 0.5], [0.5, 0.5], [0.5, 1.0]),
@@ -44,6 +55,19 @@ class TestWeights:
         lam, mu = fd.weight_rows(alphas)
         np.testing.assert_allclose(lam, lam_b, rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(mu, mu_b, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("kind", ["random", "small", "harmonic", "zeros-and-ones"])
+    def test_matches_running_product_loop_bit_for_bit(self, kind):
+        rng = np.random.default_rng(3)
+        k = np.arange(1.0, 4000.0)
+        tail = {"random": rng.random(k.size), "small": 0.01 * rng.random(k.size),
+                "harmonic": 2.0 / (k + 2.0),
+                "zeros-and-ones": rng.integers(0, 2, k.size).astype(float)}[kind]
+        for n in (0, 1, 2, 17, 4000):
+            alphas = np.concatenate([[1.0], tail])[:n]
+            lam, mu = fd.weight_rows(alphas)
+            lam_loop, mu_loop = loop_weight_rows(alphas)
+            assert lam.tobytes() == lam_loop.tobytes() and mu.tobytes() == mu_loop.tobytes()
 
 
 class TestStepDivergencePrimal:

@@ -35,8 +35,9 @@ def read_rows(path):
 
 
 class TestRun:
-    def test_artifacts(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_artifacts(self, tmp_path, algorithm):
+        cfg = write_config(tmp_path / "cfg.json", algorithm=algorithm)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "trace.csv")
@@ -127,7 +128,6 @@ WRONG_TYPES = [
     ("problem.a", {"problem": {"name": "quadratic-simplex", "a": [[1, 0], [1]]}}),
     ("problem.lower", {"problem": {"name": "quadratic-box", "lower": "-1"}}),
     ("rule.gamma", {"rule": {"name": "open_loop", "gamma": "x"}}),
-    ("rule.max_iters", {"rule": {"name": "exact_ls", "max_iters": True}}),
     ("x0", {"x0": [1, "0"]}),
 ]
 
@@ -150,6 +150,26 @@ class TestConfigValidation:
     def test_unknown_rule(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rule={"name": "armijo"})
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_build_rule_makes_each_rule(self):
+        assert cli.build_rule("fixed_harmonic") == fd.FixedHarmonic()
+        assert cli.build_rule({"name": "open_loop", "gamma": 3.0}) == fd.OpenLoop(gamma=3.0)
+        assert cli.build_rule({"name": "exact_ls", "tol": 1e-8}) == fd.ExactLineSearch(tol=1e-8)
+        assert cli.build_rule({"name": "approx_gamma", "delta": 0.2}) == fd.ApproxGamma(delta=0.2)
+        with pytest.raises(cli.ConfigError, match="armijo"):
+            cli.build_rule({"name": "armijo"})
+
+    # the line-search budget and approx_gamma's largest exponent are constants,
+    # not config keys, so no gamma_max <= 0 can freeze or crash a run
+    @pytest.mark.parametrize("rule", [{"name": "approx_gamma", "gamma_max": -1},
+                                      {"name": "approx_gamma", "gamma_max": 0},
+                                      {"name": "exact_ls", "max_iters": 50}],
+                             ids=["gamma_max-negative", "gamma_max-zero", "max_iters"])
+    def test_removed_rule_key_is_config_error(self, tmp_path, capsys, rule):
+        cfg = write_config(tmp_path / "cfg.json", rule=rule, k_max=5)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key") and "Traceback" not in err
 
     def test_bad_algorithm(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", algorithm="bfgs")
@@ -417,7 +437,8 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "fenchelduo", "compare", str(c1), str(c2)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
 

@@ -91,23 +91,23 @@ def test_non_finite_estimate_is_range_error(gamma):
 class TestFitRate:
     def test_harmonic_decay(self):
         k = np.arange(1, 1001)
-        exponent, r2 = fd.fit_rate(4.0 / (k + 2.0), k_min=10)
+        exponent, r2 = fd.fit_rate(4.0 / (k + 2.0))
         assert exponent == pytest.approx(-1.0, abs=0.02)
         assert r2 > 0.999
 
     def test_constant_gap(self):
-        exponent, r2 = fd.fit_rate(np.full(100, 0.7), k_min=10)
+        exponent, r2 = fd.fit_rate(np.full(100, 0.7))
         assert exponent == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0
 
     def test_exact_power_law(self):
         k = np.arange(1, 500)
-        exponent, _ = fd.fit_rate(k**-0.5, k_min=10)
+        exponent, _ = fd.fit_rate(k**-0.5)
         assert exponent == pytest.approx(-0.5, abs=0.02)
 
     def test_too_few_points(self):
         with pytest.raises(fd.FitError):
-            fd.fit_rate(np.ones(12), k_min=10)
+            fd.fit_rate(np.ones(12))
 
     def test_accepts_trace(self):
         spec = fd.make_quadratic_simplex(n=2)

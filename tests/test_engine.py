@@ -19,6 +19,14 @@ class FreezeAfterFirst(fd.StepRule):
         return 1.0 if k == 0 else 0.0
 
 
+@dataclass(frozen=True)
+class OvershootAtTwo(fd.StepRule):
+    """The 2/(k+2) schedule, except alpha = 1.5 at k = 2."""
+
+    def select(self, k, gap, d_fun):
+        return 1.5 if k == 2 else 2.0 / (k + 2.0)
+
+
 def tilted_entropy():
     return fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1]))
 
@@ -183,6 +191,12 @@ class TestRunHygiene:
         with pytest.raises(fd.RangeError, match="policy"):
             fd.run_hybrid(spec, [1.0, 0.0], [1.0, 0.0], fd.FixedHarmonic(), 5, policy="best")
 
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_step_size_outside_unit_interval_raises(self, algo):
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match="1.5 outside"):
+            _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), OvershootAtTwo(), k_max=5)
+
     def test_rejects_nonfinite_start(self):
         spec = fd.make_quadratic_simplex(n=2)
         with pytest.raises(fd.DomainError):
@@ -292,7 +306,7 @@ def _drive(algo, spec, start, rule, k_max=30):
 
 
 def _wrapped(spec, oracle, fail_from, failure):
-    """``spec`` whose ``oracle`` raises, or returns NaN, from call
+    """``spec`` whose ``oracle`` raises, or returns NaN or +inf, from call
     ``fail_from`` on (never, with None); also returns the call counter."""
     real = getattr(spec, oracle)
     calls = {"n": 0}
@@ -302,7 +316,7 @@ def _wrapped(spec, oracle, fail_from, failure):
         if fail_from is not None and calls["n"] >= fail_from:
             if failure == "raise":
                 raise ValueError("injected failure")
-            return np.full(np.shape(real(w)), np.nan)
+            return np.full(np.shape(real(w)), np.nan if failure == "nan" else np.inf)
         return real(w)
 
     return replace(spec, **{oracle: flaky}), calls
@@ -317,8 +331,9 @@ _HISTORIES = {
 }
 
 
-@pytest.mark.parametrize("failure", ["raise", "nan"])
-@pytest.mark.parametrize("oracle", ["h_conj_grad", "f_grad"])
+@pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
+@pytest.mark.parametrize("oracle", ["h_conj_grad", "f_grad", "f_val", "f_conj_val", "h_val",
+                                    "h_conj_val"])
 @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
 @pytest.mark.parametrize("rule", [fd.FixedHarmonic(), fd.ExactLineSearch()],
                          ids=["fixed_harmonic", "exact_ls"])
@@ -336,6 +351,8 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
         assert f"oracle {oracle} " in broken.error
         if failure == "raise":
             assert "injected failure" in broken.error
+        elif oracle.endswith("_val"):
+            assert ("NaN" if failure == "nan" else "+inf") in broken.error
         else:
             assert "non-finite" in broken.error
         k = broken.k

@@ -118,7 +118,7 @@ class TestApproxGamma:
             assert a >= 1.9 / (k + 1.9) - 1e-12
 
     def test_zero_divergence_accepts_max_exponent(self):
-        a = fd.ApproxGamma(delta=0.2, gamma_max=4.0).select(3, 1.0, lambda t: 0.0)
+        a = fd.ApproxGamma(delta=0.2).select(3, 1.0, lambda t: 0.0)
         assert a == pytest.approx(4.0 / 7.0, rel=1e-12)
 
     def test_delta_validated(self):
@@ -133,12 +133,3 @@ class TestApproxGamma:
         a = fd.ApproxGamma(delta=0.1).select(2, 1.0, d)
         direct = steps._minimize_step_surrogate(1.0, d)[0]
         assert a == pytest.approx(direct, abs=1e-12)
-
-
-def test_make_rule_factory():
-    assert isinstance(fd.make_rule("fixed_harmonic"), fd.FixedHarmonic)
-    assert fd.make_rule("open_loop", gamma=3.0).gamma == 3.0
-    assert fd.make_rule("exact_ls", tol=1e-8).tol == 1e-8
-    assert fd.make_rule("approx_gamma", delta=0.2).delta == 0.2
-    with pytest.raises(fd.RangeError):
-        fd.make_rule("armijo")
