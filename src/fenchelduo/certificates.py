@@ -16,7 +16,11 @@ exact algebraic identities the certificates are built on; they rebuild the
 weight rows from the recorded step sizes, independently of the streaming
 bookkeeping of the engine's kernel, which also keeps the running certificate
 (the lambda-weighted average or the best point seen).  A mirror-descent
-trace replays as a conditional-subgradient trace of the dual spec.
+trace replays as a conditional-subgradient trace of the dual spec.  The
+replay evaluates each increment itself, from the raw oracles at both ends of
+the step; the kernel (one cached segment per step) shares none of this code,
+so a replay checks the kernel's arithmetic rather than repeating it.  An
+oracle error on the dual spec names the oracle of the spec it called.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import math
 
 import numpy as np
 
-from .oracles import InfiniteValue, ProblemSpec, StateError, _oracle_value, bregman_f, dualize
+from .oracles import (DomainError, InfiniteValue, ProblemSpec, StateError, _oracle_value,
+                      _primal_oracle_message, bregman_f, dualize)
 
 __all__ = [
     "weight_rows",
@@ -63,25 +68,6 @@ def _guarded(coeff: float, spec: ProblemSpec, point, where: str) -> float:
     return coeff * value
 
 
-def _step_increment(base, target, alpha: float, spec: ProblemSpec, sharp: bool = True):
-    """Certificate increment of a step from ``base`` toward ``target``.
-
-    The Bregman term D = D_f(A comb, A base) of ``spec`` at the interpolated
-    point comb, alone, or with ``sharp`` the pair (D, sharpened value) where
-    the sharpened value adds the Jensen slack of h at the same interpolation.
-    D is evaluated once for both.
-    """
-    A = spec.linmap.apply
-    comb = (1.0 - alpha) * base + alpha * target
-    d = bregman_f(A(comb), A(base), spec)
-    if not sharp:
-        return d
-    value = d + _guarded(1.0, spec, comb, "interpolated")
-    value -= _guarded(1.0 - alpha, spec, base, "base")
-    value -= _guarded(alpha, spec, target, "target")
-    return d, value
-
-
 def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: ProblemSpec) -> float:
     """One-step certificate increment on the primal side.
 
@@ -92,7 +78,13 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     from v toward -z, it is the dual side's increment: D_{h*} along A* plus
     the Jensen slack of w -> f*(-w).
     """
-    return _step_increment(x, s, alpha, spec)[1]
+    A = spec.linmap.apply
+    comb = (1.0 - alpha) * x + alpha * s
+    value = bregman_f(A(comb), A(x), spec)
+    value += _guarded(1.0, spec, comb, "interpolated")
+    value -= _guarded(1.0 - alpha, spec, x, "base")
+    value -= _guarded(alpha, spec, s, "target")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +128,22 @@ def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     return _cg_residuals(trace.xs, trace.us, trace.ss, trace.alphas, spec)
 
 
+def _dual_side(fn, *args):
+    # fn on dualize(spec), its oracle errors naming the oracle of spec
+    try:
+        return fn(*args)
+    except (DomainError, InfiniteValue) as exc:
+        raise type(exc)(_primal_oracle_message(str(exc))) from exc
+
+
 def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     """Relative residuals of the dual-run identity for every k >= 1.
 
     The primal-run identity of ``dualize(spec)``, read through the map
     (x, u, s) = (v, y, -z).
     """
-    return _cg_residuals(trace.vs, trace.ys, (-z for z in trace.zs), trace.alphas,
-                         dualize(spec))
+    return _dual_side(_cg_residuals, trace.vs, trace.ys, (-z for z in trace.zs),
+                      trace.alphas, dualize(spec))
 
 
 def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
@@ -155,7 +155,8 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec)
     div = np.array([
-        step_divergence_primal(x, s, a, spec) + step_divergence_primal(-u, -z, a, dual)
+        step_divergence_primal(x, s, a, spec)
+        + _dual_side(step_divergence_primal, -u, -z, a, dual)
         for x, u, s, z, a in zip(trace.xs[:-1], trace.us[:-1], trace.ss, trace.zs,
                                  trace.alphas)
     ])

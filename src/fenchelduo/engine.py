@@ -13,7 +13,12 @@ dual side, or both:
   makes the certified gap exact.
 
 All three run through one kernel.  A general linear map is threaded through
-everywhere; the identity map is the special case with zero overhead.  Every
+everywhere; the identity map is the special case with zero overhead.
+Oracle calls and applications of A and A* are the cost of a run, so the
+kernel makes each once where its value is reused unchanged: A(x) and -A*(u)
+once per iterate, and per step one segment holding A(base) and h at both
+ends, shared by the line-search probes and the certificate increment; the
+values, step sizes and traces are those of an uncached evaluation.  Every
 run records a :class:`Trace` with the full iterate history, both gap-bound
 variants (plain and sharpened), the true duality gap of the certificate
 pair, and a streaming residual of the exact certificate identity.
@@ -28,7 +33,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certificates import _step_increment
 from .oracles import (
     INF,
     DomainError,
@@ -36,6 +40,7 @@ from .oracles import (
     ProblemSpec,
     RangeError,
     as_point,
+    bregman_f,
     dualize,
     fenchel_young_residual,
     _oracle_point,
@@ -125,14 +130,61 @@ def _finite_value(fn, arg, oracle: str) -> float:
     return value
 
 
-def _primal_value(spec: ProblemSpec, x) -> float:
-    return (_finite_value(spec.f_val, spec.linmap.apply(x), "f_val")
-            + _finite_value(spec.h_val, x, "h_val"))
+def _primal_value(spec: ProblemSpec, x, y) -> float:
+    # y = A(x), computed once by the caller
+    return _finite_value(spec.f_val, y, "f_val") + _finite_value(spec.h_val, x, "h_val")
 
 
-def _dual_value(spec: ProblemSpec, u) -> float:
+def _dual_value(spec: ProblemSpec, u, w) -> float:
+    # w = -A*(u), computed once by the caller
     return (_finite_value(spec.f_conj_val, u, "f_conj_val")
-            + _finite_value(spec.h_conj_val, -spec.linmap.adjoint(u), "h_conj_val"))
+            + _finite_value(spec.h_conj_val, w, "h_conj_val"))
+
+
+def _guarded(coeff: float, value: float, where: str) -> float:
+    # coeff * h(point) with explicit inf handling: a zero coefficient drops the
+    # term before the value is used, so 0 * inf never occurs
+    if coeff == 0.0:
+        return 0.0
+    if math.isinf(value):
+        raise InfiniteValue(f"oracle h_val returned +inf at the {where} point of a step")
+    return coeff * value
+
+
+class _Segment:
+    """One step of ``spec`` from ``base`` toward ``target``, as its probes read it.
+
+    ``increment(alpha, sharp)`` is the certificate increment at the
+    interpolated point comb: the Bregman term D = D_f(A comb, A base), alone,
+    or with ``sharp`` the pair (D, D plus the Jensen slack of h).  What every
+    probe of the step shares is evaluated once: A(base) (``y0``, or carried in
+    by the caller) and h at each end, at the first probe that reads it, so a
+    failing oracle raises where an uncached evaluation would.  Each probe
+    still computes comb, A(comb) and h(comb) afresh, so its value is the one
+    an uncached evaluation gives, bit for bit.
+    """
+
+    def __init__(self, spec: ProblemSpec, base, target, y0=None):
+        self.spec, self.base, self.target, self.y0 = spec, base, target, y0
+        self.h_base = self.h_target = None
+
+    def increment(self, alpha: float, sharp: bool):
+        spec = self.spec
+        comb = (1.0 - alpha) * self.base + alpha * self.target
+        y = spec.linmap.apply(comb)
+        if self.y0 is None:
+            self.y0 = spec.linmap.apply(self.base)
+        d = bregman_f(y, self.y0, spec)
+        if not sharp:
+            return d
+        value = d + _guarded(1.0, _oracle_value(spec.h_val, comb, "h_val"), "interpolated")
+        if self.h_base is None:
+            self.h_base = _oracle_value(spec.h_val, self.base, "h_val")
+        value -= _guarded(1.0 - alpha, self.h_base, "base")
+        if self.h_target is None:
+            self.h_target = _oracle_value(spec.h_val, self.target, "h_val")
+        value -= _guarded(alpha, self.h_target, "target")
+        return d, value
 
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
@@ -142,9 +194,13 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
     The certificate increment of a step is the primal-side divergence (f(A .)
     and h between x and s), plus for hybrid the same divergence on
-    ``dualize(spec)`` from -u toward -z.  gcs certifies its dual side by the
-    aggregate of the u_k instead of its iterate: their lambda-weighted
-    average, or the first u_k of least dual value.
+    ``dualize(spec)`` from -u toward -z.  Each side is one :class:`_Segment`
+    per step, which every line-search probe and the increment at the chosen
+    step size share.  y = A(x) is computed once per iterate: for the primal
+    value, then for f' and as the segment's A(base) of the next step; so is
+    -A*(u), for h*'s subgradient and the dual value.  gcs certifies its dual
+    side by the aggregate of the u_k instead of its iterate: their
+    lambda-weighted average, or the first u_k of least dual value.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec) if hybrid else None
@@ -158,11 +214,11 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
     def increment(a, sharp):
         # the Bregman term alone, or with sharp the pair (Bregman, sharpened)
-        p = _step_increment(x, s, a, spec, sharp)
+        p = primal_seg.increment(a, sharp)
         if not hybrid:
             return p
         try:
-            d = _step_increment(neg_u, neg_z, a, dual, sharp)
+            d = dual_seg.increment(a, sharp)
         except (DomainError, InfiniteValue) as exc:  # same type: a probe shrinks on +inf
             raise type(exc)(_primal_oracle_message(str(exc))) from exc
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
@@ -172,16 +228,20 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
     start = time.perf_counter()
     try:
+        y = A(x)
+        w = -At(u) if hybrid else None
         for k in range(k_max):
-            z = _oracle_point(spec.f_grad, A(x), "f_grad")
-            u = u if hybrid else z
-            s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
+            z = _oracle_point(spec.f_grad, y, "f_grad")
+            if not hybrid:
+                u, w = z, -At(z)
+            s = _oracle_point(spec.h_conj_grad, w, "h_conj_grad")
+            primal_seg = _Segment(spec, x, s, y)
             if hybrid:
-                neg_u, neg_z = -u, -z
+                dual_seg = _Segment(dual, -u, -z)
             else:
-                step_value = _dual_value(spec, u)
+                step_value = _dual_value(spec, u, w)
             if debug:
-                _fy_debug(spec, y=A(x), w=-At(u))
+                _fy_debug(spec, y=y, w=w)
 
             alpha = 1.0 if k == 0 else float(rule.select(k, sharp if sharp_mode else plain, probe))
             if not (0.0 <= alpha <= 1.0):
@@ -194,11 +254,13 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 plain = (1.0 - alpha) * plain + d_plain
                 sharp = (1.0 - alpha) * sharp + d_sharp
             x = (1.0 - alpha) * x + alpha * s
-            p_val = _primal_value(spec, x)
+            y = A(x)
+            p_val = _primal_value(spec, x, y)
             # the identity behind the residual: avg + (moving sides' values) = sharp
             if hybrid:
                 u = (1.0 - alpha) * u + alpha * z
-                u_val = _dual_value(spec, u)
+                w = -At(u)
+                u_val = _dual_value(spec, u, w)
                 current = p_val + u_val
             else:
                 avg = (1.0 - alpha) * avg + alpha * step_value
@@ -206,7 +268,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                     cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
                 elif step_value < best:
                     best, cert = step_value, u.copy()
-                u_val = _dual_value(spec, cert) if policy == "average" else best
+                u_val = _dual_value(spec, cert, -At(cert)) if policy == "average" else best
                 current = p_val
 
             trace.alphas.append(alpha)

@@ -2,7 +2,8 @@
 aggregate, and the exact identity residuals, each cross-checked against an
 independent recomputation."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -258,3 +259,28 @@ class TestIdentityResiduals:
             trace = fd.run_gmd(spec, np.zeros(spec.dim_y), fd.FixedHarmonic(), 40)
             assert trace.error is None
             assert float(np.max(fd.md_identity_residuals(trace, spec))) <= 1e-12
+
+    @pytest.mark.parametrize("algo", ["gmd", "hybrid"])
+    def test_dual_side_replay_errors_name_the_users_oracle(self, algo):
+        # a healthy run replayed against a spec whose f* is +inf off the
+        # iterates: the error names f_conj_val, not the dual spec's h_val
+        spec = fd.make_holder_power_simplex(1.5, 3)
+        if algo == "gmd":
+            trace = fd.run_gmd(spec, np.zeros(3), fd.FixedHarmonic(), 10, mode="sharp")
+            iterates, replay = [-v for v in trace.vs], fd.md_identity_residuals
+        else:
+            x0 = spec.h_conj_grad(np.zeros(3))
+            trace = fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.FixedHarmonic(), 10,
+                                  mode="sharp")
+            iterates, replay = trace.us, fd.hybrid_identity_residuals
+        assert trace.error is None
+        assert float(np.max(replay(trace, spec))) <= 1e-12
+        keep = {u.tobytes() for u in iterates}
+
+        def f_conj_val(u):
+            u = np.asarray(u, dtype=float)
+            return spec.f_conj_val(u) if u.tobytes() in keep else math.inf
+
+        with pytest.raises(fd.InfiniteValue,
+                           match=r"^oracle f_conj_val returned \+inf at the \w+ point of a step$"):
+            replay(trace, replace(spec, f_conj_val=f_conj_val))

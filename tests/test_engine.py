@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import fenchelduo as fd
+from reference_drivers import bregman_hconj, step_divergence_dual, step_divergence_primal
+from test_reference_drivers import FAMILIES, build, start
 
 
 @dataclass(frozen=True)
@@ -366,3 +368,147 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
                 assert got.tobytes() == want.tobytes()
         for c in _COLUMNS:
             assert getattr(broken, c) == getattr(healthy, c)[:k]
+
+
+# ---------------------------------------------------------------------------
+# line-search probes: each value against an uncached evaluation, and the
+# oracle calls a step makes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RecordingRule(fd.StepRule):
+    """``rule`` with every (k, alpha, d_fun(alpha)) the kernel hands it logged;
+    a probe that raises ``InfiniteValue`` is logged with the exception type."""
+
+    rule: fd.StepRule
+    log: list
+
+    def select(self, k, gap, d_fun):
+        def probe(a):
+            try:
+                d = d_fun(a)
+            except fd.InfiniteValue:
+                self.log.append((k, a, fd.InfiniteValue))
+                raise
+            self.log.append((k, a, d))
+            return d
+
+        return self.rule.select(k, gap, probe)
+
+
+def _uncached_divergence(algo, sharp, spec, trace, k, a):
+    """The surrogate's divergence at step k of ``trace``, as the reference
+    loops evaluate it: every oracle value recomputed from the raw points."""
+    A, At = spec.linmap.apply, spec.linmap.adjoint
+    keep = 1.0 - a
+    if algo == "gmd":
+        v, z = trace.vs[k], trace.zs[k]
+        if sharp:
+            return step_divergence_dual(v, -z, a, spec)
+        return bregman_hconj(At(keep * v - a * z), At(v), spec)
+    x, s = trace.xs[k], trace.ss[k]
+    if algo == "gcs":
+        if sharp:
+            return step_divergence_primal(x, s, a, spec)
+        return fd.bregman_f(A(keep * x + a * s), A(x), spec)
+    u, z = trace.us[k], trace.zs[k]
+    if sharp:
+        return step_divergence_primal(x, s, a, spec) + step_divergence_dual(-u, -z, a, spec)
+    return (fd.bregman_f(A(keep * x + a * s), A(x), spec)
+            + bregman_hconj(-At(keep * u + a * z), -At(u), spec))
+
+
+@pytest.mark.parametrize("rule", [fd.ExactLineSearch(), fd.ApproxGamma()],
+                         ids=["exact_ls", "approx_gamma"])
+@pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_probe_matches_uncached_evaluation_bit_for_bit(family, general, rule):
+    spec = build(family, general)
+    x0, u0, v0 = start(spec)
+    for algo in ("gcs", "gmd", "hybrid"):
+        for mode in ("plain", "sharp"):
+            log = []
+            recording = RecordingRule(rule, log)
+            if algo == "gcs":
+                trace = fd.run_gcs(spec, x0, recording, 25, mode=mode)
+            elif algo == "gmd":
+                trace = fd.run_gmd(spec, v0, recording, 25, mode=mode)
+            else:
+                trace = fd.run_hybrid(spec, x0, u0, recording, 25, mode=mode)
+            assert trace.error is None
+            assert len(log) > 0
+            for k, a, got in log:
+                try:
+                    want = _uncached_divergence(algo, mode == "sharp", spec, trace, k, a)
+                except fd.InfiniteValue:
+                    want = fd.InfiniteValue
+                if got is fd.InfiniteValue or want is fd.InfiniteValue:
+                    assert got is want, (algo, mode, k, a)
+                else:
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                        algo, mode, k, a, got, want)
+
+
+def _counting(spec, names):
+    """``spec`` whose linear map and the oracles ``names`` count their calls."""
+    counts = {name: 0 for name in ("apply", "adjoint") + names}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    linmap = replace(spec.linmap, apply=counted("apply", spec.linmap.apply),
+                     adjoint=counted("adjoint", spec.linmap.adjoint))
+    oracles = {name: counted(name, getattr(spec, name)) for name in names}
+    return replace(spec, linmap=linmap, **oracles), counts
+
+
+@dataclass(frozen=True)
+class CallBudget(fd.StepRule):
+    """Exact line search that logs, per step, its probes and the calls each
+    counter of ``counts`` made while it searched."""
+
+    counts: dict
+    log: list
+
+    def select(self, k, gap, d_fun):
+        before = dict(self.counts)
+        probes = []
+
+        def probe(a):
+            probes.append(a)
+            return d_fun(a)
+
+        alpha = fd.ExactLineSearch().select(k, gap, probe)
+        if k > 0:
+            self.log.append((len(probes), {n: c - before[n] for n, c in self.counts.items()}))
+        return alpha
+
+
+@pytest.mark.parametrize("algo", ["gcs", "hybrid"])
+def test_line_search_step_oracle_budget(algo):
+    """one A per probe and h at the segment's two ends once per step; hybrid's
+    dual segment: one A* per probe plus A*(base) once, f* likewise"""
+    rng = np.random.default_rng(5)
+    spec = fd.make_quadratic_simplex(Q=np.eye(4), b=0.3 * rng.standard_normal(4), n=3,
+                                     a=fd.random_linear_map(4, 3, rng))
+    counted, counts = _counting(spec, ("h_val", "f_conj_val"))
+    log = []
+    x0 = spec.h_conj_grad(np.zeros(3))
+    if algo == "gcs":
+        trace = fd.run_gcs(counted, x0, CallBudget(counts, log), 6, mode="sharp")
+    else:
+        trace = fd.run_hybrid(counted, x0, spec.f_grad(spec.linmap.apply(x0)),
+                              CallBudget(counts, log), 6, mode="sharp")
+    assert trace.error is None and len(log) == 5
+    for probes, calls in log:
+        assert probes > 10
+        assert calls["apply"] == probes
+        assert calls["h_val"] == probes + 2
+        if algo == "gcs":
+            assert calls["adjoint"] == 0 and calls["f_conj_val"] == 0
+        else:
+            assert calls["adjoint"] == probes + 1
+            assert calls["f_conj_val"] == probes + 2
