@@ -3,11 +3,11 @@ probe curvature, fit rates, and compare configurations.
 
 Subcommands: run, verify, probe, rate, compare; each takes only the flags it
 reads (``_SUBCOMMANDS``).  Experiments are described by a JSON config.  A flag
-sets the config key of the same name (``--kmax`` sets ``k_max``; ``--gamma``,
-``--delta`` and ``--tol`` set that key of the effective rule), and ``resolve``
-checks every key once, unknown keys and types included, before any oracle is
-built.  Traces are written as CSV with a fixed column set at 17 significant
-digits so files round-trip 64-bit floats; summaries are JSON with sorted keys.
+sets the config key of the same name (``--kmax`` sets ``k_max``; ``--gamma``
+sets that key of the effective rule), and ``resolve`` checks every key once,
+unknown keys and types included, before any oracle is built.  Traces are
+written as CSV with a fixed column set at 17 significant digits so files
+round-trip 64-bit floats; summaries are JSON with sorted keys.
 Exit codes: 1 for failed verification, 2 for config and usage errors, 3 for
 oracle/domain errors (a partial trace is still written), 141 when the reader
 closes stdout early.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import os
 import sys
 from typing import NamedTuple, Optional
@@ -196,17 +195,16 @@ _TOP_FLAGS = {"kmax": "k_max", "policy": "policy", "mode": "mode", "seed": "seed
 
 def _with_flags(config: dict, args) -> dict:
     """The config with each given flag set on the key of the same name:
-    ``--rule`` replaces the rule, and ``--gamma``, ``--delta`` and ``--tol``
-    then set that key of the effective rule, to be checked like config keys."""
+    ``--rule`` replaces the rule, and ``--gamma`` then sets that key of the
+    effective rule, to be checked like a config key."""
     given = {flag: v for flag, v in vars(args).items() if v is not None}
     config = {**config, **{key: given[f] for f, key in _TOP_FLAGS.items() if f in given}}
     if "rule" in given:
         config["rule"] = {"name": given["rule"]}
-    params = {f: given[f] for f in ("gamma", "delta", "tol") if f in given}
-    if params:
+    if "gamma" in given:
         rule = config.get("rule", "fixed_harmonic")
         rule = {"name": rule} if isinstance(rule, str) else rule
-        config["rule"] = {**rule, **params} if isinstance(rule, dict) else rule
+        config["rule"] = {**rule, "gamma": given["gamma"]} if isinstance(rule, dict) else rule
     return config
 
 
@@ -268,12 +266,11 @@ def resolve(config: dict) -> Setup:
 def execute(config: dict) -> Trace:
     """Run the experiment a config describes and return its trace."""
     setup = resolve(config)
-    kwargs = dict(epsilon=setup.epsilon, policy=setup.policy, mode=setup.mode)
-    if setup.algo == "gcs":
-        return run_gcs(setup.spec, setup.x0, setup.rule, setup.k_max, **kwargs)
-    if setup.algo == "gmd":
-        return run_gmd(setup.spec, setup.v0, setup.rule, setup.k_max, **kwargs)
-    return run_hybrid(setup.spec, setup.x0, setup.u0, setup.rule, setup.k_max, **kwargs)
+    kwargs = dict(epsilon=setup.epsilon, mode=setup.mode)
+    if setup.algo == "hybrid":  # its iterates are the certificate: no policy
+        return run_hybrid(setup.spec, setup.x0, setup.u0, setup.rule, setup.k_max, **kwargs)
+    run, start = (run_gcs, setup.x0) if setup.algo == "gcs" else (run_gmd, setup.v0)
+    return run(setup.spec, start, setup.rule, setup.k_max, policy=setup.policy, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +526,6 @@ _FLAGS = {
     "--kmax": {"type": int, "help": "iteration budget"},
     "--rule": {"choices": sorted(_RULE_KEYS), "help": "step rule (replaces the config's)"},
     "--gamma": {"type": float, "help": "open_loop exponent (probe: curvature exponent)"},
-    "--delta": {"type": float, "help": "exponent slack of approx_gamma"},
-    "--tol": {"type": float, "help": "line-search tolerance of exact_ls and approx_gamma"},
     "--policy": {"choices": ["avg", "best"], "help": "certificate aggregation policy"},
     "--mode": {"choices": ["plain", "sharp"], "help": "gap recursion variant"},
     "--seed": {"type": int, "help": "seed for problem-library sampling"},
@@ -570,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("FENCHEL_DUO_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)

@@ -60,6 +60,15 @@ def _check_exponent(gamma: float) -> None:
                          f"alpha^gamma underflows to 0 at alpha = {_ALPHAS[0]}")
 
 
+def _ratios(spec: ProblemSpec, x, s, gamma: float):
+    # (a, gamma D(a) / a^gamma) along the line from x toward s for each a of
+    # the grid, with A(x) computed once; an oracle error ends the line there
+    A = spec.linmap.apply
+    y0 = A(x)
+    for a in _ALPHAS:
+        yield a, gamma * bregman_f(A((1.0 - a) * x + a * s), y0, spec) / float(a ** gamma)
+
+
 # the ratios divide by float(a ** gamma): in Python floats an overflow is inf,
 # with no numpy warning, and this check turns it into a RangeError
 def _finite(c: float, gamma: float) -> float:
@@ -80,7 +89,6 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
     """
     _check_exponent(gamma)
     rng = np.random.default_rng(seed)
-    A = spec.linmap.apply
     c_hat = 0.0
     witness = None
     skipped = 0
@@ -95,16 +103,13 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
         except Exception:  # noqa: BLE001 - probe outside dom((h*)') is skippable
             skipped += 1
             continue
-        for a in _ALPHAS:
-            try:
-                d = bregman_f(A((1.0 - a) * x + a * s), A(x), spec)
-            except (InfiniteValue, DomainError):
-                skipped += 1
-                break
-            ratio = gamma * d / float(a ** gamma)
-            if ratio > c_hat:
-                c_hat = ratio
-                witness = {"x": x.copy(), "v": v.copy(), "alpha": float(a)}
+        try:  # ratios before a failing alpha still count
+            for a, ratio in _ratios(spec, x, s, gamma):
+                if ratio > c_hat:
+                    c_hat = ratio
+                    witness = {"x": x.copy(), "v": v.copy(), "alpha": float(a)}
+        except (InfiniteValue, DomainError):
+            skipped += 1
     return CurvatureEstimate(gamma=float(gamma), c_hat=_finite(float(c_hat), gamma),
                              samples=n_samples, witness=witness, skipped=skipped)
 
@@ -122,12 +127,10 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     _check_exponent(gamma)
 
     def sup(pairs, side):
-        A = side.linmap.apply
         c = 0.0
         for x, s in pairs:
-            for a in _ALPHAS:
-                d = bregman_f(A((1.0 - a) * x + a * s), A(x), side)
-                c = max(c, gamma * d / float(a ** gamma))
+            for _, ratio in _ratios(side, x, s, gamma):
+                c = max(c, ratio)
         return _finite(c, gamma)
 
     if trace.algo == "gcs":

@@ -108,7 +108,7 @@ class Trace:
         }
 
 
-def _check_args(k_max: int, policy: str, mode: str):
+def _check_args(k_max: int, mode: str, policy: str = "average"):
     if k_max < 1:
         raise RangeError(f"k_max must be >= 1, got {k_max}")
     if policy not in ("average", "best"):
@@ -302,7 +302,7 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     x_{k+1} = (1-alpha_k) x_k + alpha_k s_k.  The dual certificate is the
     aggregate of the u_k under the configured policy.
     """
-    _check_args(k_max, policy, mode)
+    _check_args(k_max, mode, policy)
     x = as_point(x0, spec.dim_x, "x0")
     return _run(False, spec, x, None, rule, k_max, epsilon, policy, mode, debug)
 
@@ -318,7 +318,7 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     z_k = f'(A y_k), then moves v_{k+1} = (1-alpha_k) v_k - alpha_k z_k.  The
     primal certificate is the aggregate of the y_k.
     """
-    _check_args(k_max, policy, mode)
+    _check_args(k_max, mode, policy)
     v = as_point(v0, spec.dim_y, "v0")
     trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode, debug)
     trace.algo = "gmd"
@@ -333,19 +333,17 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
 
 
 def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
-               epsilon: Optional[float] = None, policy: str = "average",
-               mode: str = "plain", debug: bool = False) -> Trace:
+               epsilon: Optional[float] = None, mode: str = "plain",
+               debug: bool = False) -> Trace:
     """Symmetric primal-dual run from admissible ``(x0, u0)``.
 
     Both coordinates move toward the joint oracle output
     (s_k, z_k) = ((h*)'(-A*u_k), f'(Ax_k)) with the same step size, and the
     certified bound coincides with the true duality gap at (x_k, u_k).  The
-    iterates are their own certificate, so only ``policy="average"`` applies.
+    iterates are their own certificate, so the run takes no aggregation
+    policy; its trace records ``"average"``.
     """
-    _check_args(k_max, policy, mode)
-    if policy != "average":
-        raise RangeError("hybrid runs certify their iterates; "
-                         f"policy must be 'average', got {policy!r}")
+    _check_args(k_max, mode)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
-    return _run(True, spec, x, u, rule, k_max, epsilon, policy, mode, debug)
+    return _run(True, spec, x, u, rule, k_max, epsilon, "average", mode, debug)

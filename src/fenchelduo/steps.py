@@ -9,6 +9,9 @@ and an approximate rule that estimates the curvature exponent on the fly and
 plays g_k/(k+g_k).  Each is a :class:`StepRule` whose ``select`` holds the
 rule; ``_RULES`` maps each config name to its class.  Every rule forces a
 full first step (alpha_0 = 1), which all certificate identities require.
+Only the open-loop rule has a setting, its exponent g; the line search's
+budget and polish tolerance, and the approximate rule's exponent range and
+slack, are the module constants below.
 
 The surrogate phi is convex on [0, 1] (D is a Bregman distance along a
 segment, convex in alpha) but possibly nonsmooth, so the minimizer brackets
@@ -38,6 +41,8 @@ log = logging.getLogger("fenchelduo")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_EVALS = 200  # surrogate evaluations per line search
 _GAMMA_MAX = 4.0  # largest curvature exponent the approximate rule tries
+_DELTA = 0.1  # the approximate rule settles within this of the largest exponent it accepts
+_POLISH_TOL = 1e-10  # the parabolic polish stops at a vertex this close to its best point
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +60,7 @@ def _parabola_vertex(a, fa, b, fb, c, fc):
     return v if math.isfinite(v) else None
 
 
-def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
-                             tol: float = 1e-10):
+def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]):
     """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1].
 
     Returns ``(alpha, phi(alpha), warned)``.  Non-finite phi values shrink the
@@ -124,7 +128,7 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float],
         evals += 1
         if math.isfinite(fv) and fv < para_f:
             para_a, para_f = v, fv
-        if abs(v - b) <= max(tol, 1e-14):
+        if abs(v - b) <= _POLISH_TOL:
             break
         if v < b:
             if fv <= fb:
@@ -223,25 +227,16 @@ class OpenLoop(StepRule):
 
 @dataclass(frozen=True)
 class ExactLineSearch(StepRule):
-    tol: float = 1e-10
-
     def select(self, k, gap, d_fun):
         if k == 0:
             return 1.0
-        return _minimize_step_surrogate(gap, d_fun, self.tol)[0]
+        return _minimize_step_surrogate(gap, d_fun)[0]
 
 
 @dataclass(frozen=True)
 class ApproxGamma(StepRule):
-    delta: float = 0.1
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise RangeError(f"delta must lie in (0, 1), got {self.delta}")
-
     def select(self, k, gap, d_fun):
-        """Step size g_k/(k+g_k) with g_k within delta of the curvature exponent.
+        """Step size g_k/(k+g_k) with g_k within ``_DELTA`` of the curvature exponent.
 
         Binary search for the largest exponent the 3-point ratio probe accepts;
         falls back to the exact line search when even exponent 1 is rejected.
@@ -252,10 +247,10 @@ class ApproxGamma(StepRule):
             gamma_k = _GAMMA_MAX
         elif not _exponent_acceptable(1.0, k, d_fun):
             # bracket collapsed; the surrogate is not power-like here
-            return _minimize_step_surrogate(gap, d_fun, self.tol)[0]
+            return _minimize_step_surrogate(gap, d_fun)[0]
         else:
             lo, hi = 1.0, _GAMMA_MAX
-            while hi - lo > 0.5 * self.delta:
+            while hi - lo > 0.5 * _DELTA:
                 mid = 0.5 * (lo + hi)
                 if _exponent_acceptable(mid, k, d_fun):
                     lo = mid

@@ -34,10 +34,16 @@ def read_rows(path):
     return [line.split(",") for line in lines[1:]]
 
 
+PROBLEMS = ["quadratic-simplex", "quadratic-box", "quadratic-l1", "entropy-lse",
+            "holder-power-simplex"]
+
+
 class TestRun:
+    @pytest.mark.parametrize("problem", PROBLEMS)
     @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
-    def test_artifacts(self, tmp_path, algorithm):
-        cfg = write_config(tmp_path / "cfg.json", algorithm=algorithm)
+    def test_artifacts(self, tmp_path, algorithm, problem):
+        cfg = write_config(tmp_path / "cfg.json", algorithm=algorithm,
+                           problem={"name": problem, "n": 2})
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "trace.csv")
@@ -154,17 +160,25 @@ class TestConfigValidation:
     def test_build_rule_makes_each_rule(self):
         assert cli.build_rule("fixed_harmonic") == fd.FixedHarmonic()
         assert cli.build_rule({"name": "open_loop", "gamma": 3.0}) == fd.OpenLoop(gamma=3.0)
-        assert cli.build_rule({"name": "exact_ls", "tol": 1e-8}) == fd.ExactLineSearch(tol=1e-8)
-        assert cli.build_rule({"name": "approx_gamma", "delta": 0.2}) == fd.ApproxGamma(delta=0.2)
+        assert cli.build_rule({"name": "exact_ls"}) == fd.ExactLineSearch()
+        assert cli.build_rule("approx_gamma") == fd.ApproxGamma()
         with pytest.raises(cli.ConfigError, match="armijo"):
             cli.build_rule({"name": "armijo"})
+        for rule in ({"name": "exact_ls", "tol": 1e-8}, {"name": "approx_gamma", "delta": 0.2}):
+            with pytest.raises(cli.ConfigError, match="unknown key"):
+                cli.build_rule(rule)
 
-    # the line-search budget and approx_gamma's largest exponent are constants,
-    # not config keys, so no gamma_max <= 0 can freeze or crash a run
+    # the line-search budget and polish tolerance, approx_gamma's largest
+    # exponent and its slack are constants, not config keys, so no
+    # gamma_max <= 0 can freeze or crash a run
     @pytest.mark.parametrize("rule", [{"name": "approx_gamma", "gamma_max": -1},
                                       {"name": "approx_gamma", "gamma_max": 0},
-                                      {"name": "exact_ls", "max_iters": 50}],
-                             ids=["gamma_max-negative", "gamma_max-zero", "max_iters"])
+                                      {"name": "exact_ls", "max_iters": 50},
+                                      {"name": "exact_ls", "tol": 1e-8},
+                                      {"name": "approx_gamma", "tol": 1e-8},
+                                      {"name": "approx_gamma", "delta": 0.2}],
+                             ids=["gamma_max-negative", "gamma_max-zero", "max_iters",
+                                  "exact_ls-tol", "approx_gamma-tol", "approx_gamma-delta"])
     def test_removed_rule_key_is_config_error(self, tmp_path, capsys, rule):
         cfg = write_config(tmp_path / "cfg.json", rule=rule, k_max=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -187,6 +201,13 @@ class TestConfigValidation:
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+    def test_wrong_length_b(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "quadratic-simplex", "n": 3,
+                                    "a": {"random": [4, 3]}, "b": [0.1, 0.2, 0.3]})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "problem.b must have length 4" in capsys.readouterr().err
 
     def test_random_map_shape_must_match_n(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
@@ -383,14 +404,12 @@ def exit_code(argv):
 
 class TestFlags:
     FLAGS = {
-        "run": {"--config", "--out", "--kmax", "--rule", "--gamma", "--delta", "--tol",
-                "--policy", "--mode", "--seed"},
+        "run": {"--config", "--out", "--kmax", "--rule", "--gamma", "--policy", "--mode",
+                "--seed"},
         "verify": {"--config", "--kmax", "--seed"},
         "probe": {"--config", "--gamma", "--seed"},
-        "rate": {"--config", "--kmax", "--rule", "--gamma", "--delta", "--tol",
-                 "--policy", "--mode", "--seed"},
-        "compare": {"--out", "--kmax", "--rule", "--gamma", "--delta", "--tol",
-                    "--policy", "--mode", "--seed"},
+        "rate": {"--config", "--kmax", "--rule", "--gamma", "--policy", "--mode", "--seed"},
+        "compare": {"--out", "--kmax", "--rule", "--gamma", "--policy", "--mode", "--seed"},
     }
 
     @staticmethod
@@ -403,7 +422,7 @@ class TestFlags:
     def test_each_subcommand_takes_only_the_flags_it_reads(self, command):
         flags = self.parser_flags()
         assert flags[command] == self.FLAGS[command]
-        assert sum(len(f) for f in flags.values()) == 34
+        assert sum(len(f) for f in flags.values()) == 28
 
     def test_flag_a_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -412,10 +431,10 @@ class TestFlags:
         assert exit_code(["verify", "--mode", "sharp"]) == 2
         assert exit_code(["probe", "--config", str(cfg), "--kmax", "3"]) == 2
         assert exit_code(["rate", str(out / "trace.csv"), "--kmax", "5"]) == 2
-        # fixed_harmonic has no tolerance: a rule flag is checked like a config key
-        assert exit_code(["run", "--config", str(cfg), "--tol", "1e-8",
+        # fixed_harmonic has no exponent: a rule flag is checked like a config key
+        assert exit_code(["run", "--config", str(cfg), "--gamma", "3",
                           "--out", str(tmp_path / "o2")]) == 2
-        assert "'tol'" in capsys.readouterr().err
+        assert "'gamma'" in capsys.readouterr().err
 
     def test_rule_flag_sets_key_of_config_rule(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", rule={"name": "open_loop", "gamma": 1.5})
@@ -461,8 +480,3 @@ def test_oracle_error_exits_three(tmp_path, monkeypatch, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert "injected" in summary["error"]
 
-
-def test_env_var_controls_logging(monkeypatch, tmp_path):
-    monkeypatch.setenv("FENCHEL_DUO_LOG", "debug")
-    cfg = write_config(tmp_path / "cfg.json", k_max=3)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -1,6 +1,8 @@
 """Curvature probes against enumeration/dense-grid oracles, and rate fits on
 synthetic decay data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ class TestProbeCurvature:
         small = fd.probe_curvature(spec, gamma=2.0, n_samples=40, seed=3)
         big = fd.probe_curvature(spec, gamma=2.0, n_samples=160, seed=3)
         assert small.c_hat <= big.c_hat
+
+    def test_line_that_fails_keeps_its_earlier_ratios(self):
+        # f = +inf near every vertex, so each probe line toward its LMO vertex
+        # fails before alpha = 1: the line counts once as skipped, and the
+        # ratios before the failure (|s - x|^2 all along, for this f) still count
+        spec = fd.make_quadratic_simplex(n=3)
+        walled = replace(spec, breg_f=None,
+                         f_val=lambda y: np.inf if np.max(y) > 0.999 else spec.f_val(y))
+        clean = fd.probe_curvature(spec, gamma=2.0, n_samples=50, seed=4)
+        est = fd.probe_curvature(walled, gamma=2.0, n_samples=50, seed=4)
+        assert (clean.skipped, est.skipped) == (0, 50)
+        assert 0.0 < est.c_hat <= clean.c_hat * (1 + 1e-12)
+        assert est.witness["alpha"] < 1.0
 
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(fd.RangeError):

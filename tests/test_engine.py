@@ -189,8 +189,9 @@ class TestRunHygiene:
             fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 5, mode="fuzzy")
 
     def test_hybrid_rejects_best_policy(self):
+        # hybrid certifies its iterates, so it has no policy keyword at all
         spec = fd.make_quadratic_simplex(n=2)
-        with pytest.raises(fd.RangeError, match="policy"):
+        with pytest.raises(TypeError, match="policy"):
             fd.run_hybrid(spec, [1.0, 0.0], [1.0, 0.0], fd.FixedHarmonic(), 5, policy="best")
 
     @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
@@ -208,6 +209,18 @@ class TestRunHygiene:
         spec = tilted_entropy()
         tr = fd.run_gcs(spec, [1.0, 0.0, 0.0], fd.FixedHarmonic(), 10, debug=True)
         assert tr.error is None
+
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_debug_mode_catches_conjugate_pair_defect(self, algo):
+        # f* off by 1e-3 breaks Fenchel-Young at the first oracle output; only
+        # the debug check sees it (gmd reads f* as the dual side's h)
+        spec = tilted_entropy()
+        bad = replace(spec, f_conj_val=lambda u: spec.f_conj_val(u) + 1e-3)
+        x0 = np.array([1.0, 0.0, 0.0])
+        starts = (x0, spec.f_grad(x0))
+        assert _drive(algo, bad, starts, fd.FixedHarmonic(), k_max=10).error is None
+        tr = _drive(algo, bad, starts, fd.FixedHarmonic(), k_max=10, debug=True)
+        assert "conjugate-pair defect" in tr.error
 
     def test_runs_are_deterministic(self):
         spec = fd.make_quadratic_simplex(n=3)
@@ -274,9 +287,9 @@ def test_harmonic_schedule_certificate_bounds():
 
 
 def test_approx_gamma_run_meets_slackened_bound():
-    """exponent slack delta widens the certified decay bound accordingly"""
+    """the exponent slack delta = 0.1 widens the certified decay bound accordingly"""
     spec = fd.make_quadratic_simplex(n=2)
-    tr = fd.run_gcs(spec, [1.0, 0.0], fd.ApproxGamma(delta=0.1), 500)
+    tr = fd.run_gcs(spec, [1.0, 0.0], fd.ApproxGamma(), 500)
     g = 1.9  # gamma - delta with the enumerated gamma = 2
     k = np.arange(1, tr.k + 1)
     bound = 2.0 * (g / (k + g)) ** (g - 1.0)
@@ -298,13 +311,13 @@ def _injection_specs():
     }
 
 
-def _drive(algo, spec, start, rule, k_max=30):
+def _drive(algo, spec, start, rule, k_max=30, **kwargs):
     x0, u0 = start
     if algo == "gcs":
-        return fd.run_gcs(spec, x0, rule, k_max)
+        return fd.run_gcs(spec, x0, rule, k_max, **kwargs)
     if algo == "gmd":
-        return fd.run_gmd(spec, np.zeros(spec.dim_y), rule, k_max)
-    return fd.run_hybrid(spec, x0, u0, rule, k_max)
+        return fd.run_gmd(spec, np.zeros(spec.dim_y), rule, k_max, **kwargs)
+    return fd.run_hybrid(spec, x0, u0, rule, k_max, **kwargs)
 
 
 def _wrapped(spec, oracle, fail_from, failure):

@@ -46,6 +46,10 @@ class TestQuadratic:
         with pytest.raises(fd.ConstructionError):
             fd.make_quadratic_simplex(Q=np.diag([1.0, -1.0]), n=2)
 
+    def test_wrong_length_b_rejected(self):
+        with pytest.raises(fd.ConstructionError, match="b must have length 2"):
+            fd.make_quadratic_simplex(b=np.ones(3), n=2)
+
     def test_conjugate_against_numeric_sup(self):
         # f*(u) = sup_y <u, y> - f(y), maximized numerically from scratch
         rng = np.random.default_rng(42)

@@ -1,7 +1,11 @@
 """The package namespace: every module's public names resolve on
 ``fenchelduo``, and names removed with the single iteration kernel, the
 hand-mirrored dual side and the helpers folded into their one caller stay
-gone."""
+gone; the settable surface of the step rules and the drivers stays pinned."""
+
+import dataclasses
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,19 @@ def test_public_name_count():
 def test_removed_name_is_gone(name):
     assert not hasattr(fd, name)
     assert all(not hasattr(module, name) for module in MODULES)
+
+
+def test_settable_surface_is_pinned():
+    """the one rule field, the drivers' keywords, and no environment reads"""
+    fields = {name: [f.name for f in dataclasses.fields(cls)]
+              for name, cls in steps._RULES.items()}
+    assert fields == {"fixed_harmonic": [], "open_loop": ["gamma"], "exact_ls": [],
+                      "approx_gamma": []}
+    keywords = {fn.__name__: [p.name for p in inspect.signature(fn).parameters.values()
+                              if p.kind is inspect.Parameter.KEYWORD_ONLY]
+                for fn in (fd.run_gcs, fd.run_gmd, fd.run_hybrid)}
+    assert keywords == {"run_gcs": ["epsilon", "policy", "mode", "debug"],
+                        "run_gmd": ["epsilon", "policy", "mode", "debug"],
+                        "run_hybrid": ["epsilon", "mode", "debug"]}
+    sources = sorted(Path(fd.__file__).parent.glob("*.py"))
+    assert sources and not [p.name for p in sources if "environ" in p.read_text()]

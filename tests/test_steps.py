@@ -28,7 +28,7 @@ class TestSchedules:
     def test_rules_emit_unit_interval(self):
         rng = np.random.default_rng(0)
         rules = [fd.FixedHarmonic(), fd.OpenLoop(3.0), fd.ExactLineSearch(),
-                 fd.ApproxGamma(0.2)]
+                 fd.ApproxGamma()]
         for rule in rules:
             for k in range(0, 40, 7):
                 a = rule.select(k, float(rng.random()), lambda t: 0.7 * t * t)
@@ -101,35 +101,29 @@ class TestApproxGamma:
     def test_schedule_formula(self):
         # with an exactly quadratic divergence the selected exponent is ~2
         d = lambda t: 3.0 * t * t
-        a = fd.ApproxGamma(delta=0.1).select(1, 1.0, d)
+        a = fd.ApproxGamma().select(1, 1.0, d)
         assert 1.95 / (1 + 1.95) - 1e-9 <= a <= 2.0 / 3.0 + 1e-9
 
     def test_power_15_lands_near_06(self):
         d = lambda t: 0.8 * t ** 1.5
-        a = fd.ApproxGamma(delta=0.1).select(1, 1.0, d)
+        a = fd.ApproxGamma().select(1, 1.0, d)
         # exponent in [1.45, 1.5] -> alpha in [0.5918.., 0.6]
         assert 1.45 / 2.45 - 1e-9 <= a <= 0.6 + 1e-9
 
     def test_exponent_never_overshoots_on_quadratic(self):
         d = lambda t: 0.5 * t * t
         for k in (1, 5, 50, 500):
-            a = fd.ApproxGamma(delta=0.1).select(k, 1.0, d)
+            a = fd.ApproxGamma().select(k, 1.0, d)
             assert a <= 2.0 / (k + 2.0) + 1e-12
             assert a >= 1.9 / (k + 1.9) - 1e-12
 
     def test_zero_divergence_accepts_max_exponent(self):
-        a = fd.ApproxGamma(delta=0.2).select(3, 1.0, lambda t: 0.0)
+        a = fd.ApproxGamma().select(3, 1.0, lambda t: 0.0)
         assert a == pytest.approx(4.0 / 7.0, rel=1e-12)
-
-    def test_delta_validated(self):
-        with pytest.raises(fd.RangeError):
-            fd.ApproxGamma(delta=0.0)
-        with pytest.raises(fd.RangeError):
-            fd.ApproxGamma(delta=1.5)
 
     def test_collapsed_bracket_falls_back_to_line_search(self):
         # a concave-in-alpha divergence rejects every exponent probe >= 1
         d = lambda t: t ** 0.5
-        a = fd.ApproxGamma(delta=0.1).select(2, 1.0, d)
+        a = fd.ApproxGamma().select(2, 1.0, d)
         direct = steps._minimize_step_surrogate(1.0, d)[0]
         assert a == pytest.approx(direct, abs=1e-12)
