@@ -20,7 +20,8 @@ trace replays as a conditional-subgradient trace of the dual spec.  The
 replay evaluates each increment itself, from the raw oracles at both ends of
 the step; the kernel (one cached segment per step) shares none of this code,
 so a replay checks the kernel's arithmetic rather than repeating it.  An
-oracle error on the dual spec names the oracle of the spec it called.
+oracle error on the dual spec names the user's oracle behind it, which
+``dualize`` records.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import math
 
 import numpy as np
 
-from .oracles import (DomainError, InfiniteValue, ProblemSpec, StateError, _oracle_value,
-                      _primal_oracle_message, bregman_f, dualize)
+from .oracles import (InfiniteValue, ProblemSpec, StateError, _oracle_name, _oracle_value,
+                      bregman_f, dualize)
 
 __all__ = [
     "weight_rows",
@@ -60,11 +61,12 @@ def weight_rows(alphas) -> tuple:
 def _guarded(coeff: float, spec: ProblemSpec, point, where: str) -> float:
     # coeff * h(point) with explicit inf handling: a zero coefficient drops the
     # term before the value is used, so 0 * inf never occurs
-    value = _oracle_value(spec.h_val, point, "h_val")
+    value = _oracle_value(spec, "h_val", point)
     if coeff == 0.0:
         return 0.0
     if math.isinf(value):
-        raise InfiniteValue(f"oracle h_val returned +inf at the {where} point of a step")
+        raise InfiniteValue(f"oracle {_oracle_name(spec, 'h_val')} returned +inf at the "
+                            f"{where} point of a step")
     return coeff * value
 
 
@@ -128,22 +130,14 @@ def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     return _cg_residuals(trace.xs, trace.us, trace.ss, trace.alphas, spec)
 
 
-def _dual_side(fn, *args):
-    # fn on dualize(spec), its oracle errors naming the oracle of spec
-    try:
-        return fn(*args)
-    except (DomainError, InfiniteValue) as exc:
-        raise type(exc)(_primal_oracle_message(str(exc))) from exc
-
-
 def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     """Relative residuals of the dual-run identity for every k >= 1.
 
     The primal-run identity of ``dualize(spec)``, read through the map
     (x, u, s) = (v, y, -z).
     """
-    return _dual_side(_cg_residuals, trace.vs, trace.ys, (-z for z in trace.zs),
-                      trace.alphas, dualize(spec))
+    return _cg_residuals(trace.vs, trace.ys, (-z for z in trace.zs), trace.alphas,
+                         dualize(spec))
 
 
 def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
@@ -156,7 +150,7 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     dual = dualize(spec)
     div = np.array([
         step_divergence_primal(x, s, a, spec)
-        + _dual_side(step_divergence_primal, -u, -z, a, dual)
+        + step_divergence_primal(-u, -z, a, dual)
         for x, u, s, z, a in zip(trace.xs[:-1], trace.us[:-1], trace.ss, trace.zs,
                                  trace.alphas)
     ])

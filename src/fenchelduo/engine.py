@@ -43,9 +43,9 @@ from .oracles import (
     bregman_f,
     dualize,
     fenchel_young_residual,
+    _oracle_name,
     _oracle_point,
     _oracle_value,
-    _primal_oracle_message,
 )
 from .steps import StepRule
 
@@ -123,31 +123,32 @@ def _fy_debug(spec, y=None, w=None):
         raise DomainError(f"conjugate-pair defect {defect:.3e} exceeds {_FY_DEBUG_TOL}")
 
 
-def _finite_value(fn, arg, oracle: str) -> float:
-    value = _oracle_value(fn, arg, oracle)
+def _finite_value(spec: ProblemSpec, role: str, arg) -> float:
+    value = _oracle_value(spec, role, arg)
     if math.isinf(value):
-        raise InfiniteValue(f"oracle {oracle} returned {value:+} at an iterate")
+        raise InfiniteValue(f"oracle {_oracle_name(spec, role)} returned {value:+} at an iterate")
     return value
 
 
 def _primal_value(spec: ProblemSpec, x, y) -> float:
     # y = A(x), computed once by the caller
-    return _finite_value(spec.f_val, y, "f_val") + _finite_value(spec.h_val, x, "h_val")
+    return _finite_value(spec, "f_val", y) + _finite_value(spec, "h_val", x)
 
 
 def _dual_value(spec: ProblemSpec, u, w) -> float:
     # w = -A*(u), computed once by the caller
-    return (_finite_value(spec.f_conj_val, u, "f_conj_val")
-            + _finite_value(spec.h_conj_val, w, "h_conj_val"))
+    return (_finite_value(spec, "f_conj_val", u)
+            + _finite_value(spec, "h_conj_val", w))
 
 
-def _guarded(coeff: float, value: float, where: str) -> float:
+def _guarded(spec: ProblemSpec, coeff: float, value: float, where: str) -> float:
     # coeff * h(point) with explicit inf handling: a zero coefficient drops the
     # term before the value is used, so 0 * inf never occurs
     if coeff == 0.0:
         return 0.0
     if math.isinf(value):
-        raise InfiniteValue(f"oracle h_val returned +inf at the {where} point of a step")
+        raise InfiniteValue(f"oracle {_oracle_name(spec, 'h_val')} returned +inf at the "
+                            f"{where} point of a step")
     return coeff * value
 
 
@@ -177,13 +178,13 @@ class _Segment:
         d = bregman_f(y, self.y0, spec)
         if not sharp:
             return d
-        value = d + _guarded(1.0, _oracle_value(spec.h_val, comb, "h_val"), "interpolated")
+        value = d + _guarded(spec, 1.0, _oracle_value(spec, "h_val", comb), "interpolated")
         if self.h_base is None:
-            self.h_base = _oracle_value(spec.h_val, self.base, "h_val")
-        value -= _guarded(1.0 - alpha, self.h_base, "base")
+            self.h_base = _oracle_value(spec, "h_val", self.base)
+        value -= _guarded(spec, 1.0 - alpha, self.h_base, "base")
         if self.h_target is None:
-            self.h_target = _oracle_value(spec.h_val, self.target, "h_val")
-        value -= _guarded(alpha, self.h_target, "target")
+            self.h_target = _oracle_value(spec, "h_val", self.target)
+        value -= _guarded(spec, alpha, self.h_target, "target")
         return d, value
 
 
@@ -217,10 +218,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
         p = primal_seg.increment(a, sharp)
         if not hybrid:
             return p
-        try:
-            d = dual_seg.increment(a, sharp)
-        except (DomainError, InfiniteValue) as exc:  # same type: a probe shrinks on +inf
-            raise type(exc)(_primal_oracle_message(str(exc))) from exc
+        d = dual_seg.increment(a, sharp)
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
 
     def probe(a):
@@ -231,10 +229,10 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
         y = A(x)
         w = -At(u) if hybrid else None
         for k in range(k_max):
-            z = _oracle_point(spec.f_grad, y, "f_grad")
+            z = _oracle_point(spec, "f_grad", y)
             if not hybrid:
                 u, w = z, -At(z)
-            s = _oracle_point(spec.h_conj_grad, w, "h_conj_grad")
+            s = _oracle_point(spec, "h_conj_grad", w)
             primal_seg = _Segment(spec, x, s, y)
             if hybrid:
                 dual_seg = _Segment(dual, -u, -z)
@@ -316,7 +314,8 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
 
     Each step reads the mirror point y_k = (h*)'(A* v_k) and the subgradient
     z_k = f'(A y_k), then moves v_{k+1} = (1-alpha_k) v_k - alpha_k z_k.  The
-    primal certificate is the aggregate of the y_k.
+    primal certificate is the aggregate of the y_k.  An oracle error in
+    ``trace.error`` names the oracle of ``spec``, as ``dualize`` records it.
     """
     _check_args(k_max, mode, policy)
     v = as_point(v0, spec.dim_y, "v0")
@@ -327,8 +326,6 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     for z in trace.zs:
         np.negative(z, out=z)
     trace.primal, trace.dual = [-d for d in trace.dual], [-p for p in trace.primal]
-    if trace.error is not None:
-        trace.error = _primal_oracle_message(trace.error)
     return trace
 
 

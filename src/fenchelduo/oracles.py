@@ -176,6 +176,15 @@ _DUAL_ROLES = {"f_val": "h_conj_val", "f_grad": "h_conj_grad", "f_conj_val": "h_
                "h_val": "f_conj_val", "h_conj_val": "f_val", "h_conj_grad": "f_grad"}
 
 
+class _DualSpec(ProblemSpec):
+    """Built by :func:`dualize`: its oracle r calls ``_DUAL_ROLES[r]`` of the spec dualized."""
+
+
+def _oracle_name(spec: ProblemSpec, role: str) -> str:
+    """The oracle of the user's spec that ``role`` of ``spec`` calls."""
+    return _DUAL_ROLES[role] if isinstance(spec, _DualSpec) else role
+
+
 def dualize(spec: ProblemSpec) -> ProblemSpec:
     """Problem spec of the Fenchel dual  min_v h*(A*v) + f*(-v).
 
@@ -188,7 +197,10 @@ def dualize(spec: ProblemSpec) -> ProblemSpec:
 
     This is the one place that knows the primal-dual sign map: every
     dual-side quantity of the package is the primal-side function applied
-    to the dual spec.
+    to the dual spec.  It is also the one place that knows which oracle of
+    ``spec`` each oracle of the result calls: the result is a ``_DualSpec``
+    (plain when ``spec`` is one; ``dataclasses.replace`` keeps the class),
+    so every oracle error names the user's oracle, read off ``_oracle_name``.
     """
     for attr in ("f_conj_val", "h_conj_val", "h_conj_grad"):
         if getattr(spec, attr) is None:
@@ -201,7 +213,8 @@ def dualize(spec: ProblemSpec) -> ProblemSpec:
         dim_out=lm.dim_in,
         matrix=None if lm.matrix is None else lm.matrix.T,
     )
-    return ProblemSpec(
+    cls = ProblemSpec if isinstance(spec, _DualSpec) else _DualSpec
+    return cls(
         f_val=spec.h_conj_val,
         f_grad=spec.h_conj_grad,
         f_conj_val=spec.h_val,
@@ -216,35 +229,27 @@ def dualize(spec: ProblemSpec) -> ProblemSpec:
     )
 
 
-def _primal_oracle_message(message: str) -> str:
-    """An oracle error of ``dualize(spec)``, naming the oracle of ``spec`` it called."""
-    words = message.split(" ", 2)
-    if len(words) == 3 and words[0] == "oracle" and words[1] in _DUAL_ROLES:
-        words[1] = _DUAL_ROLES[words[1]]
-    return " ".join(words)
-
-
-def _oracle_point(fn, arg: np.ndarray, oracle: str) -> np.ndarray:
+def _oracle_point(spec: ProblemSpec, role: str, arg: np.ndarray) -> np.ndarray:
     try:
-        out = np.asarray(fn(arg), dtype=float)
+        out = np.asarray(getattr(spec, role)(arg), dtype=float)
     except FenchelDuoError:
         raise
     except Exception as exc:  # noqa: BLE001 - user oracles may raise anything
-        raise DomainError(f"oracle {oracle} failed: {exc}") from exc
+        raise DomainError(f"oracle {_oracle_name(spec, role)} failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
-        raise DomainError(f"oracle {oracle} returned non-finite output")
+        raise DomainError(f"oracle {_oracle_name(spec, role)} returned non-finite output")
     return out
 
 
-def _oracle_value(fn, arg: np.ndarray, oracle: str) -> float:
+def _oracle_value(spec: ProblemSpec, role: str, arg: np.ndarray) -> float:
     try:
-        out = float(fn(arg))
+        out = float(getattr(spec, role)(arg))
     except FenchelDuoError:
         raise
     except Exception as exc:  # noqa: BLE001
-        raise DomainError(f"oracle {oracle} failed: {exc}") from exc
+        raise DomainError(f"oracle {_oracle_name(spec, role)} failed: {exc}") from exc
     if math.isnan(out):
-        raise DomainError(f"oracle {oracle} returned NaN")
+        raise DomainError(f"oracle {_oracle_name(spec, role)} returned NaN")
     return out
 
 
@@ -263,13 +268,15 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
     """
     if spec.breg_f is not None:
         return _snap(float(spec.breg_f(y, x)))
-    fy = _oracle_value(spec.f_val, y, "f_val")
+    fy = _oracle_value(spec, "f_val", y)
     if math.isinf(fy):
-        raise InfiniteValue("oracle f_val returned +inf at the first Bregman argument")
-    fx = _oracle_value(spec.f_val, x, "f_val")
+        raise InfiniteValue(f"oracle {_oracle_name(spec, 'f_val')} returned +inf at the "
+                            "first Bregman argument")
+    fx = _oracle_value(spec, "f_val", x)
     if math.isinf(fx):
-        raise DomainError("oracle f_val returned +inf at the Bregman base point")
-    g = _oracle_point(spec.f_grad, x, "f_grad")
+        raise DomainError(f"oracle {_oracle_name(spec, 'f_val')} returned +inf at the "
+                          "Bregman base point")
+    g = _oracle_point(spec, "f_grad", x)
     return _snap(fy - fx - float(np.dot(g, y - x)))
 
 
@@ -282,13 +289,13 @@ def fenchel_young_residual(spec: ProblemSpec, y: Optional[np.ndarray] = None,
     """
     worst = 0.0
     if y is not None:
-        g = _oracle_point(spec.f_grad, y, "f_grad")
-        lhs = _oracle_value(spec.f_val, y, "f_val") + _oracle_value(spec.f_conj_val, g, "f_conj_val")
+        g = _oracle_point(spec, "f_grad", y)
+        lhs = _oracle_value(spec, "f_val", y) + _oracle_value(spec, "f_conj_val", g)
         rhs = float(np.dot(g, y))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     if w is not None:
-        p = _oracle_point(spec.h_conj_grad, w, "h_conj_grad")
-        lhs = _oracle_value(spec.h_conj_val, w, "h_conj_val") + _oracle_value(spec.h_val, p, "h_val")
+        p = _oracle_point(spec, "h_conj_grad", w)
+        lhs = _oracle_value(spec, "h_conj_val", w) + _oracle_value(spec, "h_val", p)
         rhs = float(np.dot(w, p))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     return worst

@@ -60,13 +60,13 @@ def _parabola_vertex(a, fa, b, fb, c, fc):
     return v if math.isfinite(v) else None
 
 
-def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]):
-    """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1].
+def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> float:
+    """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1]; returns the step size.
 
-    Returns ``(alpha, phi(alpha), warned)``.  Non-finite phi values shrink the
-    right end of the bracket; if phi is non-finite on all of (0, 1] the search
-    gives up at 0 with ``warned = True``.  phi(0) = gap is always a candidate,
-    so the returned value never exceeds the incoming gap.
+    Non-finite phi values shrink the right end of the bracket; if phi is
+    non-finite on all of (0, 1] the search logs a warning and gives up at 0.
+    phi(0) = gap is always a candidate, so phi at the returned step size never
+    exceeds the incoming gap.
     """
 
     def phi(a: float) -> float:
@@ -87,7 +87,7 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]):
         evals += 1
     if not math.isfinite(phi_hi):
         log.warning("line search: surrogate non-finite on all of (0, 1]; stepping 0")
-        return 0.0, phi0, True
+        return 0.0
 
     # golden-section bracketing down to a width where parabolic interpolation
     # is numerically safe
@@ -150,7 +150,7 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]):
     for cand_a, cand_f in candidates[1:]:
         if cand_f < value:
             alpha, value = cand_a, cand_f
-    return float(alpha), float(value), False
+    return float(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ class ExactLineSearch(StepRule):
     def select(self, k, gap, d_fun):
         if k == 0:
             return 1.0
-        return _minimize_step_surrogate(gap, d_fun)[0]
+        return _minimize_step_surrogate(gap, d_fun)
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ class ApproxGamma(StepRule):
             gamma_k = _GAMMA_MAX
         elif not _exponent_acceptable(1.0, k, d_fun):
             # bracket collapsed; the surrogate is not power-like here
-            return _minimize_step_surrogate(gap, d_fun)[0]
+            return _minimize_step_surrogate(gap, d_fun)
         else:
             lo, hi = 1.0, _GAMMA_MAX
             while hi - lo > 0.5 * _DELTA:

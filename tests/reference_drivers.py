@@ -13,7 +13,8 @@ checks on them) stays a check of one wiring against another.
 The certificate code is spelled out here by hand: ``CertificateAggregate``
 (the averaged or best certificate, which the package's kernel keeps
 inline), ``step_divergence_primal`` (the sharpened increment, which the
-package computes in ``certificates._step_increment``), and the dual-side
+package's kernel computes in ``engine._Segment.increment`` and its replay
+in ``certificates.step_divergence_primal``), and the dual-side
 ``bregman_hconj`` and ``step_divergence_dual``, which the package computes
 as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
 symmetric loops use these copies, never ``dualize``.
@@ -47,13 +48,13 @@ def bregman_hconj(v, u, spec):
     """Bregman distance D_{h*}(v, u) = h*(v) - h*(u) - <v - u, (h*)'(u)>."""
     if spec.breg_hconj is not None:
         return _snap(float(spec.breg_hconj(v, u)))
-    hv = _oracle_value(spec.h_conj_val, v, "h_conj_val")
+    hv = _oracle_value(spec, "h_conj_val", v)
     if math.isinf(hv):
         raise InfiniteValue("h* is +inf at the first Bregman argument")
-    hu = _oracle_value(spec.h_conj_val, u, "h_conj_val")
+    hu = _oracle_value(spec, "h_conj_val", u)
     if math.isinf(hu):
         raise DomainError("h* is +inf at the Bregman base point")
-    g = _oracle_point(spec.h_conj_grad, u, "h_conj_grad")
+    g = _oracle_point(spec, "h_conj_grad", u)
     return _snap(hv - hu - float(np.dot(v - u, g)))
 
 
@@ -169,12 +170,12 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
     start = time.perf_counter()
     try:
         for k in range(k_max):
-            u = _oracle_point(spec.f_grad, A(x), "f_grad")
-            s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
+            u = _oracle_point(spec, "f_grad", A(x))
+            s = _oracle_point(spec, "h_conj_grad", -At(u))
             if debug:
                 _fy_debug(spec, y=A(x), w=-At(u))
-            dual_val = _oracle_value(spec.f_conj_val, u, "f_conj_val")
-            dual_val += _oracle_value(spec.h_conj_val, -At(u), "h_conj_val")
+            dual_val = _oracle_value(spec, "f_conj_val", u)
+            dual_val += _oracle_value(spec, "h_conj_val", -At(u))
 
             if k == 0:
                 alpha = 1.0
@@ -201,10 +202,10 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
             trace.us.append(u)
             trace.ss.append(s)
             trace.xs.append(x.copy())
-            primal = _oracle_value(spec.f_val, A(x), "f_val") + _oracle_value(spec.h_val, x, "h_val")
+            primal = _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)
             if policy == "average":
-                cert_dual = _oracle_value(spec.f_conj_val, agg.point, "f_conj_val")
-                cert_dual += _oracle_value(spec.h_conj_val, -At(agg.point), "h_conj_val")
+                cert_dual = _oracle_value(spec, "f_conj_val", agg.point)
+                cert_dual += _oracle_value(spec, "h_conj_val", -At(agg.point))
             else:
                 cert_dual = agg.best_value
             trace.primal.append(primal)
@@ -235,12 +236,12 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
     start = time.perf_counter()
     try:
         for k in range(k_max):
-            y = _oracle_point(spec.h_conj_grad, At(v), "h_conj_grad")
-            z = _oracle_point(spec.f_grad, A(y), "f_grad")
+            y = _oracle_point(spec, "h_conj_grad", At(v))
+            z = _oracle_point(spec, "f_grad", A(y))
             if debug:
                 _fy_debug(spec, y=A(y), w=At(v))
-            primal_val = _oracle_value(spec.f_val, A(y), "f_val")
-            primal_val += _oracle_value(spec.h_val, y, "h_val")
+            primal_val = _oracle_value(spec, "f_val", A(y))
+            primal_val += _oracle_value(spec, "h_val", y)
 
             if k == 0:
                 alpha = 1.0
@@ -268,12 +269,12 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
             trace.zs.append(z)
             trace.vs.append(v.copy())
             if policy == "average":
-                cert_primal = _oracle_value(spec.f_val, A(agg.point), "f_val")
-                cert_primal += _oracle_value(spec.h_val, agg.point, "h_val")
+                cert_primal = _oracle_value(spec, "f_val", A(agg.point))
+                cert_primal += _oracle_value(spec, "h_val", agg.point)
             else:
                 cert_primal = agg.best_value
-            dual_obj = _oracle_value(spec.f_conj_val, -v, "f_conj_val")
-            dual_obj += _oracle_value(spec.h_conj_val, At(v), "h_conj_val")
+            dual_obj = _oracle_value(spec, "f_conj_val", -v)
+            dual_obj += _oracle_value(spec, "h_conj_val", At(v))
             trace.primal.append(cert_primal)
             trace.dual.append(-dual_obj)
             trace.gap_plain.append(plain)
@@ -302,8 +303,8 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, policy="average",
     start = time.perf_counter()
     try:
         for k in range(k_max):
-            s = _oracle_point(spec.h_conj_grad, -At(u), "h_conj_grad")
-            z = _oracle_point(spec.f_grad, A(x), "f_grad")
+            s = _oracle_point(spec, "h_conj_grad", -At(u))
+            z = _oracle_point(spec, "f_grad", A(x))
             if debug:
                 _fy_debug(spec, y=A(x), w=-At(u))
 
@@ -340,9 +341,9 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, policy="average",
             trace.zs.append(z)
             trace.xs.append(x.copy())
             trace.us.append(u.copy())
-            primal = _oracle_value(spec.f_val, A(x), "f_val") + _oracle_value(spec.h_val, x, "h_val")
-            dual_obj = _oracle_value(spec.f_conj_val, u, "f_conj_val")
-            dual_obj += _oracle_value(spec.h_conj_val, -At(u), "h_conj_val")
+            primal = _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)
+            dual_obj = _oracle_value(spec, "f_conj_val", u)
+            dual_obj += _oracle_value(spec, "h_conj_val", -At(u))
             trace.primal.append(primal)
             trace.dual.append(-dual_obj)
             trace.gap_plain.append(plain)

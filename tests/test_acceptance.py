@@ -207,10 +207,11 @@ def test_criterion_9_line_search_optimality():
     for _ in range(100):
         gap = float(rng.uniform(0.05, 10.0))
         curv = float(rng.uniform(0.05, 10.0))
-        _, val, _ = steps._minimize_step_surrogate(gap, lambda t, c=curv: 0.5 * c * t * t)
+        a = steps._minimize_step_surrogate(gap, lambda t, c=curv: 0.5 * c * t * t)
+        val = (1.0 - a) * gap + 0.5 * curv * a * a
         grid_min = float(np.min((1.0 - grid) * gap + 0.5 * curv * grid**2))
         worst = max(worst, val - grid_min)
-    a_closed, _, _ = steps._minimize_step_surrogate(1.0, lambda t: t * t)
+    a_closed = steps._minimize_step_surrogate(1.0, lambda t: t * t)
     closed_err = abs(a_closed - 0.5)
     ok = worst <= 1e-8 and closed_err <= 1e-10
     report(9, ok, f"100 random surrogates: worst excess over grid {worst:.2e} <= 1e-8; "

@@ -383,6 +383,55 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
             assert getattr(broken, c) == getattr(healthy, c)[:k]
 
 
+def _injected_error(oracle, failure):
+    # the message of _wrapped's failure "raise" or "inf" in ``oracle``
+    if failure == "raise":
+        return rf"oracle {oracle} failed: injected failure$"
+    if oracle.endswith("_val"):
+        return rf"oracle {oracle} returned \+inf at "
+    return rf"oracle {oracle} returned non-finite output$"
+
+
+@pytest.mark.parametrize("failure", ["raise", "inf"])
+@pytest.mark.parametrize("oracle", ["h_conj_grad", "f_grad", "f_val", "f_conj_val", "h_val",
+                                    "h_conj_val"])
+@pytest.mark.parametrize("check", ["bach", "symmetry"])
+def test_equivalence_dual_run_names_the_users_oracle(check, oracle, failure):
+    # the fault starts at the first call after the healthy primal run's, so
+    # the check's primal run passes and its dual run, on the dual spec, fails
+    spec = _injection_specs()["holder"]
+    x0 = spec.h_conj_grad(np.zeros(spec.dim_x))
+    u0 = spec.f_grad(spec.linmap.apply(x0))
+    rule = fd.FixedHarmonic()
+    counted, calls = _wrapped(spec, oracle, None, failure)
+    if check == "bach":
+        assert fd.run_gcs(counted, x0, rule, 10).error is None
+    else:
+        assert fd.run_hybrid(counted, x0, u0, rule, 10).error is None
+    broken = _wrapped(spec, oracle, calls["n"] + 1, failure)[0]
+    with pytest.raises(fd.ConstructionError,
+                       match="^dual run aborted: " + _injected_error(oracle, failure)):
+        if check == "bach":
+            fd.check_bach_equivalence(broken, x0, rule, 10)
+        else:
+            fd.check_hybrid_symmetry(broken, x0, u0, rule, 10)
+
+
+@pytest.mark.parametrize("failure", ["raise", "inf"])
+@pytest.mark.parametrize("oracle", ["h_conj_grad", "h_conj_val"])
+@pytest.mark.parametrize("algo", ["gmd", "hybrid"])
+def test_curvature_dual_side_names_the_users_oracle(algo, oracle, failure):
+    # the dual side's Bregman distance D_{h*} calls h_conj_val and
+    # h_conj_grad; the primal side of a hybrid trace calls neither
+    spec = _injection_specs()["holder"]
+    x0 = spec.h_conj_grad(np.zeros(spec.dim_x))
+    trace = _drive(algo, spec, (x0, spec.f_grad(spec.linmap.apply(x0))), fd.FixedHarmonic(),
+                   k_max=10)
+    assert trace.error is None
+    with pytest.raises(fd.FenchelDuoError, match="^" + _injected_error(oracle, failure)):
+        fd.curvature_along_trace(trace, _wrapped(spec, oracle, 1, failure)[0], 2.0)
+
+
 # ---------------------------------------------------------------------------
 # line-search probes: each value against an uncached evaluation, and the
 # oracle calls a step makes

@@ -1,10 +1,13 @@
 """The package namespace: every module's public names resolve on
 ``fenchelduo``, and names removed with the single iteration kernel, the
 hand-mirrored dual side and the helpers folded into their one caller stay
-gone; the settable surface of the step rules and the drivers stays pinned."""
+gone; the settable surface of the step rules and the drivers stays pinned;
+and no message spells out an oracle's name."""
 
+import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,15 @@ def test_settable_surface_is_pinned():
                         "run_hybrid": ["epsilon", "mode", "debug"]}
     sources = sorted(Path(fd.__file__).parent.glob("*.py"))
     assert sources and not [p.name for p in sources if "environ" in p.read_text()]
+
+
+def test_no_message_spells_out_an_oracle_name():
+    """an oracle error reads the name off ``oracles._oracle_name``, so that on
+    a spec built by ``dualize`` it names the oracle of the user's spec"""
+    literal = re.compile(r"oracle (f_val|f_grad|f_conj_val|h_val|h_conj_val|h_conj_grad)\b")
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(fd.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and literal.search(node.value)]
+    assert found == []

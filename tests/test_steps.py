@@ -36,22 +36,27 @@ class TestSchedules:
             assert rule.select(0, 1.0, lambda t: t * t) == 1.0
 
 
+def _minimize(gap, d_fun):
+    # the minimizer's step size and the surrogate value phi there
+    a = steps._minimize_step_surrogate(gap, d_fun)
+    return a, (1.0 - a) * gap + d_fun(a)
+
+
 class TestSurrogateMinimizer:
     def test_closed_form_interior_minimum(self):
         # phi(a) = (1-a) + a^2 has its minimum at 1/2 with value 3/4
-        a, val, warned = steps._minimize_step_surrogate(1.0, lambda t: t * t)
-        assert not warned
+        a, val = _minimize(1.0, lambda t: t * t)
         assert a == pytest.approx(0.5, abs=1e-10)
         assert val == pytest.approx(0.75, abs=1e-12)
 
     def test_clipped_to_one(self):
         # unconstrained minimizer 3/2 clips to the right endpoint
-        a, val, _ = steps._minimize_step_surrogate(3.0, lambda t: t * t)
+        a, val = _minimize(3.0, lambda t: t * t)
         assert a == 1.0
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gap_stays_put(self):
-        a, val, _ = steps._minimize_step_surrogate(0.0, lambda t: 0.4 * t ** 1.5)
+        a, val = _minimize(0.0, lambda t: 0.4 * t ** 1.5)
         assert a == 0.0
         assert val == 0.0
 
@@ -61,7 +66,7 @@ class TestSurrogateMinimizer:
         for _ in range(100):
             gap = float(rng.uniform(0.05, 10.0))
             curv = float(rng.uniform(0.05, 10.0))
-            a, val, _ = steps._minimize_step_surrogate(gap, lambda t, c=curv: 0.5 * c * t * t)
+            a, val = _minimize(gap, lambda t, c=curv: 0.5 * c * t * t)
             grid_min = float(np.min((1.0 - grid) * gap + 0.5 * curv * grid**2))
             assert val <= grid_min + 1e-8
 
@@ -71,7 +76,7 @@ class TestSurrogateMinimizer:
             gap = float(rng.uniform(0.0, 2.0))
             p = float(rng.uniform(1.1, 2.0))
             c = float(rng.uniform(0.01, 20.0))
-            a, val, _ = steps._minimize_step_surrogate(gap, lambda t, c=c, p=p: c * t ** p)
+            a, val = _minimize(gap, lambda t, c=c, p=p: c * t ** p)
             assert val <= gap + 1e-14
 
     def test_everywhere_infinite_returns_zero_with_warning(self, caplog):
@@ -81,18 +86,20 @@ class TestSurrogateMinimizer:
             return 0.0
 
         with caplog.at_level(logging.WARNING, logger="fenchelduo"):
-            a, val, warned = steps._minimize_step_surrogate(1.0, d_fun)
-        assert (a, warned) == (0.0, True)
-        assert any("line search" in r.message for r in caplog.records)
+            a = steps._minimize_step_surrogate(1.0, d_fun)
+        assert a == 0.0
+        assert [r.message for r in caplog.records if r.levelno == logging.WARNING] == [
+            "line search: surrogate non-finite on all of (0, 1]; stepping 0"]
 
-    def test_partially_infinite_shrinks_bracket(self):
+    def test_partially_infinite_shrinks_bracket(self, caplog):
         def d_fun(t):
             if t > 0.3:
                 raise fd.InfiniteValue("left the domain")
             return t * t
 
-        a, val, warned = steps._minimize_step_surrogate(1.0, d_fun)
-        assert not warned
+        with caplog.at_level(logging.WARNING, logger="fenchelduo"):
+            a, val = _minimize(1.0, d_fun)
+        assert not caplog.records
         assert 0.0 < a <= 0.3
         assert val <= 1.0
 
@@ -125,5 +132,5 @@ class TestApproxGamma:
         # a concave-in-alpha divergence rejects every exponent probe >= 1
         d = lambda t: t ** 0.5
         a = fd.ApproxGamma().select(2, 1.0, d)
-        direct = steps._minimize_step_surrogate(1.0, d)[0]
+        direct = steps._minimize_step_surrogate(1.0, d)
         assert a == pytest.approx(direct, abs=1e-12)
