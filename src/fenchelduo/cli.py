@@ -76,11 +76,12 @@ def _reject_unknown(d: dict, allowed: set, where: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and bool(np.isfinite(value)))
 
 
 def _number(value, where: str, integer: bool = False):
-    """``value`` if it is a JSON number (an integer if asked); a boolean is neither."""
+    """``value`` if it is a finite JSON number (an integer if asked); a boolean is neither."""
     if not _is_number(value) or (integer and not isinstance(value, int)):
         raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
                           f"got {value!r}")

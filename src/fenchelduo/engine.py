@@ -20,8 +20,8 @@ once per iterate, and per step one segment holding A(base) and h at both
 ends, shared by the line-search probes and the certificate increment; the
 values, step sizes and traces are those of an uncached evaluation.  Every
 run records a :class:`Trace` with the full iterate history, both gap-bound
-variants (plain and sharpened), the true duality gap of the certificate
-pair, and a streaming residual of the exact certificate identity.
+variants, the true gap of the certificate pair, and a streaming residual of
+the certificate identity: the run's Fenchel-Young check of its oracle pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .oracles import (
     as_point,
     bregman_f,
     dualize,
-    fenchel_young_residual,
     _oracle_name,
     _oracle_point,
     _oracle_value,
@@ -50,8 +49,6 @@ from .oracles import (
 from .steps import StepRule
 
 __all__ = ["Trace", "run_gcs", "run_gmd", "run_hybrid"]
-
-_FY_DEBUG_TOL = 1e-9
 
 
 @dataclass
@@ -115,12 +112,6 @@ def _check_args(k_max: int, mode: str, policy: str = "average"):
         raise RangeError(f"policy must be 'average' or 'best', got {policy!r}")
     if mode not in ("plain", "sharp"):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
-
-
-def _fy_debug(spec, y=None, w=None):
-    defect = fenchel_young_residual(spec, y=y, w=w)
-    if defect > _FY_DEBUG_TOL:
-        raise DomainError(f"conjugate-pair defect {defect:.3e} exceeds {_FY_DEBUG_TOL}")
 
 
 def _finite_value(spec: ProblemSpec, role: str, arg) -> float:
@@ -189,7 +180,7 @@ class _Segment:
 
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
-         epsilon: Optional[float], policy: str, mode: str, debug: bool) -> Trace:
+         epsilon: Optional[float], policy: str, mode: str) -> Trace:
     """The joint-step kernel: gcs moves x (u := z), hybrid moves both with
     one step size.  gmd is this kernel's gcs path on ``dualize(spec)``.
 
@@ -238,8 +229,6 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 dual_seg = _Segment(dual, -u, -z)
             else:
                 step_value = _dual_value(spec, u, w)
-            if debug:
-                _fy_debug(spec, y=y, w=w)
 
             alpha = 1.0 if k == 0 else float(rule.select(k, sharp if sharp_mode else plain, probe))
             if not (0.0 <= alpha <= 1.0):
@@ -293,7 +282,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
 def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
             epsilon: Optional[float] = None, policy: str = "average",
-            mode: str = "plain", debug: bool = False) -> Trace:
+            mode: str = "plain") -> Trace:
     """Conditional-subgradient run from ``x0`` in dom(f' o A).
 
     Each step reads u_k = f'(Ax_k), targets s_k = (h*)'(-A*u_k) and moves
@@ -302,12 +291,12 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     """
     _check_args(k_max, mode, policy)
     x = as_point(x0, spec.dim_x, "x0")
-    return _run(False, spec, x, None, rule, k_max, epsilon, policy, mode, debug)
+    return _run(False, spec, x, None, rule, k_max, epsilon, policy, mode)
 
 
 def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
             epsilon: Optional[float] = None, policy: str = "average",
-            mode: str = "plain", debug: bool = False) -> Trace:
+            mode: str = "plain") -> Trace:
     """Mirror-descent run from a dual point ``v0`` in dom((h*)' o A*): the
     conditional-subgradient run (x', u', s') of ``dualize(spec)`` from v0,
     read through the sign map (v, y, z) = (x', u', -s') (Bach's equivalence).
@@ -319,7 +308,7 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     """
     _check_args(k_max, mode, policy)
     v = as_point(v0, spec.dim_y, "v0")
-    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode, debug)
+    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode)
     trace.algo = "gmd"
     trace.vs, trace.ys, trace.zs = trace.xs, trace.us, trace.ss
     trace.xs, trace.us, trace.ss = [], [], []
@@ -330,8 +319,7 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
 
 
 def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
-               epsilon: Optional[float] = None, mode: str = "plain",
-               debug: bool = False) -> Trace:
+               epsilon: Optional[float] = None, mode: str = "plain") -> Trace:
     """Symmetric primal-dual run from admissible ``(x0, u0)``.
 
     Both coordinates move toward the joint oracle output
@@ -343,4 +331,4 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
     _check_args(k_max, mode)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
-    return _run(True, spec, x, u, rule, k_max, epsilon, "average", mode, debug)
+    return _run(True, spec, x, u, rule, k_max, epsilon, "average", mode)

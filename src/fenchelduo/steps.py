@@ -10,8 +10,8 @@ plays g_k/(k+g_k).  Each is a :class:`StepRule` whose ``select`` holds the
 rule; ``_RULES`` maps each config name to its class.  Every rule forces a
 full first step (alpha_0 = 1), which all certificate identities require.
 Only the open-loop rule has a setting, its exponent g; the line search's
-budget and polish tolerance, and the approximate rule's exponent range and
-slack, are the module constants below.
+polish tolerance, and the approximate rule's exponent range and slack, are
+the module constants below.
 
 The surrogate phi is convex on [0, 1] (D is a Bregman distance along a
 segment, convex in alpha) but possibly nonsmooth, so the minimizer brackets
@@ -39,7 +39,6 @@ __all__ = [
 log = logging.getLogger("fenchelduo")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_EVALS = 200  # surrogate evaluations per line search
 _GAMMA_MAX = 4.0  # largest curvature exponent the approximate rule tries
 _DELTA = 0.1  # the approximate rule settles within this of the largest exponent it accepts
 _POLISH_TOL = 1e-10  # the parabolic polish stops at a vertex this close to its best point
@@ -63,10 +62,12 @@ def _parabola_vertex(a, fa, b, fb, c, fc):
 def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> float:
     """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1]; returns the step size.
 
-    Non-finite phi values shrink the right end of the bracket; if phi is
-    non-finite on all of (0, 1] the search logs a warning and gives up at 0.
-    phi(0) = gap is always a candidate, so phi at the returned step size never
-    exceeds the incoming gap.
+    Non-finite phi values halve the right end of the bracket, down to 1e-14;
+    if phi is non-finite on all of (0, 1] the search logs a warning and gives
+    up at 0.  phi(0) = gap is always a candidate, so phi at the returned step
+    size never exceeds the incoming gap.  Every stage ends by construction:
+    h <= 47 halvings, g golden steps to width 1e-6 with h + g <= 47, and 8
+    polish steps, so ``d_fun`` is called at most 2 + 2 + 47 + 8 = 59 times.
     """
 
     def phi(a: float) -> float:
@@ -76,15 +77,12 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
             return INF
         return (1.0 - a) * gap + d
 
-    evals = 0
     phi0 = phi(0.0)
     hi = 1.0
     phi_hi = phi(hi)
-    evals += 2
-    while not math.isfinite(phi_hi) and hi > 1e-14 and evals < _MAX_EVALS:
+    while not math.isfinite(phi_hi) and hi > 1e-14:
         hi *= 0.5
         phi_hi = phi(hi)
-        evals += 1
     if not math.isfinite(phi_hi):
         log.warning("line search: surrogate non-finite on all of (0, 1]; stepping 0")
         return 0.0
@@ -95,9 +93,8 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
-    evals += 2
     best_a, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    while hi - lo > 1e-6 and evals < _MAX_EVALS:
+    while hi - lo > 1e-6:
         if f1 <= f2:
             hi, phi_hi = x2, f2
             x2, f2 = x1, f1
@@ -108,7 +105,6 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
             x1, f1 = x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = phi(x2)
-        evals += 1
         if f1 <= best_f:
             best_a, best_f = x1, f1
         if f2 < best_f:
@@ -125,7 +121,6 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
         if v is None or not (a <= v <= c):
             break
         fv = phi(v)
-        evals += 1
         if math.isfinite(fv) and fv < para_f:
             para_a, para_f = v, fv
         if abs(v - b) <= _POLISH_TOL:
@@ -140,8 +135,6 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
                 a, fa, b, fb = b, fb, v, fv
             else:
                 c, fc = v, fv
-        if evals >= _MAX_EVALS:
-            break
 
     # candidate order resolves exact ties: prefer 0, then the polished point
     candidates = [(0.0, phi0), (para_a, para_f) if para_a is not None else (best_a, best_f),

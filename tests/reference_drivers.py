@@ -37,7 +37,6 @@ from fenchelduo.oracles import (
     StateError,
     as_point,
     bregman_f,
-    fenchel_young_residual,
     _oracle_point,
     _oracle_value,
     _snap,
@@ -128,12 +127,6 @@ def _check_args(k_max, policy, mode):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
 
 
-def _fy_debug(spec, y=None, w=None):
-    defect = fenchel_young_residual(spec, y=y, w=w)
-    if defect > 1e-9:
-        raise DomainError(f"conjugate-pair defect {defect:.3e} exceeds 1e-09")
-
-
 def _check_alpha(alpha):
     if not (0.0 <= alpha <= 1.0):
         raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
@@ -158,7 +151,7 @@ def ref_md_identity_residuals(trace, spec):
 
 
 def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
-                mode="plain", debug=False):
+                mode="plain"):
     _check_args(k_max, policy, mode)
     x = as_point(x0, spec.dim_x, "x0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
@@ -172,8 +165,6 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
         for k in range(k_max):
             u = _oracle_point(spec, "f_grad", A(x))
             s = _oracle_point(spec, "h_conj_grad", -At(u))
-            if debug:
-                _fy_debug(spec, y=A(x), w=-At(u))
             dual_val = _oracle_value(spec, "f_conj_val", u)
             dual_val += _oracle_value(spec, "h_conj_val", -At(u))
 
@@ -224,7 +215,7 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
 
 
 def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
-                mode="plain", debug=False):
+                mode="plain"):
     _check_args(k_max, policy, mode)
     v = as_point(v0, spec.dim_y, "v0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
@@ -238,8 +229,6 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
         for k in range(k_max):
             y = _oracle_point(spec, "h_conj_grad", At(v))
             z = _oracle_point(spec, "f_grad", A(y))
-            if debug:
-                _fy_debug(spec, y=A(y), w=At(v))
             primal_val = _oracle_value(spec, "f_val", A(y))
             primal_val += _oracle_value(spec, "h_val", y)
 
@@ -291,7 +280,7 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
 
 
 def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, policy="average",
-                   mode="plain", debug=False):
+                   mode="plain"):
     _check_args(k_max, policy, mode)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
@@ -305,8 +294,6 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, policy="average",
         for k in range(k_max):
             s = _oracle_point(spec, "h_conj_grad", -At(u))
             z = _oracle_point(spec, "f_grad", A(x))
-            if debug:
-                _fy_debug(spec, y=A(x), w=-At(u))
 
             if k == 0:
                 alpha = 1.0

@@ -138,6 +138,22 @@ WRONG_TYPES = [
 ]
 
 
+# (key named in the error, config overrides with the number v in one place):
+# JSON's NaN, Infinity and -Infinity parse as floats, but no config number
+# may be non-finite
+NONFINITE = [
+    ("epsilon", lambda v: {"epsilon": v}),
+    ("problem.b", lambda v: {"problem": {"name": "quadratic-simplex", "n": 3, "b": [v, 0, 0]}}),
+    ("problem.q", lambda v: {"problem": {"name": "quadratic-simplex", "n": 2, "q": v}}),
+    ("problem.a", lambda v: {"problem": {"name": "quadratic-simplex", "n": 2,
+                                         "a": [[1, 0], [v, 1]]}}),
+    ("problem.radius", lambda v: {"problem": {"name": "quadratic-l1", "n": 2, "radius": v}}),
+    ("problem.lower", lambda v: {"problem": {"name": "quadratic-box", "n": 2, "lower": v}}),
+    ("rule.gamma", lambda v: {"rule": {"name": "open_loop", "gamma": v}}),
+    ("x0", lambda v: {"problem": {"name": "quadratic-simplex", "n": 3}, "x0": [v, 0.5, 0.5]}),
+]
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", stepsize=0.1)
@@ -227,6 +243,15 @@ class TestConfigValidation:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key, overrides", NONFINITE, ids=[k for k, _ in NONFINITE])
+    def test_nonfinite_number_is_config_error(self, tmp_path, capsys, key, overrides, value):
+        cfg = write_config(tmp_path / "cfg.json", **overrides(value))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be")
 
 
     @pytest.mark.parametrize("key, overrides", [

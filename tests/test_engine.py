@@ -205,23 +205,6 @@ class TestRunHygiene:
         with pytest.raises(fd.DomainError):
             fd.run_gcs(spec, [np.inf, 0.0], fd.FixedHarmonic(), 5)
 
-    def test_debug_mode_checks_conjugate_pairs(self):
-        spec = tilted_entropy()
-        tr = fd.run_gcs(spec, [1.0, 0.0, 0.0], fd.FixedHarmonic(), 10, debug=True)
-        assert tr.error is None
-
-    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
-    def test_debug_mode_catches_conjugate_pair_defect(self, algo):
-        # f* off by 1e-3 breaks Fenchel-Young at the first oracle output; only
-        # the debug check sees it (gmd reads f* as the dual side's h)
-        spec = tilted_entropy()
-        bad = replace(spec, f_conj_val=lambda u: spec.f_conj_val(u) + 1e-3)
-        x0 = np.array([1.0, 0.0, 0.0])
-        starts = (x0, spec.f_grad(x0))
-        assert _drive(algo, bad, starts, fd.FixedHarmonic(), k_max=10).error is None
-        tr = _drive(algo, bad, starts, fd.FixedHarmonic(), k_max=10, debug=True)
-        assert "conjugate-pair defect" in tr.error
-
     def test_runs_are_deterministic(self):
         spec = fd.make_quadratic_simplex(n=3)
         a = fd.run_gcs(spec, [1.0, 0.0, 0.0], fd.ExactLineSearch(), 40)
@@ -381,6 +364,59 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
                 assert got.tobytes() == want.tobytes()
         for c in _COLUMNS:
             assert getattr(broken, c) == getattr(healthy, c)[:k]
+
+
+# ---------------------------------------------------------------------------
+# conjugate-pair defects: the streaming residual is the run's check
+# ---------------------------------------------------------------------------
+
+_DEFECTS = {
+    "f_conj+c": lambda spec: replace(spec, f_conj_val=lambda u: spec.f_conj_val(u) + 1e-3),
+    "h_conj+c": lambda spec: replace(spec, h_conj_val=lambda w: spec.h_conj_val(w) + 1e-3),
+    "h+c": lambda spec: replace(spec, h_val=lambda x: spec.h_val(x) + 1e-3),
+    "f+c": lambda spec: replace(spec, f_val=lambda y: spec.f_val(y) + 1e-3),
+    "f_grad*1.01": lambda spec: replace(spec, f_grad=lambda y: 1.01 * spec.f_grad(y)),
+}
+
+
+def _defect_specs():
+    return {"tilted-entropy": tilted_entropy(),
+            "quadratic-random-A": _injection_specs()["quadratic-random-A"]}
+
+
+def _defect_run(algo, spec):
+    x0 = np.asarray(spec.h_conj_grad(np.zeros(spec.dim_x)), dtype=float)
+    starts = (x0, spec.f_grad(spec.linmap.apply(x0)))
+    return _drive(algo, spec, starts, fd.FixedHarmonic(), k_max=10)
+
+
+@pytest.mark.parametrize("defect", _DEFECTS)
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+@pytest.mark.parametrize("family", ["tilted-entropy", "quadratic-random-A"])
+def test_residual_flags_conjugate_pair_defect(family, algo, defect):
+    """an oracle pair that breaks Fenchel-Young at the queried points runs to
+    the end, and the residual column shows the defect"""
+    spec = _defect_specs()[family]
+    assert max(_defect_run(algo, spec).residual) <= 1e-8
+    tr = _defect_run(algo, _DEFECTS[defect](spec))
+    assert tr.error is None and tr.k == 10
+    assert max(tr.residual) > 1e-8
+
+
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+@pytest.mark.parametrize("family", ["tilted-entropy", "quadratic-random-A"])
+def test_offsetting_conjugate_shifts_change_no_certified_value(family, algo):
+    """f* + c with h* - c breaks Fenchel-Young for each conjugate alone, but
+    leaves every dual value f*(u) + h*(-A*u) unchanged: under a schedule rule
+    no recorded column moves, so no certified number depends on the pair"""
+    spec = _defect_specs()[family]
+    shifted = _DEFECTS["f_conj+c"](spec)
+    shifted = replace(shifted, h_conj_val=lambda w: spec.h_conj_val(w) - 1e-3)
+    healthy, tr = _defect_run(algo, spec), _defect_run(algo, shifted)
+    assert healthy.error is None and tr.error is None and tr.k == healthy.k == 10
+    for c in _COLUMNS:
+        np.testing.assert_allclose(getattr(tr, c), getattr(healthy, c), rtol=0, atol=1e-12,
+                                   err_msg=c)
 
 
 def _injected_error(oracle, failure):

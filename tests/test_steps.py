@@ -104,6 +104,44 @@ class TestSurrogateMinimizer:
         assert val <= 1.0
 
 
+def _counted_search(gap, surrogate, cut=None):
+    # the step size, and the points d_fun was called at (+inf above ``cut``)
+    calls = []
+
+    def d_fun(t):
+        calls.append(t)
+        if cut is not None and t > cut:
+            raise fd.InfiniteValue("outside the domain")
+        return surrogate(t)
+
+    return steps._minimize_step_surrogate(gap, d_fun), calls
+
+
+class TestSearchLength:
+    """Each stage of the search ends by construction: at most 59 calls of d_fun."""
+
+    def test_everywhere_infinite_gives_up_after_49_calls(self):
+        a, calls = _counted_search(1.0, lambda t: 0.0, cut=-1.0)
+        assert a == 0.0
+        assert calls == [0.0] + [2.0 ** -j for j in range(48)]
+
+    def test_infinite_above_1e_14_halves_47_times(self):
+        a, calls = _counted_search(1.0, lambda t: t * t, cut=1e-14)
+        assert calls[:49] == [0.0] + [2.0 ** -j for j in range(48)]
+        assert 0.0 < a <= 2.0 ** -47
+        assert len(calls) <= 59
+
+    @pytest.mark.parametrize("cut", [None, 0.3, 1e-3, 1e-9, 1e-14])
+    @pytest.mark.parametrize("surrogate", [lambda t: 0.7 * t * t, lambda t: abs(0.3 - t),
+                                           lambda t: 2.0 * t ** 1.5, lambda t: t ** 3.0],
+                             ids=["quadratic", "kink", "power-1.5", "power-3"])
+    def test_at_most_59_calls(self, surrogate, cut):
+        for gap in (0.0, 1e-3, 0.5, 2.0, 40.0):
+            a, calls = _counted_search(gap, surrogate, cut)
+            assert 0.0 <= a <= 1.0
+            assert len(calls) <= 59
+
+
 class TestApproxGamma:
     def test_schedule_formula(self):
         # with an exactly quadratic divergence the selected exponent is ~2
