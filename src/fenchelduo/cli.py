@@ -57,6 +57,7 @@ class ConfigError(Exception):
 # config parsing
 # ---------------------------------------------------------------------------
 
+_MAX_DIM = np.iinfo(np.intp).max  # numpy's largest array dimension
 _TOP_KEYS = {"problem", "algorithm", "rule", "k_max", "epsilon", "policy",
              "mode", "seed", "x0", "u0", "v0", "out"}
 _PROBLEM_KEYS = {
@@ -88,6 +89,13 @@ def _number(value, where: str, integer: bool = False):
     return value
 
 
+def _floats(value, where: str) -> np.ndarray:
+    try:  # checked numbers; a JSON integer may lie beyond float range
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ConfigError(f"{where} has a number too large for a float") from None
+
+
 def _array(value, where: str, ndim: int) -> np.ndarray:
     """A list of numbers (``ndim`` 1), or a nonempty list of equal-length rows
     of numbers (``ndim`` 2), as a float array."""
@@ -96,7 +104,7 @@ def _array(value, where: str, ndim: int) -> np.ndarray:
             and len({len(r) for r in rows}) == 1):
         raise ConfigError(f"{where} must be a list of {'equal-length rows of ' * (ndim - 1)}"
                           "numbers")
-    return np.asarray(value, dtype=float)
+    return _floats(value, where)
 
 
 def _build_map(aconf, n: int, seed: int) -> Optional[LinearMap]:
@@ -106,8 +114,8 @@ def _build_map(aconf, n: int, seed: int) -> Optional[LinearMap]:
         _reject_unknown(aconf, {"random"}, "problem.a")
         shape = aconf.get("random")
         if (not isinstance(shape, (list, tuple)) or len(shape) != 2
-                or not all(_is_number(v) and isinstance(v, int) and v > 0 for v in shape)):
-            raise ConfigError("problem.a.random must be [m, n] with positive integers")
+                or not all(type(v) is int and 0 < v <= _MAX_DIM for v in shape)):
+            raise ConfigError(f"problem.a.random must be [m, n] with integers in [1, {_MAX_DIM}]")
         if shape[1] != n:
             raise ConfigError(f"problem.a.random second entry must equal n = {n}")
         return random_linear_map(shape[0], shape[1], np.random.default_rng(seed))
@@ -118,7 +126,7 @@ def _scaled(value, where: str, ndim: int, unit):
     """A list ``ndim`` deep as a float array, a number times ``unit()``, or None."""
     if isinstance(value, (list, tuple)):
         return _array(value, where, ndim)
-    return None if value is None else float(_number(value, where)) * unit()
+    return None if value is None else _floats(_number(value, where), where) * unit()
 
 
 def build_problem(pconf: dict, seed: int) -> ProblemSpec:
@@ -130,8 +138,8 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
         raise ConfigError(f"unknown problem {name!r} (options: {sorted(_PROBLEM_KEYS)})")
     _reject_unknown(pconf, _PROBLEM_KEYS[name], f"problem {name!r}")
     n = _number(pconf.get("n", 2), "problem.n", integer=True)
-    if n < 1:
-        raise ConfigError("problem.n must be a positive integer")
+    if not 1 <= n <= _MAX_DIM:
+        raise ConfigError(f"problem.n must be an integer in [1, {_MAX_DIM}]")
     linmap = _build_map(pconf.get("a"), n, seed)
     m = linmap.dim_out if linmap is not None else n
     q = pconf.get("q")
@@ -147,7 +155,8 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
                             for k in ("lower", "upper"))
             return make_quadratic_box(q, b, lower=lower, upper=upper, n=n, a=linmap)
         if name == "quadratic-l1":
-            radius = _number(pconf.get("radius", 1.0), "problem.radius")
+            radius = float(_floats(_number(pconf.get("radius", 1.0), "problem.radius"),
+                                   "problem.radius"))
             return make_quadratic_l1_ball(q, b, radius=radius, n=n, a=linmap)
         if name == "entropy-lse":
             f_kind = pconf.get("f", "quadratic")
@@ -184,7 +193,7 @@ def load_config(path: str) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")

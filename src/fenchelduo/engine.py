@@ -12,16 +12,17 @@ dual side, or both:
 * :func:`run_hybrid` -- both coordinates move with the same step size, which
   makes the certified gap exact.
 
-All three run through one kernel.  A general linear map is threaded through
-everywhere; the identity map is the special case with zero overhead.
-Oracle calls and applications of A and A* are the cost of a run, so the
-kernel makes each once where its value is reused unchanged: A(x) and -A*(u)
-once per iterate, and per step one segment holding A(base) and h at both
-ends, shared by the line-search probes and the certificate increment; the
-values, step sizes and traces are those of an uncached evaluation.  Every
-run records a :class:`Trace` with the full iterate history, both gap-bound
-variants, the true gap of the certificate pair, and a streaming residual of
-the certificate identity: the run's Fenchel-Young check of its oracle pairs.
+All three run through one kernel, whose dual side is the primal side of
+``dualize(spec)``.  A general linear map is threaded through everywhere; the
+identity map is the special case with zero overhead.  Oracle calls and
+applications of A and A* are the cost of a run, so the kernel makes each
+once where its value is reused unchanged: per step and side, one segment
+serves the line-search probes and the certificate increment, whose point at
+the chosen step size is the next iterate, evaluated once; the values, step
+sizes and traces are those of an uncached evaluation.  Every run records a
+:class:`Trace` with the full iterate history, both gap-bound variants, the
+true gap of the certificate pair, and a streaming residual of the
+certificate identity: the run's Fenchel-Young check of its oracle pairs.
 """
 
 from __future__ import annotations
@@ -121,15 +122,12 @@ def _finite_value(spec: ProblemSpec, role: str, arg) -> float:
     return value
 
 
-def _primal_value(spec: ProblemSpec, x, y) -> float:
-    # y = A(x), computed once by the caller
-    return _finite_value(spec, "f_val", y) + _finite_value(spec, "h_val", x)
-
-
-def _dual_value(spec: ProblemSpec, u, w) -> float:
-    # w = -A*(u), computed once by the caller
-    return (_finite_value(spec, "f_conj_val", u)
-            + _finite_value(spec, "h_conj_val", w))
+def _objective(spec: ProblemSpec, x, y, h=None):
+    # (f(y) + h(x), h(x)) with y = A(x), and h = h(x) when the caller has it;
+    # a dual value f*(u) + h*(-A*u) is this on dualize(spec) at (-u, -A*u)
+    value = _finite_value(spec, "f_val", y)
+    h = _finite_value(spec, "h_val", x) if h is None else h
+    return value + h, h
 
 
 def _guarded(spec: ProblemSpec, coeff: float, value: float, where: str) -> float:
@@ -149,29 +147,27 @@ class _Segment:
     ``increment(alpha, sharp)`` is the certificate increment at the
     interpolated point comb: the Bregman term D = D_f(A comb, A base), alone,
     or with ``sharp`` the pair (D, D plus the Jensen slack of h).  What every
-    probe of the step shares is evaluated once: A(base) (``y0``, or carried in
-    by the caller) and h at each end, at the first probe that reads it, so a
-    failing oracle raises where an uncached evaluation would.  Each probe
-    still computes comb, A(comb) and h(comb) afresh, so its value is the one
-    an uncached evaluation gives, bit for bit.
+    probe of the step shares is evaluated once: A(base) and h(base) come from
+    the step before (``h0`` is None on the first, plain, step), and h(target)
+    is read at the first sharp probe, so a failing oracle raises where an
+    uncached evaluation would.  Each probe keeps its comb, A(comb) and (when
+    sharp) h(comb) as ``point``, ``image`` and ``h``, computed afresh, bit for
+    bit as an uncached evaluation: the next iterate and its values.
     """
 
-    def __init__(self, spec: ProblemSpec, base, target, y0=None):
+    def __init__(self, spec: ProblemSpec, base, target, y0, h0):
         self.spec, self.base, self.target, self.y0 = spec, base, target, y0
-        self.h_base = self.h_target = None
+        self.h_base, self.h_target = h0, None
 
     def increment(self, alpha: float, sharp: bool):
         spec = self.spec
-        comb = (1.0 - alpha) * self.base + alpha * self.target
-        y = spec.linmap.apply(comb)
-        if self.y0 is None:
-            self.y0 = spec.linmap.apply(self.base)
-        d = bregman_f(y, self.y0, spec)
+        self.point = comb = (1.0 - alpha) * self.base + alpha * self.target
+        self.image = spec.linmap.apply(comb)
+        d = bregman_f(self.image, self.y0, spec)
+        self.h = _oracle_value(spec, "h_val", comb) if sharp else None
         if not sharp:
             return d
-        value = d + _guarded(spec, 1.0, _oracle_value(spec, "h_val", comb), "interpolated")
-        if self.h_base is None:
-            self.h_base = _oracle_value(spec, "h_val", self.base)
+        value = d + _guarded(spec, 1.0, self.h, "interpolated")
         value -= _guarded(spec, 1.0 - alpha, self.h_base, "base")
         if self.h_target is None:
             self.h_target = _oracle_value(spec, "h_val", self.target)
@@ -187,15 +183,15 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     The certificate increment of a step is the primal-side divergence (f(A .)
     and h between x and s), plus for hybrid the same divergence on
     ``dualize(spec)`` from -u toward -z.  Each side is one :class:`_Segment`
-    per step, which every line-search probe and the increment at the chosen
-    step size share.  y = A(x) is computed once per iterate: for the primal
-    value, then for f' and as the segment's A(base) of the next step; so is
-    -A*(u), for h*'s subgradient and the dual value.  gcs certifies its dual
+    per step, shared by every line-search probe and the increment at the
+    chosen step size, which hands over the new iterate once evaluated: x,
+    A(x) and h(x), and hybrid's -u, -A*(u) and f*(u).  A dual value is the
+    objective of ``dualize(spec)`` at (-u, -A*(u)).  gcs certifies its dual
     side by the aggregate of the u_k instead of its iterate: their
     lambda-weighted average, or the first u_k of least dual value.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    dual = dualize(spec) if hybrid else None
+    dual = dualize(spec)
     sharp_mode = mode == "sharp"
     trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode, policy=policy)
     trace.xs.append(x.copy())
@@ -217,18 +213,18 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
     start = time.perf_counter()
     try:
-        y = A(x)
+        y, h_x, f_conj_u = A(x), None, None
         w = -At(u) if hybrid else None
         for k in range(k_max):
             z = _oracle_point(spec, "f_grad", y)
             if not hybrid:
                 u, w = z, -At(z)
             s = _oracle_point(spec, "h_conj_grad", w)
-            primal_seg = _Segment(spec, x, s, y)
+            primal_seg = _Segment(spec, x, s, y, h_x)
             if hybrid:
-                dual_seg = _Segment(dual, -u, -z)
+                dual_seg = _Segment(dual, -u, -z, w, f_conj_u)
             else:
-                step_value = _dual_value(spec, u, w)
+                step_value = _objective(dual, -u, w)[0]
 
             alpha = 1.0 if k == 0 else float(rule.select(k, sharp if sharp_mode else plain, probe))
             if not (0.0 <= alpha <= 1.0):
@@ -240,14 +236,13 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 d_plain, d_sharp = increment(alpha, True)
                 plain = (1.0 - alpha) * plain + d_plain
                 sharp = (1.0 - alpha) * sharp + d_sharp
-            x = (1.0 - alpha) * x + alpha * s
-            y = A(x)
-            p_val = _primal_value(spec, x, y)
+            # each segment's last increment was at alpha: its point is the next iterate
+            x, y = primal_seg.point, primal_seg.image
+            p_val, h_x = _objective(spec, x, y, primal_seg.h)
             # the identity behind the residual: avg + (moving sides' values) = sharp
             if hybrid:
-                u = (1.0 - alpha) * u + alpha * z
-                w = -At(u)
-                u_val = _dual_value(spec, u, w)
+                u, w = -dual_seg.point, dual_seg.image
+                u_val, f_conj_u = _objective(dual, dual_seg.point, w, dual_seg.h)
                 current = p_val + u_val
             else:
                 avg = (1.0 - alpha) * avg + alpha * step_value
@@ -255,7 +250,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                     cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
                 elif step_value < best:
                     best, cert = step_value, u.copy()
-                u_val = _dual_value(spec, cert, -At(cert)) if policy == "average" else best
+                u_val = _objective(dual, -cert, At(-cert))[0] if policy == "average" else best
                 current = p_val
 
             trace.alphas.append(alpha)

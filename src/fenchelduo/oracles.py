@@ -195,12 +195,13 @@ def dualize(spec: ProblemSpec) -> ProblemSpec:
     flips.  Dualizing twice reproduces the primal oracles composed with
     negation on both sides.
 
-    This is the one place that knows the primal-dual sign map: every
-    dual-side quantity of the package is the primal-side function applied
-    to the dual spec.  It is also the one place that knows which oracle of
-    ``spec`` each oracle of the result calls: the result is a ``_DualSpec``
-    (plain when ``spec`` is one; ``dataclasses.replace`` keeps the class),
-    so every oracle error names the user's oracle, read off ``_oracle_name``.
+    This is the one place that knows the primal-dual sign map: each
+    dual-side quantity of the drivers, dual values too, is the primal-side
+    function applied to the dual spec.  It is also the one place that knows
+    which oracle of ``spec`` each oracle of the result calls: the result is
+    a ``_DualSpec`` (plain when ``spec`` is one; ``dataclasses.replace``
+    keeps the class), so every oracle error names the user's oracle, read
+    off ``_oracle_name``.
     """
     for attr in ("f_conj_val", "h_conj_val", "h_conj_grad"):
         if getattr(spec, attr) is None:

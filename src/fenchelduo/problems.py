@@ -112,6 +112,9 @@ class BoxRegion:
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConstructionError("box bounds must be 1-D arrays of equal length")
+        for name, bound in (("lower", lo), ("upper", hi)):
+            if not np.all(np.isfinite(bound)):
+                raise ConstructionError(f"box bound {name} has non-finite entries")
         if np.any(lo > hi):
             raise ConstructionError("box has lower > upper")
         object.__setattr__(self, "lower", lo)
@@ -156,8 +159,9 @@ class L1BallRegion:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ConstructionError(f"l1 ball radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < INF:
+            raise ConstructionError("l1 ball radius must be positive and finite, "
+                                    f"got {self.radius}")
 
     def contains(self, x) -> bool:
         return bool(float(np.sum(np.abs(x))) <= self.radius + _SET_TOL * (1.0 + self.radius))
@@ -212,6 +216,9 @@ def _quadratic_oracles(Q, b, m: int) -> dict:
         raise ConstructionError(f"Q must be {m}x{m}, got {Q.shape}")
     if b.shape != (m,):
         raise ConstructionError(f"b must have length {m}, got {b.shape}")
+    for name, part in (("Q", Q), ("b", b)):
+        if not np.all(np.isfinite(part)):
+            raise ConstructionError(f"{name} has non-finite entries")
     if not np.array_equal(Q, Q.T):
         raise ConstructionError("Q must be exactly symmetric")
     w, V = np.linalg.eigh(Q)

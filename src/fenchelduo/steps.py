@@ -211,8 +211,8 @@ class OpenLoop(StepRule):
     is_schedule = True
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise RangeError(f"open-loop exponent must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < INF:
+            raise RangeError(f"open-loop exponent must be positive and finite, got {self.gamma}")
 
     def select(self, k, gap, d_fun):
         return 1.0 if k == 0 else self.gamma / (k + self.gamma)

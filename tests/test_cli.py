@@ -154,6 +154,25 @@ NONFINITE = [
 ]
 
 
+# (key named in the error, config overrides): a JSON integer beyond float
+# range where a float is read, or beyond numpy's largest array dimension
+BIG = 10 ** 400
+TOO_LARGE = [
+    ("problem.b", {"problem": {"name": "quadratic-simplex", "n": 2, "b": [BIG, 0]}}),
+    ("problem.q", {"problem": {"name": "quadratic-simplex", "n": 2, "q": BIG}}),
+    ("problem.a", {"problem": {"name": "quadratic-simplex", "n": 2, "a": [[1, 0], [BIG, 1]]}}),
+    ("problem.lower", {"problem": {"name": "quadratic-box", "n": 2, "lower": [BIG, 0]}}),
+    ("problem.upper", {"problem": {"name": "quadratic-box", "n": 2, "upper": BIG}}),
+    ("problem.radius", {"problem": {"name": "quadratic-l1", "n": 2, "radius": BIG}}),
+    ("x0", {"x0": [BIG, 0]}),
+    ("u0", {"algorithm": "hybrid", "u0": [BIG, 0]}),
+    ("v0", {"algorithm": "gmd", "v0": [BIG, 0]}),
+    ("problem.n", {"problem": {"name": "quadratic-simplex", "n": 2 ** 63}}),
+    ("problem.a.random", {"problem": {"name": "quadratic-simplex", "n": 2,
+                                      "a": {"random": [2 ** 63, 2]}}}),
+]
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", stepsize=0.1)
@@ -253,6 +272,19 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must be")
 
+
+    @pytest.mark.parametrize("key, overrides", TOO_LARGE, ids=[k for k, _ in TOO_LARGE])
+    def test_number_numpy_cannot_take_is_config_error(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+    def test_integer_of_too_many_digits_is_config_error(self, tmp_path, capsys):
+        # json refuses to parse an integer of more than 4300 digits
+        cfg = write_config(tmp_path / "cfg.json", k_max=1)
+        cfg.write_text(cfg.read_text().replace('"k_max": 1', '"k_max": 1' + "0" * 5000))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config ")
 
     @pytest.mark.parametrize("key, overrides", [
         ("lower", {"problem": {"name": "quadratic-box", "n": 3, "lower": [0, 1]}}),

@@ -587,8 +587,9 @@ class CallBudget(fd.StepRule):
 
 @pytest.mark.parametrize("algo", ["gcs", "hybrid"])
 def test_line_search_step_oracle_budget(algo):
-    """one A per probe and h at the segment's two ends once per step; hybrid's
-    dual segment: one A* per probe plus A*(base) once, f* likewise"""
+    """one A and one h per probe, and h at the target once per step: A and h
+    at the base come with the iterate from the step before; hybrid's dual
+    segment likewise, one A* and one f* per probe plus f* at the target"""
     rng = np.random.default_rng(5)
     spec = fd.make_quadratic_simplex(Q=np.eye(4), b=0.3 * rng.standard_normal(4), n=3,
                                      a=fd.random_linear_map(4, 3, rng))
@@ -604,9 +605,42 @@ def test_line_search_step_oracle_budget(algo):
     for probes, calls in log:
         assert probes > 10
         assert calls["apply"] == probes
-        assert calls["h_val"] == probes + 2
+        assert calls["h_val"] == probes + 1
         if algo == "gcs":
             assert calls["adjoint"] == 0 and calls["f_conj_val"] == 0
         else:
-            assert calls["adjoint"] == probes + 1
-            assert calls["f_conj_val"] == probes + 2
+            assert calls["adjoint"] == probes
+            assert calls["f_conj_val"] == probes + 1
+
+
+@pytest.mark.parametrize("algo, per_iteration", [
+    ("gcs", {"apply": 1, "adjoint": 2, "f_val": 1, "f_grad": 1, "f_conj_val": 2, "h_val": 2,
+             "h_conj_val": 2, "h_conj_grad": 1, "breg_f": 1, "breg_hconj": 0}),
+    ("gmd", {"apply": 2, "adjoint": 1, "f_val": 2, "f_grad": 1, "f_conj_val": 2, "h_val": 2,
+             "h_conj_val": 1, "h_conj_grad": 1, "breg_f": 0, "breg_hconj": 1}),
+    ("hybrid", {"apply": 1, "adjoint": 1, "f_val": 1, "f_grad": 1, "f_conj_val": 2,
+                "h_val": 2, "h_conj_val": 1, "h_conj_grad": 1, "breg_f": 1, "breg_hconj": 1}),
+])
+def test_schedule_iteration_oracle_counts(algo, per_iteration):
+    """each new iterate is evaluated once, by the increment at the chosen step
+    size: a schedule iteration on entropy-lse with a random A makes 13 oracle
+    and map calls in gcs and gmd (3 of them for the averaged certificate's
+    dual value) and 12 in hybrid"""
+    rng = np.random.default_rng(2)
+    spec = fd.make_entropy_lse(3, a=fd.random_linear_map(4, 3, rng),
+                               b=0.3 * rng.standard_normal(4))
+    x0 = spec.h_conj_grad(np.zeros(3))
+    u0 = spec.f_grad(spec.linmap.apply(x0))
+    totals = []
+    for k_max in (5, 6):
+        counted, counts = _counting(spec, ("f_val", "f_grad", "f_conj_val", "h_val",
+                                           "h_conj_val", "h_conj_grad", "breg_f", "breg_hconj"))
+        if algo == "gcs":
+            trace = fd.run_gcs(counted, x0, fd.FixedHarmonic(), k_max)
+        elif algo == "gmd":
+            trace = fd.run_gmd(counted, np.zeros(4), fd.FixedHarmonic(), k_max)
+        else:
+            trace = fd.run_hybrid(counted, x0, u0, fd.FixedHarmonic(), k_max)
+        assert trace.error is None and trace.k == k_max
+        totals.append(counts)
+    assert {name: totals[1][name] - totals[0][name] for name in totals[0]} == per_iteration

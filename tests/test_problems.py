@@ -210,3 +210,29 @@ def test_thousand_fenchel_young_probes(factory):
         y = rng.standard_normal(spec.dim_y) * rng.choice([0.3, 1.0, 3.0])
         w = rng.standard_normal(spec.dim_x) * rng.choice([0.3, 1.0, 3.0])
         assert fd.fenchel_young_residual(spec, y=y, w=w) <= 1e-9
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# (constructor call, error it raises, text naming the parameter): non-finite
+# data fails at construction, not later inside a run
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: fd.make_quadratic_l1_ball(radius=NAN), fd.ConstructionError, "radius"),
+    (lambda: fd.make_quadratic_l1_ball(radius=INF), fd.ConstructionError, "radius"),
+    (lambda: fd.make_quadratic_box(lower=[NAN, 0.0]), fd.ConstructionError, "lower"),
+    (lambda: fd.make_quadratic_box(upper=INF), fd.ConstructionError, "upper"),
+    (lambda: fd.make_quadratic_simplex(b=[NAN, 0.0]), fd.ConstructionError,
+     "b has non-finite"),
+    (lambda: fd.make_entropy_lse(2, b=[NAN, 0.0]), fd.ConstructionError, "b has non-finite"),
+    (lambda: fd.make_quadratic_simplex(Q=[[INF, 0.0], [0.0, 1.0]]), fd.ConstructionError,
+     "Q has non-finite"),
+    (lambda: fd.make_quadratic_simplex(Q=[[NAN, 0.0], [0.0, 1.0]]), fd.ConstructionError,
+     "Q has non-finite"),
+    (lambda: fd.OpenLoop(gamma=NAN), fd.RangeError, "open-loop exponent"),
+    (lambda: fd.OpenLoop(gamma=INF), fd.RangeError, "open-loop exponent"),
+], ids=["radius-nan", "radius-inf", "lower-nan", "upper-inf", "b-nan", "entropy-b-nan",
+        "Q-inf", "Q-nan", "gamma-nan", "gamma-inf"])
+def test_non_finite_data_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
