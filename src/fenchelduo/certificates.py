@@ -17,11 +17,12 @@ weight rows from the recorded step sizes, independently of the streaming
 bookkeeping of the engine's kernel, which also keeps the running certificate
 (the lambda-weighted average or the best point seen).  A mirror-descent
 trace replays as a conditional-subgradient trace of the dual spec.  The
-replay evaluates each increment itself, from the raw oracles at both ends of
-the step; the kernel (one cached segment per step) shares none of this code,
-so a replay checks the kernel's arithmetic rather than repeating it.  An
-oracle error on the dual spec names the user's oracle behind it, which
-``dualize`` records.
+replay evaluates each increment itself, from uncached oracle calls at both
+ends of the step; the kernel (one cached segment per step) shares none of
+this code, so a replay checks the kernel's arithmetic rather than repeating
+it.  Every oracle value it reads is a checked call: an oracle that raises or
+returns NaN raises :class:`DomainError` naming the user's oracle, on the
+dual spec too, as ``dualize`` records it.
 """
 
 from __future__ import annotations
@@ -109,13 +110,13 @@ def _residuals(alphas, terms) -> np.ndarray:
 def _cg_residuals(xs, us, ss, alphas, spec: ProblemSpec) -> np.ndarray:
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dv = np.array([
-        float(spec.f_conj_val(u)) + float(spec.h_conj_val(-At(u))) for u in us
+        _oracle_value(spec, "f_conj_val", u) + _oracle_value(spec, "h_conj_val", -At(u)) for u in us
     ])
     div = np.array([
         step_divergence_primal(x, s, a, spec) for x, s, a in zip(xs[:-1], ss, alphas)
     ])
     primal = np.array([
-        float(spec.f_val(A(x))) + float(spec.h_val(x)) for x in xs[1:]
+        _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x) for x in xs[1:]
     ])
     return _residuals(alphas, lambda k, lam, mu: (
         float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])))
@@ -155,8 +156,8 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
                                  trace.alphas)
     ])
     gap = np.array([
-        float(spec.f_val(A(x))) + float(spec.h_val(x))
-        + float(spec.f_conj_val(u)) + float(spec.h_conj_val(-At(u)))
+        _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)
+        + _oracle_value(spec, "f_conj_val", u) + _oracle_value(spec, "h_conj_val", -At(u))
         for x, u in zip(trace.xs[1:], trace.us[1:])
     ])
     return _residuals(trace.alphas, lambda k, lam, mu: (

@@ -35,7 +35,7 @@ from .diagnostics import fit_rate, probe_curvature
 from .duality import check_bach_equivalence, check_hybrid_symmetry
 from .engine import Trace, run_gcs, run_gmd, run_hybrid
 from .oracles import (ConstructionError, FenchelDuoError, FitError, LinearMap, ProblemSpec,
-                      RangeError)
+                      RangeError, _oracle_point)
 from .problems import (
     make_entropy_lse,
     make_holder_power_simplex,
@@ -57,7 +57,7 @@ class ConfigError(Exception):
 # config parsing
 # ---------------------------------------------------------------------------
 
-_MAX_DIM = np.iinfo(np.intp).max  # numpy's largest array dimension
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # the most float64 entries of one numpy array
 _TOP_KEYS = {"problem", "algorithm", "rule", "k_max", "epsilon", "policy",
              "mode", "seed", "x0", "u0", "v0", "out"}
 _PROBLEM_KEYS = {
@@ -107,15 +107,18 @@ def _array(value, where: str, ndim: int) -> np.ndarray:
     return _floats(value, where)
 
 
-def _build_map(aconf, n: int, seed: int) -> Optional[LinearMap]:
+def _build_map(aconf, n: int, seed: int, square: bool) -> Optional[LinearMap]:
+    # with ``square`` f builds an m x m matrix Q, also checked before A is drawn
     if aconf is None:
         return None
     if isinstance(aconf, dict):
         _reject_unknown(aconf, {"random"}, "problem.a")
         shape = aconf.get("random")
         if (not isinstance(shape, (list, tuple)) or len(shape) != 2
-                or not all(type(v) is int and 0 < v <= _MAX_DIM for v in shape)):
-            raise ConfigError(f"problem.a.random must be [m, n] with integers in [1, {_MAX_DIM}]")
+                or not all(type(v) is int and v > 0 for v in shape)
+                or shape[0] * max(shape[1], shape[0] if square else 0) > _MAX_ENTRIES):
+            raise ConfigError("problem.a.random must be [m, n], positive integers with m * n "
+                              f"(and m * m for a quadratic f) at most {_MAX_ENTRIES}")
         if shape[1] != n:
             raise ConfigError(f"problem.a.random second entry must equal n = {n}")
         return random_linear_map(shape[0], shape[1], np.random.default_rng(seed))
@@ -138,16 +141,19 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
         raise ConfigError(f"unknown problem {name!r} (options: {sorted(_PROBLEM_KEYS)})")
     _reject_unknown(pconf, _PROBLEM_KEYS[name], f"problem {name!r}")
     n = _number(pconf.get("n", 2), "problem.n", integer=True)
-    if not 1 <= n <= _MAX_DIM:
-        raise ConfigError(f"problem.n must be an integer in [1, {_MAX_DIM}]")
-    linmap = _build_map(pconf.get("a"), n, seed)
-    m = linmap.dim_out if linmap is not None else n
-    q = pconf.get("q")
-    q = _scaled(None if q == "identity" else q, "problem.q", 2, lambda: np.eye(m))
-    b = _scaled(pconf.get("b"), "problem.b", 1, lambda: np.ones(m))
-    if b is not None and b.shape != (m,):
-        raise ConfigError(f"problem.b must have length {m}")
+    if not 1 <= n <= _MAX_ENTRIES:
+        raise ConfigError(f"problem.n must be an integer in [1, {_MAX_ENTRIES}]")
+    square = name != "holder-power-simplex" and pconf.get("f") != "lse"  # f builds Q
     try:
+        linmap = _build_map(pconf.get("a"), n, seed, square)
+        m = linmap.dim_out if linmap is not None else n
+        if square and m * m > _MAX_ENTRIES:
+            raise ConfigError(f"problem {name!r} would build an m x m matrix Q, m = {m}: too large")
+        q = pconf.get("q")
+        q = _scaled(None if q == "identity" else q, "problem.q", 2, lambda: np.eye(m))
+        b = _scaled(pconf.get("b"), "problem.b", 1, lambda: np.ones(m))
+        if b is not None and b.shape != (m,):
+            raise ConfigError(f"problem.b must have length {m}")
         if name == "quadratic-simplex":
             return make_quadratic_simplex(q, b, n, a=linmap)
         if name == "quadratic-box":
@@ -165,7 +171,7 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
                 raise ConfigError(f"entropy-lse with f = 'lse' takes no {' or '.join(unread)}")
             return make_entropy_lse(n, a=linmap, f_kind=f_kind, Q=q, b=b)
         return make_holder_power_simplex(_number(pconf.get("p", 1.5), "problem.p"), n, a=linmap)
-    except FenchelDuoError as exc:
+    except (FenchelDuoError, MemoryError) as exc:  # a MemoryError: too large to build
         raise ConfigError(str(exc)) from exc
 
 
@@ -267,9 +273,9 @@ def resolve(config: dict) -> Setup:
         if point is not None and point.shape != (dim,):
             raise ConfigError(f"{key} must have length {dim}, got {point.shape[0]}")
     rule = build_rule(config.get("rule"))
-    x0 = spec.h_conj_grad(np.zeros(spec.dim_x)) if x0 is None else x0
+    x0 = _oracle_point(spec, "h_conj_grad", np.zeros(spec.dim_x)) if x0 is None else x0
     v0 = np.zeros(spec.dim_y) if v0 is None else v0
-    u0 = np.asarray(spec.f_grad(spec.linmap.apply(x0)), dtype=float) if u0 is None else u0
+    u0 = _oracle_point(spec, "f_grad", spec.linmap.apply(x0)) if u0 is None else u0
     return Setup(spec, algo, rule, k_max, epsilon, policy, mode, seed, x0, u0, v0)
 
 
@@ -403,14 +409,11 @@ def _verify_one(config: dict, report: list) -> bool:
 
 
 def cmd_verify(args) -> int:
-    configs = [load_config(args.config)] if args.config else [dict(c) for c in _DEFAULT_VERIFY]
+    configs = [load_config(args.config)] if args.config else _DEFAULT_VERIFY
     report: list = []
     all_ok = True
-    for config in configs:
-        if args.seed is not None:
-            config["seed"] = args.seed
-        config["k_max"] = args.kmax if args.kmax is not None else config.get("k_max", 150)
-        all_ok &= _verify_one(config, report)
+    for config in configs:  # --kmax, else the config's k_max, else 150
+        all_ok &= _verify_one({"k_max": 150, **_with_flags(config, args)}, report)
     print("\n".join(report))
     print(f"{'OK' if all_ok else 'FAILED'}: {sum(r.startswith('PASS') for r in report)} passed, "
           f"{sum(not r.startswith('PASS') for r in report)} failed")
@@ -418,10 +421,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    setup = resolve(config)
+    setup = resolve(_with_flags(load_config(args.config), argparse.Namespace(seed=args.seed)))
     gamma = args.gamma if args.gamma is not None else 2.0
     try:
         est = probe_curvature(setup.spec, gamma, n_samples=200, seed=setup.seed)

@@ -9,7 +9,8 @@ feasible point toward a conjugate-subgradient output.  ``probe_curvature``
 estimates C from random probes (a lower bound on the true constant, reported
 as such), ``curvature_along_trace`` restricts the sup to the step lines a
 finished run actually used, and ``fit_rate`` reads the empirical decay
-exponent off a trace.
+exponent off a trace.  A probe whose oracle raises or returns a non-finite
+value is counted as skipped; along a trace, the same fault raises.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .oracles import (
-    DomainError,
+    FenchelDuoError,
     FitError,
-    InfiniteValue,
     ProblemSpec,
     RangeError,
+    _oracle_point,
     bregman_f,
     dualize,
 )
@@ -98,17 +99,13 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
         else:
             x = rng.standard_normal(spec.dim_x)
         v = rng.standard_normal(spec.dim_x) * _SCALES[i % len(_SCALES)]
-        try:
-            s = np.asarray(spec.h_conj_grad(v), dtype=float)
-        except Exception:  # noqa: BLE001 - probe outside dom((h*)') is skippable
-            skipped += 1
-            continue
-        try:  # ratios before a failing alpha still count
+        try:  # a probe outside dom((h*)') is skipped; ratios before a failing alpha count
+            s = _oracle_point(spec, "h_conj_grad", v)
             for a, ratio in _ratios(spec, x, s, gamma):
                 if ratio > c_hat:
                     c_hat = ratio
                     witness = {"x": x.copy(), "v": v.copy(), "alpha": float(a)}
-        except (InfiniteValue, DomainError):
+        except FenchelDuoError:
             skipped += 1
     return CurvatureEstimate(gamma=float(gamma), c_hat=_finite(float(c_hat), gamma),
                              samples=n_samples, witness=witness, skipped=skipped)

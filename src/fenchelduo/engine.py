@@ -23,6 +23,9 @@ sizes and traces are those of an uncached evaluation.  Every run records a
 :class:`Trace` with the full iterate history, both gap-bound variants, the
 true gap of the certificate pair, and a streaming residual of the
 certificate identity: the run's Fenchel-Young check of its oracle pairs.
+Every oracle call is checked: an oracle that raises, returns NaN, or
+returns an infinite value where the run needs a finite one ends the run,
+and ``trace.error`` names the oracle of the user's spec.
 """
 
 from __future__ import annotations
@@ -115,18 +118,11 @@ def _check_args(k_max: int, mode: str, policy: str = "average"):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
 
 
-def _finite_value(spec: ProblemSpec, role: str, arg) -> float:
-    value = _oracle_value(spec, role, arg)
-    if math.isinf(value):
-        raise InfiniteValue(f"oracle {_oracle_name(spec, role)} returned {value:+} at an iterate")
-    return value
-
-
 def _objective(spec: ProblemSpec, x, y, h=None):
     # (f(y) + h(x), h(x)) with y = A(x), and h = h(x) when the caller has it;
     # a dual value f*(u) + h*(-A*u) is this on dualize(spec) at (-u, -A*u)
-    value = _finite_value(spec, "f_val", y)
-    h = _finite_value(spec, "h_val", x) if h is None else h
+    value = _oracle_value(spec, "f_val", y, at="an iterate")
+    h = _oracle_value(spec, "h_val", x, at="an iterate") if h is None else h
     return value + h, h
 
 

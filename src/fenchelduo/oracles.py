@@ -173,7 +173,8 @@ class ProblemSpec:
 
 # dualize's wiring: the oracle of spec that each oracle of dualize(spec) calls
 _DUAL_ROLES = {"f_val": "h_conj_val", "f_grad": "h_conj_grad", "f_conj_val": "h_val",
-               "h_val": "f_conj_val", "h_conj_val": "f_val", "h_conj_grad": "f_grad"}
+               "h_val": "f_conj_val", "h_conj_val": "f_val", "h_conj_grad": "f_grad",
+               "breg_f": "breg_hconj", "breg_hconj": "breg_f"}
 
 
 class _DualSpec(ProblemSpec):
@@ -242,15 +243,19 @@ def _oracle_point(spec: ProblemSpec, role: str, arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _oracle_value(spec: ProblemSpec, role: str, arg: np.ndarray) -> float:
+def _oracle_value(spec: ProblemSpec, role: str, *args, at: Optional[str] = None,
+                  error=InfiniteValue) -> float:
+    # with ``at``, an infinite value raises ``error``, naming where it was queried
     try:
-        out = float(getattr(spec, role)(arg))
+        out = float(getattr(spec, role)(*args))
     except FenchelDuoError:
         raise
     except Exception as exc:  # noqa: BLE001
         raise DomainError(f"oracle {_oracle_name(spec, role)} failed: {exc}") from exc
     if math.isnan(out):
         raise DomainError(f"oracle {_oracle_name(spec, role)} returned NaN")
+    if at is not None and math.isinf(out):
+        raise error(f"oracle {_oracle_name(spec, role)} returned {out:+} at {at}")
     return out
 
 
@@ -264,19 +269,13 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
     """Bregman distance D_f(y, x) = f(y) - f(x) - <f'(x), y - x>.
 
     Uses the closed form from the spec when available, otherwise the value
-    and subgradient oracles.  Raises :class:`InfiniteValue` when f(y) = +inf
-    and :class:`DomainError` when the subgradient oracle fails at ``x``.
+    and subgradient oracles.  Raises :class:`InfiniteValue` when f(y) or the
+    closed form is infinite, :class:`DomainError` when f(x) is or an oracle fails.
     """
     if spec.breg_f is not None:
-        return _snap(float(spec.breg_f(y, x)))
-    fy = _oracle_value(spec, "f_val", y)
-    if math.isinf(fy):
-        raise InfiniteValue(f"oracle {_oracle_name(spec, 'f_val')} returned +inf at the "
-                            "first Bregman argument")
-    fx = _oracle_value(spec, "f_val", x)
-    if math.isinf(fx):
-        raise DomainError(f"oracle {_oracle_name(spec, 'f_val')} returned +inf at the "
-                          "Bregman base point")
+        return _snap(_oracle_value(spec, "breg_f", y, x, at="the first Bregman argument"))
+    fy = _oracle_value(spec, "f_val", y, at="the first Bregman argument")
+    fx = _oracle_value(spec, "f_val", x, at="the Bregman base point", error=DomainError)
     g = _oracle_point(spec, "f_grad", x)
     return _snap(fy - fx - float(np.dot(g, y - x)))
 

@@ -290,15 +290,14 @@ def _lse_f_oracles():
 # ---------------------------------------------------------------------------
 
 def _resolve_map(n: int, a) -> LinearMap:
+    if n < 1:
+        raise ConstructionError(f"problem dimension must be at least 1, got {n}")
     if a is None:
         return LinearMap.identity(n)
-    if isinstance(a, LinearMap):
-        if a.dim_in != n:
-            raise ConstructionError(f"linear map expects input dim {a.dim_in}, problem has {n}")
-        return a
-    lm = LinearMap.from_matrix(a)
-    if lm.dim_in != n:
-        raise ConstructionError(f"matrix has {lm.dim_in} columns, problem has dimension {n}")
+    lm = a if isinstance(a, LinearMap) else LinearMap.from_matrix(a)
+    if lm.dim_in != n or lm.dim_out < 1:
+        raise ConstructionError(f"linear map takes R^{lm.dim_in} to R^{lm.dim_out}; the "
+                                f"problem needs R^{n} to R^m with m >= 1")
     return lm
 
 
@@ -336,9 +335,9 @@ def _box_bound(value, default: float, n: int, name: str) -> np.ndarray:
 def make_quadratic_box(Q=None, b=None, lower=None, upper=None, n: int = 2, a=None) -> ProblemSpec:
     """Quadratic objective over the box [lower, upper]^n (default [-1, 1]^n);
     each bound is a scalar or a length-n vector."""
+    linmap = _resolve_map(n, a)
     lower, upper = (_box_bound(v, default, n, name)
                     for v, default, name in ((lower, -1.0, "lower"), (upper, 1.0, "upper")))
-    linmap = _resolve_map(n, a)
     fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = BoxRegion(lower, upper)
     return _indicator_spec(region, fpart, linmap, "quadratic-box")

@@ -537,3 +537,128 @@ def test_oracle_error_exits_three(tmp_path, monkeypatch, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert "injected" in summary["error"]
 
+
+
+# ---------------------------------------------------------------------------
+# problems too large to build, and config paths no other test reaches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("problem, match", [
+    ({"name": "quadratic-simplex", "n": 2 ** 32}, "matrix Q, m = 4294967296"),
+    # the largest n is the most float64 entries of one array, 2^60 - 1
+    ({"name": "quadratic-box", "n": 2 ** 60}, "problem.n must be an integer in [1, 1152921504606846975]"),
+    ({"name": "entropy-lse", "n": 2 ** 32}, "matrix Q, m = 4294967296"),
+    ({"name": "quadratic-l1", "n": 2, "a": {"random": [2 ** 31, 2]}, "b": 1},
+     "and m * m for a quadratic f"),
+    ({"name": "holder-power-simplex", "n": 2 ** 31, "a": {"random": [2 ** 33, 2 ** 31]}},
+     "problem.a.random must be"),
+], ids=["simplex", "box", "entropy", "l1-random-A", "holder-random-A"])
+def test_dense_array_numpy_cannot_hold_is_config_error(tmp_path, monkeypatch, capsys, problem,
+                                                      match):
+    # the config check refuses each size before anything is built; without
+    # it, numpy would refuse each array before allocating it, except the
+    # random 2^31 x 2 map of l1, which must not be drawn: its m x m Q is
+    # checked first
+    monkeypatch.setattr(cli, "random_linear_map", lambda *args: pytest.fail("map drawn"))
+    cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+
+
+@pytest.mark.parametrize("target", ["random_linear_map", "make_quadratic_simplex"])
+def test_memory_error_while_building_is_config_error(tmp_path, monkeypatch, capsys, target):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 48.0 GiB for an array")
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    cfg = write_config(tmp_path / "cfg.json",
+                       problem={"name": "quadratic-simplex", "n": 3, "a": {"random": [4, 3]}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: Unable to allocate 48.0 GiB for an array\n"
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"k_max": 0}, "k_max must be a positive integer"),
+    ({"policy": "median"}, "policy must be avg|best"),
+    ({"mode": "tight"}, "mode must be plain|sharp"),
+    ({"rule": 5}, "config.rule must be a name or an object"),
+    ({"rule": {"name": "open_loop", "gamma": -1}}, "open-loop exponent"),
+    ({"problem": {"n": 2}}, "config.problem must be an object with a 'name'"),
+], ids=["k_max-0", "policy", "mode", "rule-number", "open_loop-gamma", "problem-no-name"])
+def test_config_value_rejected(tmp_path, capsys, overrides, match):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+
+
+def test_json_root_not_an_object_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: config root must be an object\n"
+
+
+def test_rate_on_a_file_with_a_wrong_header_is_config_error(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("k,gap\n1,0.5\n")
+    assert main(["rate", str(path)]) == 2
+    assert "header mismatch" in capsys.readouterr().err
+
+
+def test_rate_from_a_short_run_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", k_max=12)
+    assert main(["rate", "--config", str(cfg)]) == 2
+    assert "usable points for the rate fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rate", "compare"])
+def test_oracle_error_in_rate_and_compare_exits_three(tmp_path, monkeypatch, capsys, command):
+    c1 = write_config(tmp_path / "a.json")
+    c2 = write_config(tmp_path / "b.json", rule={"name": "exact_ls"})
+    real_execute = cli.execute
+
+    def sabotage(config):
+        trace = real_execute(config)
+        trace.error = "oracle f_grad failed: injected"
+        return trace
+
+    monkeypatch.setattr(cli, "execute", sabotage)
+    argv = ["rate", "--config", str(c1)] if command == "rate" else ["compare", str(c1), str(c2)]
+    assert main(argv) == 3
+    assert "oracle f_grad failed: injected" in capsys.readouterr().err
+
+
+def test_compare_prints_nan_exponent_for_a_short_trace(tmp_path, capsys):
+    c1 = write_config(tmp_path / "a.json", k_max=5)
+    c2 = write_config(tmp_path / "b.json", k_max=5, rule={"name": "exact_ls"})
+    assert main(["compare", str(c1), str(c2)]) == 0
+    out = capsys.readouterr().out
+    assert "  a: nan (r^2 nan)" in out and "  b: nan (r^2 nan)" in out
+
+
+def test_verify_reports_an_aborted_run(tmp_path, monkeypatch, capsys):
+    def aborted(spec, x0, rule, k_max, **kwargs):
+        trace = fd.run_gcs(spec, x0, rule, 3, **kwargs)
+        trace.error = "oracle f_grad failed: injected"
+        return trace
+
+    monkeypatch.setattr(cli, "run_gcs", aborted)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["verify", "--config", str(cfg), "--kmax", "30"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL quadratic-simplex gcs aborted: oracle f_grad failed: injected" in out
+    assert "PASS quadratic-simplex gmd identity residual" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "probe"])
+def test_seed_flag_overrides_the_config_seed(tmp_path, capsys, command):
+    problem = {"name": "quadratic-simplex", "n": 3, "a": {"random": [4, 3]}}
+    extra = ["--kmax", "20"] if command == "verify" else []
+    outputs = {}
+    for name, seed, flag in (("flag", 0, ["--seed", "4"]), ("config", 4, []), ("plain", 0, [])):
+        cfg = write_config(tmp_path / f"{name}.json", problem=problem, seed=seed)
+        assert main([command, "--config", str(cfg)] + extra + flag) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["flag"] == outputs["config"] != outputs["plain"]

@@ -236,3 +236,29 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_data_rejected(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+ZERO_ROWS = np.zeros((0, 2))
+
+
+# every constructor resolves n and A in one place, which rejects an empty
+# dimension before any array is built from it
+@pytest.mark.parametrize("build, match", [
+    (lambda: fd.make_quadratic_simplex(n=0), "dimension must be at least 1, got 0"),
+    (lambda: fd.make_quadratic_simplex(n=-1), "dimension must be at least 1, got -1"),
+    (lambda: fd.make_quadratic_box(n=0), "dimension must be at least 1, got 0"),
+    (lambda: fd.make_quadratic_box(n=-1), "dimension must be at least 1, got -1"),
+    (lambda: fd.make_quadratic_l1_ball(n=0), "dimension must be at least 1, got 0"),
+    (lambda: fd.make_holder_power_simplex(1.5, n=0), "dimension must be at least 1, got 0"),
+    (lambda: fd.make_quadratic_simplex(a=ZERO_ROWS), "to R\\^0;"),
+    (lambda: fd.make_quadratic_l1_ball(a=ZERO_ROWS), "to R\\^0;"),
+    (lambda: fd.make_entropy_lse(2, a=ZERO_ROWS), "to R\\^0;"),
+    (lambda: fd.make_holder_power_simplex(1.5, a=ZERO_ROWS), "to R\\^0;"),
+    (lambda: fd.make_holder_power_simplex(1.5, a=fd.LinearMap(
+        apply=lambda x: x[:0], adjoint=lambda u: np.zeros(2), dim_in=2, dim_out=0)),
+     "to R\\^0;"),
+], ids=["simplex-n0", "simplex-n-1", "box-n0", "box-n-1", "l1-n0", "holder-n0",
+        "simplex-0-rows", "l1-0-rows", "entropy-0-rows", "holder-0-rows", "holder-0-row-map"])
+def test_empty_dimension_rejected(build, match):
+    with pytest.raises(fd.ConstructionError, match=match):
+        build()

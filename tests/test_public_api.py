@@ -2,7 +2,8 @@
 ``fenchelduo``, and names removed with the single iteration kernel, the
 hand-mirrored dual side and the helpers folded into their one caller stay
 gone; the settable surface of the step rules and the drivers stays pinned;
-and no message spells out an oracle's name."""
+no message spells out an oracle's name; and no oracle is called outside the
+checked layer."""
 
 import ast
 import dataclasses
@@ -68,4 +69,22 @@ def test_no_message_spells_out_an_oracle_name():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and literal.search(node.value)]
+    assert found == []
+
+
+def test_every_oracle_call_goes_through_the_checked_layer():
+    """the package calls a spec's oracle only as ``oracles._oracle_value`` or
+    ``_oracle_point`` do, by role name; the one exception is ``dualize``'s
+    wiring, whose oracles the checked layer calls in turn"""
+    names = {"f_val", "f_grad", "f_conj_val", "h_val", "h_conj_val", "h_conj_grad", "breg_f",
+             "breg_hconj"}
+    found = []
+    for path in sorted(Path(fd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        wiring = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "dualize"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in names and id(node) not in wiring]
     assert found == []
