@@ -21,8 +21,9 @@ replay evaluates each increment itself, from uncached oracle calls at both
 ends of the step; the kernel (one cached segment per step) shares none of
 this code, so a replay checks the kernel's arithmetic rather than repeating
 it.  Every oracle value it reads is a checked call: an oracle that raises or
-returns NaN raises :class:`DomainError` naming the user's oracle, on the
-dual spec too, as ``dualize`` records it.
+returns NaN raises :class:`DomainError`, and one that returns +inf at a
+recorded point raises :class:`InfiniteValue`, each naming the user's oracle,
+on the dual spec too, as ``dualize`` records it.
 """
 
 from __future__ import annotations
@@ -107,16 +108,21 @@ def _residuals(alphas, terms) -> np.ndarray:
     return out
 
 
+def _recorded(spec: ProblemSpec, role: str, point) -> float:
+    # an oracle's value at a recorded iterate; +inf raises InfiniteValue
+    return _oracle_value(spec, role, point, at="a recorded iterate")
+
+
 def _cg_residuals(xs, us, ss, alphas, spec: ProblemSpec) -> np.ndarray:
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dv = np.array([
-        _oracle_value(spec, "f_conj_val", u) + _oracle_value(spec, "h_conj_val", -At(u)) for u in us
+        _recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", -At(u)) for u in us
     ])
     div = np.array([
         step_divergence_primal(x, s, a, spec) for x, s, a in zip(xs[:-1], ss, alphas)
     ])
     primal = np.array([
-        _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x) for x in xs[1:]
+        _recorded(spec, "f_val", A(x)) + _recorded(spec, "h_val", x) for x in xs[1:]
     ])
     return _residuals(alphas, lambda k, lam, mu: (
         float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])))
@@ -156,8 +162,8 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
                                  trace.alphas)
     ])
     gap = np.array([
-        _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)
-        + _oracle_value(spec, "f_conj_val", u) + _oracle_value(spec, "h_conj_val", -At(u))
+        _recorded(spec, "f_val", A(x)) + _recorded(spec, "h_val", x)
+        + _recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", -At(u))
         for x, u in zip(trace.xs[1:], trace.us[1:])
     ])
     return _residuals(trace.alphas, lambda k, lam, mu: (

@@ -17,6 +17,11 @@ The surrogate phi is convex on [0, 1] (D is a Bregman distance along a
 segment, convex in alpha) but possibly nonsmooth, so the minimizer brackets
 with golden-section first and only then polishes with parabolic
 interpolation; the polish makes quadratic surrogates exact to rounding.
+A quadratic surrogate is common: for a quadratic f and an indicator h,
+D(alpha) = c * alpha^2 in plain and sharp mode alike.  So when the first
+four probes, at 0, 1 - G, G and 1 (G the golden ratio), lie on a convex
+parabola, the search probes that parabola's vertex and, if phi meets it
+there too, stops after five probes instead of about 37.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GAMMA_MAX = 4.0  # largest curvature exponent the approximate rule tries
 _DELTA = 0.1  # the approximate rule settles within this of the largest exponent it accepts
 _POLISH_TOL = 1e-10  # the parabolic polish stops at a vertex this close to its best point
+_FIT_TOL = 1e-12  # phi is a parabola when it meets it to this fraction of the probes' sizes
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +65,59 @@ def _parabola_vertex(a, fa, b, fb, c, fc):
     return v if math.isfinite(v) else None
 
 
+def _parabola_probe(phi, f0, x1, f1, x2, f2, f_one):
+    # Whether phi is the parabola P through (0, f0), (x1, f1) and (x2, f2): P
+    # must be convex and meet phi(1) = f_one and, when its vertex lies in
+    # (0, 1), phi at the vertex, each to _FIT_TOL of the four values' sizes.
+    # Returns [(vertex, phi(vertex))], or [] for a vertex outside (0, 1), when
+    # it is; None on a mismatch.
+    slope = (f1 - f0) / x1
+    curv = ((f2 - f1) / (x2 - x1) - slope) / x2
+    if not 0.0 < curv < INF:
+        return None
+    tol = _FIT_TOL * (abs(f0) + abs(f1) + abs(f2) + abs(f_one))
+
+    def model(a):
+        return f0 + a * (slope + curv * (a - x1))
+
+    if not abs(model(1.0) - f_one) <= tol:
+        return None
+    vertex = 0.5 * (x1 - slope / curv)
+    if not 0.0 < vertex < 1.0:
+        return []
+    fv = phi(vertex)
+    return [(vertex, fv)] if abs(fv - model(vertex)) <= tol else None
+
+
+def _least(candidates) -> float:
+    # the first point of least value: list order resolves exact ties
+    alpha, value = candidates[0]
+    for cand_a, cand_f in candidates[1:]:
+        if cand_f < value:
+            alpha, value = cand_a, cand_f
+    return float(alpha)
+
+
 def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> float:
     """Minimize phi(a) = (1-a)*gap + d_fun(a) over [0, 1]; returns the step size.
 
     Non-finite phi values halve the right end of the bracket, down to 1e-14;
     if phi is non-finite on all of (0, 1] the search logs a warning and gives
     up at 0.  phi(0) = gap is always a candidate, so phi at the returned step
-    size never exceeds the incoming gap.  Every stage ends by construction:
-    h <= 47 halvings, g golden steps to width 1e-6 with h + g <= 47, and 8
-    polish steps, so ``d_fun`` is called at most 2 + 2 + 47 + 8 = 59 times.
+    size never exceeds the incoming gap.
+
+    With no halving the first four probes are 0, 1, 1 - G and G.  When the
+    parabola through 0, 1 - G and G is convex and meets phi at 1, and at its
+    vertex if that lies in (0, 1), the search returns the best of these four
+    or five points.  On any mismatch the golden stage goes on from the two
+    golden values it has, so a surrogate that is not a parabola gets the
+    same probes in the same order, after at most the one vertex probe.
+
+    Every stage ends by construction: h <= 47 halvings, g golden steps to
+    width 1e-6 with h + g <= 47, and 8 polish steps, so ``d_fun`` is called
+    at most 2 + 2 + 47 + 8 = 59 times; a search with no halving, the only
+    one that may probe a vertex, makes at most 2 + 2 + 1 + 29 + 8 = 42 calls,
+    and 4 or 5 when phi is a parabola.
     """
 
     def phi(a: float) -> float:
@@ -94,6 +144,10 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = phi(x1), phi(x2)
     best_a, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    if hi == 1.0:
+        fit = _parabola_probe(phi, phi0, x1, f1, x2, f2, phi_hi)
+        if fit is not None:
+            return _least([(0.0, phi0), *fit, (best_a, best_f), (hi, phi_hi)])
     while hi - lo > 1e-6:
         if f1 <= f2:
             hi, phi_hi = x2, f2
@@ -136,14 +190,9 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
             else:
                 c, fc = v, fv
 
-    # candidate order resolves exact ties: prefer 0, then the polished point
-    candidates = [(0.0, phi0), (para_a, para_f) if para_a is not None else (best_a, best_f),
-                  (best_a, best_f), (hi, phi_hi)]
-    alpha, value = candidates[0]
-    for cand_a, cand_f in candidates[1:]:
-        if cand_f < value:
-            alpha, value = cand_a, cand_f
-    return float(alpha)
+    # prefer 0 on exact ties, then the polished point
+    return _least([(0.0, phi0), (para_a, para_f) if para_a is not None else (best_a, best_f),
+                   (best_a, best_f), (hi, phi_hi)])
 
 
 # ---------------------------------------------------------------------------

@@ -284,3 +284,24 @@ class TestIdentityResiduals:
         with pytest.raises(fd.InfiniteValue,
                            match=r"^oracle f_conj_val returned \+inf at the \w+ point of a step$"):
             replay(trace, replace(spec, f_conj_val=f_conj_val))
+
+    @pytest.mark.parametrize("algo, role", [
+        ("gcs", "f_conj_val"), ("gcs", "f_val"), ("gcs", "h_conj_val"),
+        ("gmd", "f_val"), ("gmd", "h_val"), ("hybrid", "f_val")])
+    def test_infinite_value_at_a_recorded_iterate_is_named(self, algo, role):
+        # a healthy 5-step trace replayed against a spec whose oracle ``role``
+        # is +inf everywhere; the replay reaches it first at a recorded iterate
+        spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+        x0 = spec.h_conj_grad(np.zeros(3))
+        if algo == "gcs":
+            trace, replay = fd.run_gcs(spec, x0, fd.FixedHarmonic(), 5), fd.cg_identity_residuals
+        elif algo == "gmd":
+            trace = fd.run_gmd(spec, np.zeros(3), fd.FixedHarmonic(), 5)
+            replay = fd.md_identity_residuals
+        else:
+            trace = fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.FixedHarmonic(), 5)
+            replay = fd.hybrid_identity_residuals
+        assert trace.error is None
+        with pytest.raises(fd.InfiniteValue,
+                           match=rf"^oracle {role} returned \+inf at a recorded iterate$"):
+            replay(trace, replace(spec, **{role: lambda *args: math.inf}))

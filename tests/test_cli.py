@@ -1,6 +1,7 @@
 """Command-line harness: config validation, artifact layout, determinism,
 and the five subcommands."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -359,6 +360,21 @@ class TestVerify:
         assert "FAIL quadratic-simplex run-equivalence deviation: dual run aborted" in out
         assert "PASS quadratic-simplex symmetry deviation" in out
 
+    def test_infinite_replay_value_fails_with_name(self, tmp_path, monkeypatch, capsys):
+        # the gcs trace replayed against a spec whose f* is +inf everywhere
+        def replay(trace, spec):
+            return fd.cg_identity_residuals(
+                trace, dataclasses.replace(spec, f_conj_val=lambda u: float("inf")))
+
+        monkeypatch.setattr(cli, "cg_identity_residuals", replay)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["verify", "--config", str(cfg), "--kmax", "5"]) == 1
+        out = capsys.readouterr().out
+        assert ("FAIL quadratic-simplex gcs replay: oracle f_conj_val returned +inf at a "
+                "recorded iterate\n") in out
+        assert "PASS quadratic-simplex gcs weight-sum defect" not in out
+        assert "PASS quadratic-simplex gmd identity residual" in out
+
 
 class TestProbeRateCompare:
     def test_probe_reports_constant(self, tmp_path, capsys):
@@ -576,6 +592,22 @@ def test_memory_error_while_building_is_config_error(tmp_path, monkeypatch, caps
                        problem={"name": "quadratic-simplex", "n": 3, "a": {"random": [4, 3]}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "config error: Unable to allocate 48.0 GiB for an array\n"
+
+
+@pytest.mark.parametrize("problem", [
+    {"name": "holder-power-simplex", "n": 2 ** 59},
+    {"name": "entropy-lse", "n": 2 ** 59, "f": "lse"},
+], ids=["holder", "entropy-lse"])
+def test_start_points_too_large_are_config_error(tmp_path, capsys, problem):
+    # neither family builds a dense matrix, so n passes the config checks; the
+    # first length-n vector, 4 EiB, lies beyond any address space, so numpy
+    # refuses it without allocating
+    cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.n = 576460752303423488: the start points "
+                          "do not fit in memory (Unable to allocate")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, match", [

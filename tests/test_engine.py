@@ -585,17 +585,15 @@ class CallBudget(fd.StepRule):
         return alpha
 
 
-@pytest.mark.parametrize("algo", ["gcs", "hybrid"])
-def test_line_search_step_oracle_budget(algo):
-    """one A and one h per probe, and h at the target once per step: A and h
-    at the base come with the iterate from the step before; hybrid's dual
-    segment likewise, one A* and one f* per probe plus f* at the target"""
-    rng = np.random.default_rng(5)
-    spec = fd.make_quadratic_simplex(Q=np.eye(4), b=0.3 * rng.standard_normal(4), n=3,
-                                     a=fd.random_linear_map(4, 3, rng))
+def _step_budgets(spec, algo):
+    """Each line-search step's probes and calls in a 6-step sharp run, checked
+    against the budget: one A and one h per probe, and h at the target once
+    per step (A and h at the base come with the iterate from the step
+    before); hybrid's dual segment likewise, one A* and one f* per probe plus
+    f* at the target."""
     counted, counts = _counting(spec, ("h_val", "f_conj_val"))
     log = []
-    x0 = spec.h_conj_grad(np.zeros(3))
+    x0 = spec.h_conj_grad(np.zeros(spec.dim_x))
     if algo == "gcs":
         trace = fd.run_gcs(counted, x0, CallBudget(counts, log), 6, mode="sharp")
     else:
@@ -603,7 +601,6 @@ def test_line_search_step_oracle_budget(algo):
                               CallBudget(counts, log), 6, mode="sharp")
     assert trace.error is None and len(log) == 5
     for probes, calls in log:
-        assert probes > 10
         assert calls["apply"] == probes
         assert calls["h_val"] == probes + 1
         if algo == "gcs":
@@ -611,6 +608,25 @@ def test_line_search_step_oracle_budget(algo):
         else:
             assert calls["adjoint"] == probes
             assert calls["f_conj_val"] == probes + 1
+    return [probes for probes, _ in log]
+
+
+@pytest.mark.parametrize("algo", ["gcs", "hybrid"])
+def test_line_search_step_oracle_budget(algo):
+    """the budget holds on long searches: a Hölder surrogate is no parabola"""
+    rng = np.random.default_rng(5)
+    spec = fd.make_holder_power_simplex(1.5, 3, a=fd.random_linear_map(4, 3, rng))
+    assert all(probes > 10 for probes in _step_budgets(spec, algo))
+
+
+def test_quadratic_line_search_takes_the_vertex():
+    """on a quadratic f over the simplex the surrogate is a parabola: gcs
+    probes 0, 1, the two golden points and the vertex, within the budget;
+    the step at k = 2, whose vertex lies beyond 1, stops at 1 after four"""
+    rng = np.random.default_rng(5)
+    spec = fd.make_quadratic_simplex(Q=np.eye(4), b=0.3 * rng.standard_normal(4), n=3,
+                                     a=fd.random_linear_map(4, 3, rng))
+    assert _step_budgets(spec, "gcs") == [5, 4, 5, 5, 5]
 
 
 @pytest.mark.parametrize("algo, per_iteration", [
