@@ -34,8 +34,7 @@ print()
 print("step-size rules on the quadratic, certified gap at k = 1000:")
 rules = [("2/(k+2) schedule", fd.FixedHarmonic()),
          ("open loop g=2", fd.OpenLoop(2.0)),
-         ("exact line search", fd.ExactLineSearch()),
-         ("adaptive exponent", fd.ApproxGamma())]
+         ("exact line search", fd.ExactLineSearch())]
 for label, rule in rules:
     trace = fd.run_gcs(quad, np.array([1.0, 0.0]), rule, 1000)
     print(f"  {label:20s} {trace.gap_bound[-1]:.6e}")

@@ -16,6 +16,7 @@ closes stdout early.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -266,6 +267,8 @@ def resolve(config: dict) -> Setup:
     mode = config.get("mode", "plain")
     if mode not in ("plain", "sharp"):
         raise ConfigError("mode must be plain|sharp")
+    if not isinstance(config.get("out", "."), str):
+        raise ConfigError(f"out must be a directory name, got {config['out']!r}")
     x0, u0, v0 = (None if config.get(k) is None else _array(config[k], k, 1)
                   for k in ("x0", "u0", "v0"))
     spec = build_problem(config["problem"], seed)
@@ -335,6 +338,17 @@ def write_summary(summary: dict, path: str):
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _writing_to(outdir: str):
+    """Make ``outdir``; an OSError there or in the block, or a name the
+    system takes for no path (a NUL byte), is a config error."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write to out {outdir}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -343,10 +357,10 @@ def cmd_run(args) -> int:
     config = _with_flags(load_config(args.config), args)
     trace = execute(config)
     outdir = config.get("out", ".")
-    os.makedirs(outdir, exist_ok=True)
-    write_trace_csv(trace, os.path.join(outdir, "trace.csv"))
     summary = summarize(trace, config)
-    write_summary(summary, os.path.join(outdir, "summary.json"))
+    with _writing_to(outdir):
+        write_trace_csv(trace, os.path.join(outdir, "trace.csv"))
+        write_summary(summary, os.path.join(outdir, "summary.json"))
     for key in ("iterations", "final_primal", "final_dual", "final_gap_bound",
                 "final_true_gap"):
         print(f"{key}: {summary[key]}")
@@ -513,11 +527,12 @@ def cmd_compare(args) -> int:
             return 3
 
     kmax = min(trace.k for trace in traces)
+    gaps = [t.gap_bound for t in traces]
     marks = [k for k in (1, 2, 3, 5, 10, 20, 50, 100, 200, 500, 1000) if k <= kmax]
     width = max(12, max(len(lab) for lab in labels) + 2)
     print("k".rjust(6) + "".join(lab.rjust(width) for lab in labels))
     for k in marks:
-        print(f"{k:6d}" + "".join(f"{t.gap_bound[k - 1]:{width}.4e}" for t in traces))
+        print(f"{k:6d}" + "".join(f"{g[k - 1]:{width}.4e}" for g in gaps))
     print("rate exponents (log-log slope of the certified gap):")
     for lab, trace in zip(labels, traces):
         try:
@@ -526,12 +541,11 @@ def cmd_compare(args) -> int:
             exponent = r2 = float("nan")
         print(f"  {lab}: {exponent:.4f} (r^2 {r2:.4f})")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "compare.csv")
-        with open(path, "w") as fh:
+        with _writing_to(args.out), open(path, "w") as fh:
             fh.write("k," + ",".join(labels) + "\n")
             for k in range(1, kmax + 1):
-                fh.write(str(k) + "," + ",".join(_fmt(t.gap_bound[k - 1]) for t in traces) + "\n")
+                fh.write(str(k) + "," + ",".join(_fmt(g[k - 1]) for g in gaps) + "\n")
         print(f"wrote {path}")
     return 0
 

@@ -109,9 +109,11 @@ class Trace:
         }
 
 
-def _check_args(k_max: int, mode: str, policy: str = "average"):
+def _check_args(k_max: int, epsilon: Optional[float], mode: str, policy: str = "average"):
     if k_max < 1:
         raise RangeError(f"k_max must be >= 1, got {k_max}")
+    if epsilon is not None and math.isnan(epsilon):
+        raise RangeError("epsilon must be a number or None, got nan")
     if policy not in ("average", "best"):
         raise RangeError(f"policy must be 'average' or 'best', got {policy!r}")
     if mode not in ("plain", "sharp"):
@@ -280,7 +282,7 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     x_{k+1} = (1-alpha_k) x_k + alpha_k s_k.  The dual certificate is the
     aggregate of the u_k under the configured policy.
     """
-    _check_args(k_max, mode, policy)
+    _check_args(k_max, epsilon, mode, policy)
     x = as_point(x0, spec.dim_x, "x0")
     return _run(False, spec, x, None, rule, k_max, epsilon, policy, mode)
 
@@ -297,7 +299,7 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     primal certificate is the aggregate of the y_k.  An oracle error in
     ``trace.error`` names the oracle of ``spec``, as ``dualize`` records it.
     """
-    _check_args(k_max, mode, policy)
+    _check_args(k_max, epsilon, mode, policy)
     v = as_point(v0, spec.dim_y, "v0")
     trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode)
     trace.algo = "gmd"
@@ -319,7 +321,7 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
     iterates are their own certificate, so the run takes no aggregation
     policy; its trace records ``"average"``.
     """
-    _check_args(k_max, mode)
+    _check_args(k_max, epsilon, mode)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
     return _run(True, spec, x, u, rule, k_max, epsilon, "average", mode)

@@ -270,10 +270,16 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
 
     Uses the closed form from the spec when available, otherwise the value
     and subgradient oracles.  Raises :class:`InfiniteValue` when f(y) or the
-    closed form is infinite, :class:`DomainError` when f(x) is or an oracle fails.
+    closed form is infinite, :class:`DomainError` when f(x) is, an oracle
+    fails, or the closed form is negative beyond what ``_snap`` takes for
+    rounding.
     """
     if spec.breg_f is not None:
-        return _snap(_oracle_value(spec, "breg_f", y, x, at="the first Bregman argument"))
+        d = _snap(_oracle_value(spec, "breg_f", y, x, at="the first Bregman argument"))
+        if d < 0.0:
+            raise DomainError(f"oracle {_oracle_name(spec, 'breg_f')} returned a negative "
+                              f"Bregman distance {d!r}")
+        return d
     fy = _oracle_value(spec, "f_val", y, at="the first Bregman argument")
     fx = _oracle_value(spec, "f_val", x, at="the Bregman base point", error=DomainError)
     g = _oracle_point(spec, "f_grad", x)

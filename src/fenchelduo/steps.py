@@ -1,17 +1,15 @@
 """Step-size policies.
 
-Four rules: the classic 2/(k+2) schedule, an open-loop g/(k+g) schedule, an
-exact line search on the gap surrogate
+Three rules: the classic 2/(k+2) schedule, an open-loop g/(k+g) schedule, and
+an exact line search on the gap surrogate
 
-    phi(alpha) = (1 - alpha) * gap_k + D(alpha),
+    phi(alpha) = (1 - alpha) * gap_k + D(alpha).
 
-and an approximate rule that estimates the curvature exponent on the fly and
-plays g_k/(k+g_k).  Each is a :class:`StepRule` whose ``select`` holds the
-rule; ``_RULES`` maps each config name to its class.  Every rule forces a
-full first step (alpha_0 = 1), which all certificate identities require.
-Only the open-loop rule has a setting, its exponent g; the line search's
-polish tolerance, and the approximate rule's exponent range and slack, are
-the module constants below.
+Each is a :class:`StepRule` whose ``select`` holds the rule; ``_RULES`` maps
+each config name to its class.  Every rule forces a full first step
+(alpha_0 = 1), which all certificate identities require.  Only the open-loop
+rule has a setting, its exponent g; the line search's polish and fit
+tolerances are the module constants below.
 
 The surrogate phi is convex on [0, 1] (D is a Bregman distance along a
 segment, convex in alpha) but possibly nonsmooth, so the minimizer brackets
@@ -38,14 +36,11 @@ __all__ = [
     "FixedHarmonic",
     "OpenLoop",
     "ExactLineSearch",
-    "ApproxGamma",
 ]
 
 log = logging.getLogger("fenchelduo")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GAMMA_MAX = 4.0  # largest curvature exponent the approximate rule tries
-_DELTA = 0.1  # the approximate rule settles within this of the largest exponent it accepts
 _POLISH_TOL = 1e-10  # the parabolic polish stops at a vertex this close to its best point
 _FIT_TOL = 1e-12  # phi is a parabola when it meets it to this fraction of the probes' sizes
 
@@ -196,30 +191,6 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
 
 
 # ---------------------------------------------------------------------------
-# approximate curvature-exponent selection
-# ---------------------------------------------------------------------------
-
-def _exponent_acceptable(gamma_c: float, k: int, d_fun) -> bool:
-    # Probe D(a)/a^gamma_c at three step sizes around the candidate schedule
-    # value.  For D ~ c * a^g the ratio grows with a when gamma_c <= g and
-    # shrinks when gamma_c > g, so "nondecreasing toward larger a" accepts
-    # exactly the exponents at or below the true one.
-    a2 = gamma_c / (k + gamma_c)
-    probes = [0.5 * a2, a2, min(1.0, 2.0 * a2)]
-    ratios = []
-    for a in probes:
-        try:
-            d = d_fun(a)
-        except InfiniteValue:
-            d = INF
-        if not math.isfinite(d):
-            return False
-        ratios.append(d / a ** gamma_c)
-    slack = 1e-8 * max(ratios) + 1e-15
-    return ratios[0] <= ratios[2] + slack
-
-
-# ---------------------------------------------------------------------------
 # rule objects used by the engine
 # ---------------------------------------------------------------------------
 
@@ -275,36 +246,8 @@ class ExactLineSearch(StepRule):
         return _minimize_step_surrogate(gap, d_fun)
 
 
-@dataclass(frozen=True)
-class ApproxGamma(StepRule):
-    def select(self, k, gap, d_fun):
-        """Step size g_k/(k+g_k) with g_k within ``_DELTA`` of the curvature exponent.
-
-        Binary search for the largest exponent the 3-point ratio probe accepts;
-        falls back to the exact line search when even exponent 1 is rejected.
-        """
-        if k == 0:
-            return 1.0
-        if _exponent_acceptable(_GAMMA_MAX, k, d_fun):
-            gamma_k = _GAMMA_MAX
-        elif not _exponent_acceptable(1.0, k, d_fun):
-            # bracket collapsed; the surrogate is not power-like here
-            return _minimize_step_surrogate(gap, d_fun)
-        else:
-            lo, hi = 1.0, _GAMMA_MAX
-            while hi - lo > 0.5 * _DELTA:
-                mid = 0.5 * (lo + hi)
-                if _exponent_acceptable(mid, k, d_fun):
-                    lo = mid
-                else:
-                    hi = mid
-            gamma_k = lo
-        return gamma_k / (k + gamma_k)
-
-
 _RULES = {
     "fixed_harmonic": FixedHarmonic,
     "open_loop": OpenLoop,
     "exact_ls": ExactLineSearch,
-    "approx_gamma": ApproxGamma,
 }

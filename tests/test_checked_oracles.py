@@ -2,7 +2,8 @@
 Bregman distance, a replay's objective values, a curvature probe's (h*)' and
 the CLI's start points end with an error that names the user's oracle when
 the oracle raises, returns NaN, or returns an infinite value where a finite
-one is needed."""
+one is needed; a closed-form Bregman distance also when it is negative
+beyond rounding."""
 
 import json
 from dataclasses import replace
@@ -116,6 +117,25 @@ def test_nan_closed_form_hconj_bregman_names_the_users_oracle(algo, rule):
     assert broken.k < healthy.k
     for c in COLUMNS:
         assert getattr(broken, c) == getattr(healthy, c)[:broken.k]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+@pytest.mark.parametrize("algo, oracle, spec, value", [
+    ("gcs", "breg_f", quadratic, -1.0), ("hybrid", "breg_f", quadratic, -1.0),
+    ("gmd", "breg_hconj", entropy, -0.5), ("hybrid", "breg_hconj", entropy, -0.5)])
+def test_negative_closed_form_bregman_ends_run(algo, oracle, spec, value, rule):
+    # a Bregman distance is nonnegative: a closed form below rounding size
+    # would make the certified bound negative, and a run with epsilon stop on it
+    healthy = run(algo, spec(), rule)
+    broken = run(algo, failing(spec(), oracle, value, from_call=3), rule)
+    assert broken.error == f"oracle {oracle} returned a negative Bregman distance {value}"
+    assert_prefix(broken, healthy)
+
+
+def test_rounding_size_negative_closed_form_bregman_reads_zero():
+    spec = failing(quadratic(), "breg_f", -1e-13)
+    y = np.array([0.5, 0.5, 0.0, 0.0])
+    assert fd.bregman_f(y, y, spec) == 0.0
 
 
 @pytest.mark.parametrize("failure", ["nan", "raise"])

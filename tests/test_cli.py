@@ -197,24 +197,29 @@ class TestConfigValidation:
         assert cli.build_rule("fixed_harmonic") == fd.FixedHarmonic()
         assert cli.build_rule({"name": "open_loop", "gamma": 3.0}) == fd.OpenLoop(gamma=3.0)
         assert cli.build_rule({"name": "exact_ls"}) == fd.ExactLineSearch()
-        assert cli.build_rule("approx_gamma") == fd.ApproxGamma()
         with pytest.raises(cli.ConfigError, match="armijo"):
             cli.build_rule({"name": "armijo"})
-        for rule in ({"name": "exact_ls", "tol": 1e-8}, {"name": "approx_gamma", "delta": 0.2}):
-            with pytest.raises(cli.ConfigError, match="unknown key"):
-                cli.build_rule(rule)
+        with pytest.raises(cli.ConfigError, match="unknown key"):
+            cli.build_rule({"name": "exact_ls", "tol": 1e-8})
 
-    # the line-search budget and polish tolerance, approx_gamma's largest
-    # exponent and its slack are constants, not config keys, so no
-    # gamma_max <= 0 can freeze or crash a run
-    @pytest.mark.parametrize("rule", [{"name": "approx_gamma", "gamma_max": -1},
-                                      {"name": "approx_gamma", "gamma_max": 0},
-                                      {"name": "exact_ls", "max_iters": 50},
-                                      {"name": "exact_ls", "tol": 1e-8},
-                                      {"name": "approx_gamma", "tol": 1e-8},
-                                      {"name": "approx_gamma", "delta": 0.2}],
-                             ids=["gamma_max-negative", "gamma_max-zero", "max_iters",
-                                  "exact_ls-tol", "approx_gamma-tol", "approx_gamma-delta"])
+    def test_deleted_rule_is_config_or_usage_error(self, tmp_path, capsys):
+        """the adaptive-exponent rule is gone: a config naming it is a config
+        error listing the three rules, and --rule naming it a usage error"""
+        cfg = write_config(tmp_path / "cfg.json", rule="approx_gamma", k_max=5)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: unknown rule 'approx_gamma' (options: "
+                       "['exact_ls', 'fixed_harmonic', 'open_loop'])\n")
+        assert not (tmp_path / "out").exists()
+        cfg = write_config(tmp_path / "cfg.json", k_max=5)
+        assert exit_code(["run", "--config", str(cfg), "--rule", "approx_gamma"]) == 2
+        assert "invalid choice: 'approx_gamma'" in capsys.readouterr().err
+
+    # the line-search budget and polish tolerance are constants, not config
+    # keys, so no setting can freeze or crash a run
+    @pytest.mark.parametrize("rule", [{"name": "exact_ls", "max_iters": 50},
+                                      {"name": "exact_ls", "tol": 1e-8}],
+                             ids=["max_iters", "exact_ls-tol"])
     def test_removed_rule_key_is_config_error(self, tmp_path, capsys, rule):
         cfg = write_config(tmp_path / "cfg.json", rule=rule, k_max=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -694,3 +699,30 @@ def test_seed_flag_overrides_the_config_seed(tmp_path, capsys, command):
         assert main([command, "--config", str(cfg)] + extra + flag) == 0
         outputs[name] = capsys.readouterr().out
     assert outputs["flag"] == outputs["config"] != outputs["plain"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+    """an out path that names a file cannot become a directory: exit 2 with
+    a config error; a config error before the run makes no directory"""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    c1 = write_config(tmp_path / "a.json", k_max=5)
+    c2 = write_config(tmp_path / "b.json", k_max=5, rule={"name": "exact_ls"})
+    argv = (["run", "--config", str(c1)] if command == "run" else ["compare", str(c1), str(c2)])
+    assert main(argv + ["--out", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write to out {blocker}: ")
+    bad = write_config(tmp_path / "bad.json", k_max=0)
+    argv = (["run", "--config", str(bad)] if command == "run" else ["compare", str(c1), str(bad)])
+    assert main(argv + ["--out", str(tmp_path / "fresh")]) == 2
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("out, match", [
+    (5, "config error: out must be a directory name, got 5\n"),
+    ("a\x00b", "config error: cannot write to out a\x00b: embedded null byte\n")],
+    ids=["number", "nul-byte"])
+def test_out_that_names_no_directory_is_config_error(tmp_path, capsys, out, match):
+    cfg = write_config(tmp_path / "cfg.json", k_max=5, out=out)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == match

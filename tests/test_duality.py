@@ -147,7 +147,7 @@ class TestHybridSymmetry:
     def test_refuses_line_search(self):
         with pytest.raises(fd.RangeError):
             fd.check_hybrid_symmetry(quad_simplex(), [1.0, 0.0], [1.0, 0.0],
-                                     fd.ApproxGamma(), 5)
+                                     fd.ExactLineSearch(), 5)
 
 
 def test_weak_duality_across_paired_runs():

@@ -1,6 +1,7 @@
 """Engine behavior: exact hand-traced iterates, update-rule equivalences,
 stopping, aborts, and the certified-gap sandwich."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -188,6 +189,14 @@ class TestRunHygiene:
         with pytest.raises(fd.RangeError):
             fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 5, mode="fuzzy")
 
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_rejects_nan_epsilon(self, algo):
+        # every comparison with NaN is false, so such a run would never stop early
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match="epsilon"):
+            _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(), k_max=5,
+                   epsilon=math.nan)
+
     def test_hybrid_rejects_best_policy(self):
         # hybrid certifies its iterates, so it has no policy keyword at all
         spec = fd.make_quadratic_simplex(n=2)
@@ -267,16 +276,6 @@ def test_harmonic_schedule_certificate_bounds():
     cp, cd = fd.curvature_along_trace(hyb, entropy, 2.0)
     k = np.arange(1, hyb.k + 1)
     assert np.all(np.asarray(hyb.gap_plain) <= 2.0 * (cp + cd) / (k + 2.0) + 1e-12)
-
-
-def test_approx_gamma_run_meets_slackened_bound():
-    """the exponent slack delta = 0.1 widens the certified decay bound accordingly"""
-    spec = fd.make_quadratic_simplex(n=2)
-    tr = fd.run_gcs(spec, [1.0, 0.0], fd.ApproxGamma(), 500)
-    g = 1.9  # gamma - delta with the enumerated gamma = 2
-    k = np.arange(1, tr.k + 1)
-    bound = 2.0 * (g / (k + g)) ** (g - 1.0)
-    assert np.all(np.asarray(tr.true_gap) <= bound + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +515,7 @@ def _uncached_divergence(algo, sharp, spec, trace, k, a):
             + bregman_hconj(-At(keep * u + a * z), -At(u), spec))
 
 
-@pytest.mark.parametrize("rule", [fd.ExactLineSearch(), fd.ApproxGamma()],
-                         ids=["exact_ls", "approx_gamma"])
+@pytest.mark.parametrize("rule", [fd.ExactLineSearch()], ids=["exact_ls"])
 @pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_probe_matches_uncached_evaluation_bit_for_bit(family, general, rule):

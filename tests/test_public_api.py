@@ -1,8 +1,9 @@
 """The package namespace: every module's public names resolve on
 ``fenchelduo``, and names removed with the single iteration kernel, the
-hand-mirrored dual side and the helpers folded into their one caller stay
-gone; the settable surface of the step rules and the drivers stays pinned;
-no message spells out an oracle's name; and no oracle is called outside the
+hand-mirrored dual side, the helpers folded into their one caller and the
+adaptive-exponent rule stay gone; the settable surface of the step rules and
+the drivers stays pinned, and README lists exactly the rules there are; no
+message spells out an oracle's name; and no oracle is called outside the
 checked layer."""
 
 import ast
@@ -24,7 +25,7 @@ REMOVED = ("GapState", "gap_update", "WeightState", "update_weights", "linesearc
            "step_divergence_dual", "kl_divergence", "duality_gap", "dual_pair_step",
            "CertificateAggregate", "step_fixed_harmonic", "approx_gamma_select",
            "minimize_step_surrogate", "log_sum_exp", "neg_entropy", "QuadraticF",
-           "HolderPowerF", "make_rule")
+           "HolderPowerF", "make_rule", "ApproxGamma")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
@@ -35,7 +36,7 @@ def test_module_exports_resolve_on_package(module):
 
 def test_public_name_count():
     names = {name for module in MODULES for name in module.__all__}
-    assert len(names) == 43
+    assert len(names) == 42
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -48,8 +49,7 @@ def test_settable_surface_is_pinned():
     """the one rule field, the drivers' keywords, and no environment reads"""
     fields = {name: [f.name for f in dataclasses.fields(cls)]
               for name, cls in steps._RULES.items()}
-    assert fields == {"fixed_harmonic": [], "open_loop": ["gamma"], "exact_ls": [],
-                      "approx_gamma": []}
+    assert fields == {"fixed_harmonic": [], "open_loop": ["gamma"], "exact_ls": []}
     keywords = {fn.__name__: [p.name for p in inspect.signature(fn).parameters.values()
                               if p.kind is inspect.Parameter.KEYWORD_ONLY]
                 for fn in (fd.run_gcs, fd.run_gmd, fd.run_hybrid)}
@@ -58,6 +58,18 @@ def test_settable_surface_is_pinned():
                         "run_hybrid": ["epsilon", "mode"]}
     sources = sorted(Path(fd.__file__).parent.glob("*.py"))
     assert sources and not [p.name for p in sources if "environ" in p.read_text()]
+
+
+def test_readme_lists_each_rule_and_its_keys():
+    """README's "Rules and the keys each takes" sentence names exactly the
+    rules of ``steps._RULES``, each with its dataclass fields"""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split())
+    sentence = re.search(r"Rules and the keys each takes:(.*?)\. ", text).group(1)
+    listed = {name: re.findall(r"`(\w+)`", keys)
+              for name, keys in re.findall(r"`(\w+)` \(([^)]*)\)", sentence)}
+    assert listed == {name: [f.name for f in dataclasses.fields(cls)]
+                      for name, cls in steps._RULES.items()}
 
 
 def test_no_message_spells_out_an_oracle_name():

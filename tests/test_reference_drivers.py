@@ -27,7 +27,6 @@ RULES = {
     "fixed_harmonic": fd.FixedHarmonic(),
     "open_loop_1.5": fd.OpenLoop(1.5),
     "exact_ls": fd.ExactLineSearch(),
-    "approx_gamma": fd.ApproxGamma(),
 }
 COLUMNS = ("alphas", "gap_plain", "gap_sharp", "true_gap", "residual", "primal", "dual")
 HISTORIES = ("xs", "us", "ss", "zs", "vs", "ys")
