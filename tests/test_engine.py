@@ -515,7 +515,24 @@ def _uncached_divergence(algo, sharp, spec, trace, k, a):
             + bregman_hconj(-At(keep * u + a * z), -At(u), spec))
 
 
-@pytest.mark.parametrize("rule", [fd.ExactLineSearch()], ids=["exact_ls"])
+@dataclass(frozen=True)
+class ProbeGrid(fd.StepRule):
+    """Probes the surrogate at fixed step sizes, the endpoints among them,
+    then takes the harmonic step, which it never probed after step 0."""
+
+    grid: tuple = (0.0, 1e-9, 0.137, 1.0 / 3.0, 0.5, 0.618, 0.9, 1.0)
+
+    def select(self, k, gap, d_fun):
+        for a in self.grid:
+            try:
+                d_fun(a)
+            except fd.InfiniteValue:
+                pass
+        return 2.0 / (k + 2.0)
+
+
+@pytest.mark.parametrize("rule", [fd.ExactLineSearch(), ProbeGrid()],
+                         ids=["exact_ls", "probe_grid"])
 @pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_probe_matches_uncached_evaluation_bit_for_bit(family, general, rule):

@@ -55,6 +55,13 @@ class TestSurrogateMinimizer:
         assert a == 1.0
         assert val == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p, c, gap", [(1.5, 0.8, 1.0), (2.0, 3.0, 1.0),
+                                           (3.0, 2.0, 0.5)])
+    def test_power_surrogate_interior_minimum(self, p, c, gap):
+        # phi(a) = (1-a) gap + c a^p is least where c p a^(p-1) = gap
+        a, _ = _minimize(gap, lambda t: c * t ** p)
+        assert a == pytest.approx((gap / (c * p)) ** (1.0 / (p - 1.0)), abs=1e-9)
+
     def test_zero_gap_stays_put(self):
         a, val = _minimize(0.0, lambda t: 0.4 * t ** 1.5)
         assert a == 0.0
