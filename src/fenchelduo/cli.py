@@ -1,13 +1,13 @@
 """Command-line harness: run experiments, verify certificate identities,
-probe curvature, fit rates, and compare configurations.
+probe curvature, fit the rate of a trace file, and compare configurations.
 
 Subcommands: run, verify, probe, rate, compare; each takes only the flags it
-reads (``_SUBCOMMANDS``).  Experiments are described by a JSON config.  A flag
-sets the config key of the same name (``--kmax`` sets ``k_max``; ``--gamma``
-sets that key of the effective rule), and ``resolve`` checks every key once,
-unknown keys and types included, before any oracle is built.  Traces are
-written as CSV with a fixed column set at 17 significant digits so files
-round-trip 64-bit floats; summaries are JSON with sorted keys.
+reads (``_SUBCOMMANDS``), and rate none.  Experiments are described by a JSON
+config.  A flag sets the config key of the same name (``--kmax`` sets
+``k_max``; ``--gamma`` sets that key of the effective rule), and ``resolve``
+checks every key once, unknown keys and types included, before any oracle is
+built.  Traces are written as CSV with a fixed column set at 17 significant
+digits so files round-trip 64-bit floats; summaries are JSON with sorted keys.
 Exit codes: 1 for failed verification, 2 for config and usage errors, 3 for
 oracle/domain errors (a partial trace is still written), 141 when the reader
 closes stdout early.
@@ -150,8 +150,7 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
         m = linmap.dim_out if linmap is not None else n
         if square and m * m > _MAX_ENTRIES:
             raise ConfigError(f"problem {name!r} would build an m x m matrix Q, m = {m}: too large")
-        q = pconf.get("q")
-        q = _scaled(None if q == "identity" else q, "problem.q", 2, lambda: np.eye(m))
+        q = _scaled(pconf.get("q"), "problem.q", 2, lambda: np.eye(m))
         b = _scaled(pconf.get("b"), "problem.b", 1, lambda: np.ones(m))
         if b is not None and b.shape != (m,):
             raise ConfigError(f"problem.b must have length {m}")
@@ -479,26 +478,11 @@ def _read_trace_gaps(path: str) -> np.ndarray:
 
 
 def cmd_rate(args) -> int:
-    given = [flag for flag in _FLAGS if getattr(args, flag[2:], None) is not None]
-    if args.trace is not None and given:
-        raise ConfigError(f"rate on a trace file takes no flags, got {' '.join(given)}")
-    if args.trace is None and args.config is None:
-        raise ConfigError("rate needs a trace file or --config")
-    if args.trace is not None:
-        gaps = _read_trace_gaps(args.trace)
-        source = args.trace
-    else:
-        trace = execute(_with_flags(load_config(args.config), args))
-        if trace.error:
-            print(f"error: {trace.error}", file=sys.stderr)
-            return 3
-        gaps = trace.gap_bound
-        source = args.config
     try:
-        exponent, r2 = fit_rate(gaps)
+        exponent, r2 = fit_rate(_read_trace_gaps(args.trace))
     except FitError as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"source: {source}")
+    print(f"source: {args.trace}")
     print(f"exponent: {_fmt(exponent)}")
     print(f"r_squared: {_fmt(r2)}")
     return 0
@@ -517,6 +501,10 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two configs")
     configs = [_with_flags(load_config(p), args) for p in args.configs]
     labels = [os.path.splitext(os.path.basename(p))[0] for p in args.configs]
+    for i, label in enumerate(labels):  # a label names a column of the table and of compare.csv
+        if label in labels[:i]:
+            raise ConfigError(f"configs {args.configs[labels.index(label)]} and "
+                              f"{args.configs[i]} get the same label {label!r}")
     for path, config in zip(args.configs[1:], configs[1:]):
         if _problem_of(config) != _problem_of(configs[0]):
             raise ConfigError(f"config {path} runs a different problem than {args.configs[0]}")
@@ -572,7 +560,7 @@ _SUBCOMMANDS = {
                ("--config", "--kmax", "--seed")),
     "probe": (cmd_probe, "estimate a relative curvature constant",
               ("--config", "--gamma", "--seed")),
-    "rate": (cmd_rate, "fit the gap decay exponent", tuple(f for f in _FLAGS if f != "--out")),
+    "rate": (cmd_rate, "fit the gap decay exponent of a trace file", ()),
     "compare": (cmd_compare, "aligned gap table for several configs",
                 tuple(f for f in _FLAGS if f != "--config")),
 }
@@ -588,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "rate":
-            p.add_argument("trace", nargs="?", help="existing trace.csv")
+            p.add_argument("trace", help="a trace.csv that run wrote")
         if name == "compare":
             p.add_argument("configs", nargs="+", help="two or more config files")
         for flag in flags:

@@ -10,7 +10,8 @@ Conventions
 * Points are 1-D ``float64`` numpy arrays; ``f``-side points live in R^m,
   ``h``-side points in R^n, dual points in the same coordinates.
 * ``+inf`` (``math.inf``) is the "outside the domain" value; arithmetic with
-  it is always guarded explicitly, never left to float semantics.
+  it is always guarded explicitly, never left to float semantics.  No oracle
+  value is ever ``-inf``.
 * Subgradient oracles return a single selection.  Argmax-style oracles break
   ties deterministically (lowest index) so that runs are reproducible.
 """
@@ -238,6 +239,9 @@ def _oracle_point(spec: ProblemSpec, role: str, arg: np.ndarray) -> np.ndarray:
         raise
     except Exception as exc:  # noqa: BLE001 - user oracles may raise anything
         raise DomainError(f"oracle {_oracle_name(spec, role)} failed: {exc}") from exc
+    if out.shape != np.shape(arg):  # f' maps R^m, and (h*)' R^n, to itself
+        raise DomainError(f"oracle {_oracle_name(spec, role)} returned shape {out.shape} "
+                          f"for a point of shape {np.shape(arg)}")
     if not np.all(np.isfinite(out)):
         raise DomainError(f"oracle {_oracle_name(spec, role)} returned non-finite output")
     return out
@@ -245,7 +249,7 @@ def _oracle_point(spec: ProblemSpec, role: str, arg: np.ndarray) -> np.ndarray:
 
 def _oracle_value(spec: ProblemSpec, role: str, *args, at: Optional[str] = None,
                   error=InfiniteValue) -> float:
-    # with ``at``, an infinite value raises ``error``, naming where it was queried
+    # with ``at``, +inf raises ``error``, naming where it was queried
     try:
         out = float(getattr(spec, role)(*args))
     except FenchelDuoError:
@@ -254,8 +258,10 @@ def _oracle_value(spec: ProblemSpec, role: str, *args, at: Optional[str] = None,
         raise DomainError(f"oracle {_oracle_name(spec, role)} failed: {exc}") from exc
     if math.isnan(out):
         raise DomainError(f"oracle {_oracle_name(spec, role)} returned NaN")
-    if at is not None and math.isinf(out):
-        raise error(f"oracle {_oracle_name(spec, role)} returned {out:+} at {at}")
+    if out == -INF:  # no proper convex function, conjugate or Bregman distance takes it
+        raise DomainError(f"oracle {_oracle_name(spec, role)} returned -inf")
+    if at is not None and out == INF:
+        raise error(f"oracle {_oracle_name(spec, role)} returned +inf at {at}")
     return out
 
 
@@ -270,9 +276,9 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
 
     Uses the closed form from the spec when available, otherwise the value
     and subgradient oracles.  Raises :class:`InfiniteValue` when f(y) or the
-    closed form is infinite, :class:`DomainError` when f(x) is, an oracle
-    fails, or the closed form is negative beyond what ``_snap`` takes for
-    rounding.
+    closed form is +inf, :class:`DomainError` when f(x) is, any value is
+    -inf, an oracle fails, or the closed form is negative beyond what
+    ``_snap`` takes for rounding.
     """
     if spec.breg_f is not None:
         d = _snap(_oracle_value(spec, "breg_f", y, x, at="the first Bregman argument"))

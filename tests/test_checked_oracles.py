@@ -1,9 +1,9 @@
 """Every call the package makes to a user's oracle is checked: a closed-form
 Bregman distance, a replay's objective values, a curvature probe's (h*)' and
 the CLI's start points end with an error that names the user's oracle when
-the oracle raises, returns NaN, or returns an infinite value where a finite
-one is needed; a closed-form Bregman distance also when it is negative
-beyond rounding."""
+the oracle raises, returns NaN, -inf, an infinite value where a finite one
+is needed, or a subgradient of the wrong shape; a closed-form Bregman
+distance also when it is negative beyond rounding."""
 
 import json
 from dataclasses import replace
@@ -130,6 +130,31 @@ def test_negative_closed_form_bregman_ends_run(algo, oracle, spec, value, rule):
     broken = run(algo, failing(spec(), oracle, value, from_call=3), rule)
     assert broken.error == f"oracle {oracle} returned a negative Bregman distance {value}"
     assert_prefix(broken, healthy)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+@pytest.mark.parametrize("algo, oracle, spec", [
+    ("gcs", "breg_f", quadratic), ("hybrid", "breg_f", quadratic),
+    ("gmd", "breg_hconj", entropy), ("hybrid", "breg_hconj", entropy)])
+def test_minus_infinite_closed_form_bregman_ends_run(algo, oracle, spec, rule):
+    # +inf is "outside the domain", and the line search shrinks its bracket
+    # on it; no Bregman distance takes -inf, so it ends the run
+    healthy = run(algo, spec(), rule)
+    broken = run(algo, failing(spec(), oracle, -np.inf, from_call=3), rule)
+    assert broken.error == f"oracle {oracle} returned -inf"
+    assert_prefix(broken, healthy)
+
+
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+@pytest.mark.parametrize("oracle, value, shape", [
+    ("f_grad", 0.5, ()), ("f_grad", np.full(4, 0.25), (4,)), ("h_conj_grad", np.ones(2), (2,))],
+    ids=["f_grad-scalar", "f_grad-length-4", "h_conj_grad-length-2"])
+def test_subgradient_of_the_wrong_shape_ends_run(algo, oracle, value, shape):
+    # f' maps R^m, and (h*)' R^n, to itself; the start points are healthy
+    spec = fd.make_quadratic_simplex(n=3)
+    trace = run(algo, failing(spec, oracle, value, from_call=2), fd.FixedHarmonic(), k_max=5)
+    assert trace.k == 0
+    assert trace.error == f"oracle {oracle} returned shape {shape} for a point of shape (3,)"
 
 
 def test_rounding_size_negative_closed_form_bregman_reads_zero():

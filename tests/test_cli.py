@@ -226,6 +226,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown key") and "Traceback" not in err
 
+    def test_q_spelled_identity_is_config_error(self, tmp_path, capsys):
+        """q is a matrix or a number (leave it out for the identity), never a name"""
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "quadratic-simplex", "n": 2, "q": "identity"})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: problem.q must be a number, "
+                                           "got 'identity'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_algorithm(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", algorithm="bfgs")
         assert main(["run", "--config", str(cfg)]) == 2
@@ -397,26 +406,34 @@ class TestProbeRateCompare:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "--gamma" in err
 
-    def test_rate_from_config_and_trace(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", k_max=400,
-                           rule={"name": "exact_ls"})
-        assert main(["rate", "--config", str(cfg)]) == 0
-        from_config = capsys.readouterr().out
-        out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out)])
+    @pytest.mark.parametrize("mode", ["plain", "sharp"])
+    @pytest.mark.parametrize("rule", ["fixed_harmonic", "exact_ls"])
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_rate_of_a_run_trace_is_the_fit_of_the_run(self, tmp_path, capsys, algorithm,
+                                                       rule, mode):
+        """trace.csv holds 17 significant digits, so rate on the file that
+        run wrote prints the fit of the run's own gap column, bit for bit"""
+        cfg = write_config(tmp_path / "cfg.json", k_max=40, algorithm=algorithm,
+                           rule={"name": rule}, mode=mode,
+                           problem={"name": "quadratic-simplex", "n": 3, "b": [0.3, -0.2, 0.1]})
+        path = tmp_path / "out" / "trace.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        assert main(["rate", str(out / "trace.csv")]) == 0
-        from_trace = capsys.readouterr().out
-        exp_cfg = float([l for l in from_config.splitlines() if l.startswith("exponent")][0].split(":")[1])
-        exp_trc = float([l for l in from_trace.splitlines() if l.startswith("exponent")][0].split(":")[1])
-        assert exp_cfg == pytest.approx(exp_trc, rel=1e-12)
+        exponent, r2 = fd.fit_rate(cli.execute(json.loads(cfg.read_text())))
+        assert fd.fit_rate(cli._read_trace_gaps(str(path))) == (exponent, r2)
+        assert main(["rate", str(path)]) == 0
+        assert capsys.readouterr().out == (f"source: {path}\nexponent: {exponent:.17g}\n"
+                                           f"r_squared: {r2:.17g}\n")
 
-    def test_rate_needs_exactly_one_source(self, tmp_path):
+    def test_rate_needs_exactly_one_source(self, tmp_path, capsys):
+        """rate reads one trace file; --config is no flag of it"""
         cfg = write_config(tmp_path / "cfg.json")
-        assert main(["rate"]) == 2
         out = tmp_path / "out"
         main(["run", "--config", str(cfg), "--out", str(out)])
-        assert main(["rate", str(out / "trace.csv"), "--config", str(cfg)]) == 2
+        for argv in (["rate"], ["rate", str(out / "trace.csv"), "--config", str(cfg)],
+                     ["rate", "--config", str(cfg)]):
+            assert exit_code(argv) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_rate_missing_trace_file_is_config_error(self, tmp_path, capsys):
         assert main(["rate", str(tmp_path / "nothere.csv")]) == 2
@@ -445,6 +462,19 @@ class TestProbeRateCompare:
     def test_compare_needs_two(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["compare", str(cfg)]) == 2
+
+    def test_compare_rejects_two_configs_of_one_label(self, tmp_path, monkeypatch, capsys):
+        """a label is the file's base name: two cfg.json would name two
+        columns cfg; the clash is a config error before any run"""
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d2").mkdir()
+        c1 = write_config(tmp_path / "d1" / "cfg.json")
+        c2 = write_config(tmp_path / "d2" / "cfg.json", rule={"name": "exact_ls"})
+        monkeypatch.setattr(cli, "execute", lambda config: pytest.fail("a run started"))
+        assert main(["compare", str(c1), str(c2), "--out", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == (f"config error: configs {c1} and {c2} get the same "
+                                           "label 'cfg'\n")
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("first, second", [
         ({"name": "quadratic-simplex", "n": 2}, {"name": "quadratic-simplex", "n": 3}),
@@ -486,7 +516,7 @@ class TestFlags:
                 "--seed"},
         "verify": {"--config", "--kmax", "--seed"},
         "probe": {"--config", "--gamma", "--seed"},
-        "rate": {"--config", "--kmax", "--rule", "--gamma", "--policy", "--mode", "--seed"},
+        "rate": set(),
         "compare": {"--out", "--kmax", "--rule", "--gamma", "--policy", "--mode", "--seed"},
     }
 
@@ -500,7 +530,7 @@ class TestFlags:
     def test_each_subcommand_takes_only_the_flags_it_reads(self, command):
         flags = self.parser_flags()
         assert flags[command] == self.FLAGS[command]
-        assert sum(len(f) for f in flags.values()) == 28
+        assert sum(len(f) for f in flags.values()) == 21
 
     def test_flag_a_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -646,11 +676,13 @@ def test_rate_on_a_file_with_a_wrong_header_is_config_error(tmp_path, capsys):
 
 def test_rate_from_a_short_run_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", k_max=12)
-    assert main(["rate", "--config", str(cfg)]) == 2
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["rate", str(tmp_path / "out" / "trace.csv")]) == 2
     assert "usable points for the rate fit" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["rate", "compare"])
+@pytest.mark.parametrize("command", ["compare"])
 def test_oracle_error_in_rate_and_compare_exits_three(tmp_path, monkeypatch, capsys, command):
     c1 = write_config(tmp_path / "a.json")
     c2 = write_config(tmp_path / "b.json", rule={"name": "exact_ls"})
@@ -662,8 +694,7 @@ def test_oracle_error_in_rate_and_compare_exits_three(tmp_path, monkeypatch, cap
         return trace
 
     monkeypatch.setattr(cli, "execute", sabotage)
-    argv = ["rate", "--config", str(c1)] if command == "rate" else ["compare", str(c1), str(c2)]
-    assert main(argv) == 3
+    assert main([command, str(c1), str(c2)]) == 3
     assert "oracle f_grad failed: injected" in capsys.readouterr().err
 
 
