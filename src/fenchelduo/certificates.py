@@ -14,16 +14,17 @@
 The ``*_identity_residuals`` functions replay a finished trace against the
 exact algebraic identities the certificates are built on; they rebuild the
 weight rows from the recorded step sizes, independently of the streaming
-bookkeeping of the engine's kernel, which also keeps the running certificate
-(the lambda-weighted average or the best point seen).  A mirror-descent
-trace replays as a conditional-subgradient trace of the dual spec.  The
-replay evaluates each increment itself, from uncached oracle calls at both
-ends of the step; the kernel (one cached segment per step) shares none of
-this code, so a replay checks the kernel's arithmetic rather than repeating
-it.  Every oracle value it reads is a checked call: an oracle that raises or
-returns NaN raises :class:`DomainError`, and one that returns +inf at a
-recorded point raises :class:`InfiniteValue`, each naming the user's oracle,
-on the dual spec too, as ``dualize`` records it.
+bookkeeping of the engine's kernel, and hold whichever point the kernel
+certifies with.  Each replay raises :class:`StateError` on the trace of
+another driver.  A mirror-descent trace replays as a conditional-subgradient
+trace of the dual spec.  The replay evaluates each increment itself, from
+uncached oracle calls at both ends of the step; the kernel (one cached
+segment per step) shares none of this code, so a replay checks the kernel's
+arithmetic rather than repeating it.  Every oracle value it reads is a
+checked call: an oracle that raises or returns NaN raises
+:class:`DomainError`, and one that returns +inf at a recorded point raises
+:class:`InfiniteValue`, each naming the user's oracle, on the dual spec too,
+as ``dualize`` records it.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def _residuals(alphas, terms) -> np.ndarray:
     return out
 
 
+def _require_algo(trace, algo: str, replay: str):
+    # another driver's histories are missing or stand in another identity
+    if trace.algo != algo:
+        raise StateError(f"{replay} needs a {algo} trace, got {trace.algo!r}")
+
+
 def _recorded(spec: ProblemSpec, role: str, point) -> float:
     # an oracle's value at a recorded iterate; +inf raises InfiniteValue
     return _oracle_value(spec, role, point, at="a recorded iterate")
@@ -134,6 +141,7 @@ def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     The identity: the lambda-average of dual objective values minus the
     mu-weighted step divergences equals minus the primal value at x_k.
     """
+    _require_algo(trace, "gcs", "cg_identity_residuals")
     return _cg_residuals(trace.xs, trace.us, trace.ss, trace.alphas, spec)
 
 
@@ -143,6 +151,7 @@ def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     The primal-run identity of ``dualize(spec)``, read through the map
     (x, u, s) = (v, y, -z).
     """
+    _require_algo(trace, "gmd", "md_identity_residuals")
     return _cg_residuals(trace.vs, trace.ys, (-z for z in trace.zs), trace.alphas,
                          dualize(spec))
 
@@ -153,6 +162,7 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     Here the certificate is exact: the duality gap at (x_k, u_k) equals the
     mu-weighted sum of primal plus dual step divergences.
     """
+    _require_algo(trace, "hybrid", "hybrid_identity_residuals")
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec)
     div = np.array([

@@ -59,8 +59,8 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8  # the most float64 entries of one numpy array
-_TOP_KEYS = {"problem", "algorithm", "rule", "k_max", "epsilon", "policy",
-             "mode", "seed", "x0", "u0", "v0", "out"}
+_TOP_KEYS = {"problem", "algorithm", "rule", "k_max", "epsilon", "mode", "seed", "x0", "u0",
+             "v0", "out"}
 _PROBLEM_KEYS = {
     "quadratic-simplex": {"name", "n", "q", "b", "a"},
     "quadratic-box": {"name", "n", "q", "b", "a", "lower", "upper"},
@@ -206,7 +206,7 @@ def load_config(path: str) -> dict:
     return config
 
 
-_TOP_FLAGS = {"kmax": "k_max", "policy": "policy", "mode": "mode", "seed": "seed", "out": "out"}
+_TOP_FLAGS = {"kmax": "k_max", "mode": "mode", "seed": "seed", "out": "out"}
 
 
 def _with_flags(config: dict, args) -> dict:
@@ -232,7 +232,6 @@ class Setup(NamedTuple):
     rule: StepRule
     k_max: int
     epsilon: Optional[float]
-    policy: str
     mode: str
     seed: int
     x0: np.ndarray
@@ -256,13 +255,6 @@ def resolve(config: dict) -> Setup:
         raise ConfigError("k_max must be a positive integer")
     epsilon = config.get("epsilon")
     epsilon = None if epsilon is None else _number(epsilon, "epsilon")
-    policy = config.get("policy", "average")
-    if policy not in ("avg", "average", "best"):
-        raise ConfigError("policy must be avg|best")
-    policy = "average" if policy == "avg" else policy
-    if algo == "hybrid" and policy == "best":
-        raise ConfigError("policy best needs an aggregate; hybrid certifies its iterates "
-                          "(use avg)")
     mode = config.get("mode", "plain")
     if mode not in ("plain", "sharp"):
         raise ConfigError("mode must be plain|sharp")
@@ -282,17 +274,17 @@ def resolve(config: dict) -> Setup:
     except MemoryError as exc:
         raise ConfigError(f"problem.n = {spec.dim_x}: the start points do not fit in memory "
                           f"({exc})") from exc
-    return Setup(spec, algo, rule, k_max, epsilon, policy, mode, seed, x0, u0, v0)
+    return Setup(spec, algo, rule, k_max, epsilon, mode, seed, x0, u0, v0)
 
 
 def execute(config: dict) -> Trace:
     """Run the experiment a config describes and return its trace."""
     setup = resolve(config)
     kwargs = dict(epsilon=setup.epsilon, mode=setup.mode)
-    if setup.algo == "hybrid":  # its iterates are the certificate: no policy
+    if setup.algo == "hybrid":
         return run_hybrid(setup.spec, setup.x0, setup.u0, setup.rule, setup.k_max, **kwargs)
     run, start = (run_gcs, setup.x0) if setup.algo == "gcs" else (run_gmd, setup.v0)
-    return run(setup.spec, start, setup.rule, setup.k_max, policy=setup.policy, **kwargs)
+    return run(setup.spec, start, setup.rule, setup.k_max, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,6 @@ def summarize(trace: Trace, config: dict) -> dict:
         "problem": config["problem"],
         "algorithm": config.get("algorithm", "gcs"),
         "rule": config.get("rule", {"name": "fixed_harmonic"}),
-        "policy": trace.policy,
         "mode": trace.mode,
         "seed": config.get("seed", 0),
         "iterations": done,
@@ -548,7 +539,6 @@ _FLAGS = {
     "--kmax": {"type": int, "help": "iteration budget"},
     "--rule": {"choices": sorted(_RULE_KEYS), "help": "step rule (replaces the config's)"},
     "--gamma": {"type": float, "help": "open_loop exponent (probe: curvature exponent)"},
-    "--policy": {"choices": ["avg", "best"], "help": "certificate aggregation policy"},
     "--mode": {"choices": ["plain", "sharp"], "help": "gap recursion variant"},
     "--seed": {"type": int, "help": "seed for problem-library sampling"},
 }

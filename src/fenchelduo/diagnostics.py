@@ -89,6 +89,8 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
     the true constant.
     """
     _check_exponent(gamma)
+    if n_samples < 1:
+        raise RangeError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     c_hat = 0.0
     witness = None

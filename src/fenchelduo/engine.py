@@ -5,10 +5,11 @@ Three projection-free drivers built on one joint oracle step
 dual side, or both:
 
 * :func:`run_gcs`   -- conditional-subgradient steps move the primal iterate
-  x toward s and read u := z off it; the dual certificate aggregates the u_k;
+  x toward s and read u := z off it; the dual certificate is the better (by
+  dual value) of the lambda-average of the u_k and the best u_k so far;
 * :func:`run_gmd`   -- mirror descent on the dual iterate: :func:`run_gcs` on
   ``dualize(spec)``, read back through the sign map; the primal certificate
-  aggregates the mirror points;
+  is the same choice among the mirror points;
 * :func:`run_hybrid` -- both coordinates move with the same step size, which
   makes the certified gap exact.
 
@@ -31,6 +32,7 @@ and ``trace.error`` names the oracle of the user's spec.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -70,7 +72,6 @@ class Trace:
 
     algo: str
     mode: str = "plain"
-    policy: str = "average"
     alphas: List[float] = field(default_factory=list)
     primal: List[float] = field(default_factory=list)
     dual: List[float] = field(default_factory=list)
@@ -109,13 +110,14 @@ class Trace:
         }
 
 
-def _check_args(k_max: int, epsilon: Optional[float], mode: str, policy: str = "average"):
+def _check_args(k_max: int, epsilon: Optional[float], mode: str):
+    # a bool is an int to Python, but True would run one step
+    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
+        raise RangeError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise RangeError(f"k_max must be >= 1, got {k_max}")
     if epsilon is not None and math.isnan(epsilon):
         raise RangeError("epsilon must be a number or None, got nan")
-    if policy not in ("average", "best"):
-        raise RangeError(f"policy must be 'average' or 'best', got {policy!r}")
     if mode not in ("plain", "sharp"):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
 
@@ -174,7 +176,7 @@ class _Segment:
 
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
-         epsilon: Optional[float], policy: str, mode: str) -> Trace:
+         epsilon: Optional[float], mode: str) -> Trace:
     """The joint-step kernel: gcs moves x (u := z), hybrid moves both with
     one step size.  gmd is this kernel's gcs path on ``dualize(spec)``.
 
@@ -185,18 +187,22 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     chosen step size, which hands over the new iterate once evaluated: x,
     A(x) and h(x), and hybrid's -u, -A*(u) and f*(u).  A dual value is the
     objective of ``dualize(spec)`` at (-u, -A*(u)).  gcs certifies its dual
-    side by the aggregate of the u_k instead of its iterate: their
-    lambda-weighted average, or the first u_k of least dual value.
+    side by a point of the u_k instead of its iterate: at each k, the one of
+    lower dual value (the average on a tie) of their lambda-weighted average
+    and the first u_k of least dual value.  By weak duality either is valid,
+    and neither enters the certified bound.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec)
     sharp_mode = mode == "sharp"
-    trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode, policy=policy)
+    trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode)
     trace.xs.append(x.copy())
     if hybrid:
         trace.us.append(u.copy())
-    cert, best = None, INF  # gcs: the aggregated u_k, and its dual value under "best"
-    avg = 0.0  # lambda-average of the aggregated u_k's dual values, for the residual
+    # gcs: the lambda-average of the u_k, the first u_k of least dual value and
+    # that value, and the one of the two that certifies the last recorded row
+    cert, best_u, best, point = None, None, INF, None
+    avg = 0.0  # lambda-average of the u_k's dual values, for the residual
 
     def increment(a, sharp):
         # the Bregman term alone, or with sharp the pair (Bregman, sharpened)
@@ -244,11 +250,8 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 current = p_val + u_val
             else:
                 avg = (1.0 - alpha) * avg + alpha * step_value
-                if policy == "average":
-                    cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
-                elif step_value < best:
-                    best, cert = step_value, u.copy()
-                u_val = _objective(dual, -cert, At(-cert))[0] if policy == "average" else best
+                cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
+                u_val = _objective(dual, -cert, At(-cert))[0]
                 current = p_val
 
             trace.alphas.append(alpha)
@@ -257,6 +260,10 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
             trace.us.append(u.copy())
             if hybrid:
                 trace.zs.append(z)
+            else:
+                if step_value < best:  # the trace's copy of u_k serves as best_u
+                    best, best_u = step_value, trace.us[-1]
+                point, u_val = (best_u, best) if best < u_val else (cert, u_val)
             trace.primal.append(p_val)
             trace.dual.append(-u_val)
             trace.gap_plain.append(plain)
@@ -268,40 +275,40 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 break
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
-    point = u if hybrid else cert
+    point = u if hybrid else point
     trace.certificate = None if point is None else point.copy()
     return trace
 
 
 def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
-            epsilon: Optional[float] = None, policy: str = "average",
-            mode: str = "plain") -> Trace:
+            epsilon: Optional[float] = None, mode: str = "plain") -> Trace:
     """Conditional-subgradient run from ``x0`` in dom(f' o A).
 
     Each step reads u_k = f'(Ax_k), targets s_k = (h*)'(-A*u_k) and moves
-    x_{k+1} = (1-alpha_k) x_k + alpha_k s_k.  The dual certificate is the
-    aggregate of the u_k under the configured policy.
+    x_{k+1} = (1-alpha_k) x_k + alpha_k s_k.  The dual certificate at each k
+    is the lambda-weighted average of the u_k or the first u_k of least dual
+    value, whichever has the lower dual value.
     """
-    _check_args(k_max, epsilon, mode, policy)
+    _check_args(k_max, epsilon, mode)
     x = as_point(x0, spec.dim_x, "x0")
-    return _run(False, spec, x, None, rule, k_max, epsilon, policy, mode)
+    return _run(False, spec, x, None, rule, k_max, epsilon, mode)
 
 
 def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
-            epsilon: Optional[float] = None, policy: str = "average",
-            mode: str = "plain") -> Trace:
+            epsilon: Optional[float] = None, mode: str = "plain") -> Trace:
     """Mirror-descent run from a dual point ``v0`` in dom((h*)' o A*): the
     conditional-subgradient run (x', u', s') of ``dualize(spec)`` from v0,
     read through the sign map (v, y, z) = (x', u', -s') (Bach's equivalence).
 
     Each step reads the mirror point y_k = (h*)'(A* v_k) and the subgradient
     z_k = f'(A y_k), then moves v_{k+1} = (1-alpha_k) v_k - alpha_k z_k.  The
-    primal certificate is the aggregate of the y_k.  An oracle error in
+    primal certificate is the lower-valued of the lambda-average of the y_k
+    and the first y_k of least primal value.  An oracle error in
     ``trace.error`` names the oracle of ``spec``, as ``dualize`` records it.
     """
-    _check_args(k_max, epsilon, mode, policy)
+    _check_args(k_max, epsilon, mode)
     v = as_point(v0, spec.dim_y, "v0")
-    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, policy, mode)
+    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, mode)
     trace.algo = "gmd"
     trace.vs, trace.ys, trace.zs = trace.xs, trace.us, trace.ss
     trace.xs, trace.us, trace.ss = [], [], []
@@ -318,10 +325,9 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
     Both coordinates move toward the joint oracle output
     (s_k, z_k) = ((h*)'(-A*u_k), f'(Ax_k)) with the same step size, and the
     certified bound coincides with the true duality gap at (x_k, u_k).  The
-    iterates are their own certificate, so the run takes no aggregation
-    policy; its trace records ``"average"``.
+    iterates are their own certificate.
     """
     _check_args(k_max, epsilon, mode)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
-    return _run(True, spec, x, u, rule, k_max, epsilon, "average", mode)
+    return _run(True, spec, x, u, rule, k_max, epsilon, mode)

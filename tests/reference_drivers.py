@@ -11,10 +11,11 @@ comparing the package drivers against them (and running the equivalence
 checks on them) stays a check of one wiring against another.
 
 The certificate code is spelled out here by hand: ``CertificateAggregate``
-(the averaged or best certificate, which the package's kernel keeps
-inline), ``step_divergence_primal`` (the sharpened increment, which the
-package's kernel computes in ``engine._Segment.increment`` and its replay
-in ``certificates.step_divergence_primal``), and the dual-side
+(the averaged and the best point, and the choice of the lower-valued of
+the two, which the package's kernel keeps inline),
+``step_divergence_primal`` (the sharpened increment, which the package's
+kernel computes in ``engine._Segment.increment`` and its replay in
+``certificates.step_divergence_primal``), and the dual-side
 ``bregman_hconj`` and ``step_divergence_dual``, which the package computes
 as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
 symmetric loops use these copies, never ``dualize``.
@@ -91,38 +92,35 @@ def step_divergence_dual(v, neg_z, alpha, spec):
 
 @dataclass
 class CertificateAggregate:
-    """Running certificate: lambda-weighted average or best objective value."""
+    """Running certificate candidates: the lambda-weighted average of the
+    points, and the first point of least objective value."""
 
-    policy: str = "average"
-    point: Optional[np.ndarray] = None
+    average: Optional[np.ndarray] = None
+    best_point: Optional[np.ndarray] = None
     best_value: float = INF
 
-    def __post_init__(self):
-        if self.policy not in ("average", "best"):
-            raise StateError(f"unknown aggregate policy {self.policy!r}")
-
-    def update(self, point, alpha, value=None):
-        if self.policy == "average":
-            if self.point is None:
-                if alpha != 1.0:
-                    raise StateError("averaged certificates require a full first step")
-                self.point = np.array(point, dtype=float)
-            else:
-                self.point = (1.0 - alpha) * self.point + alpha * np.asarray(point, dtype=float)
+    def update(self, point, alpha, value):
+        if self.average is None:
+            if alpha != 1.0:
+                raise StateError("averaged certificates require a full first step")
+            self.average = np.array(point, dtype=float)
         else:
-            if value is None:
-                raise StateError("best-value policy needs the objective value")
-            if value < self.best_value:
-                self.best_value = float(value)
-                self.point = np.array(point, dtype=float)
+            self.average = (1.0 - alpha) * self.average + alpha * np.asarray(point, dtype=float)
+        if value < self.best_value:
+            self.best_value = float(value)
+            self.best_point = np.array(point, dtype=float)
         return self
 
+    def certify(self, average_value):
+        """(point, value) of the candidate of lower value, the average on a tie."""
+        if self.best_value < average_value:
+            return self.best_point, self.best_value
+        return self.average, average_value
 
-def _check_args(k_max, policy, mode):
+
+def _check_args(k_max, mode):
     if k_max < 1:
         raise RangeError(f"k_max must be >= 1, got {k_max}")
-    if policy not in ("average", "best"):
-        raise RangeError(f"policy must be 'average' or 'best', got {policy!r}")
     if mode not in ("plain", "sharp"):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
 
@@ -150,15 +148,14 @@ def ref_md_identity_residuals(trace, spec):
     return out
 
 
-def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
-                mode="plain"):
-    _check_args(k_max, policy, mode)
+def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, mode="plain"):
+    _check_args(k_max, mode)
     x = as_point(x0, spec.dim_x, "x0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gcs", mode=mode, policy=policy)
+    trace = Trace(algo="gcs", mode=mode)
     trace.xs.append(x.copy())
     plain = sharp = None
-    agg = CertificateAggregate(policy)
+    agg, cert = CertificateAggregate(), None
     dual_avg = 0.0
     start = time.perf_counter()
     try:
@@ -194,11 +191,9 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
             trace.ss.append(s)
             trace.xs.append(x.copy())
             primal = _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)
-            if policy == "average":
-                cert_dual = _oracle_value(spec, "f_conj_val", agg.point)
-                cert_dual += _oracle_value(spec, "h_conj_val", -At(agg.point))
-            else:
-                cert_dual = agg.best_value
+            avg_dual = _oracle_value(spec, "f_conj_val", agg.average)
+            avg_dual += _oracle_value(spec, "h_conj_val", -At(agg.average))
+            cert, cert_dual = agg.certify(avg_dual)
             trace.primal.append(primal)
             trace.dual.append(-cert_dual)
             trace.gap_plain.append(plain)
@@ -210,19 +205,18 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, policy="average",
                 break
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
-    trace.certificate = None if agg.point is None else agg.point.copy()
+    trace.certificate = None if cert is None else cert.copy()
     return trace
 
 
-def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
-                mode="plain"):
-    _check_args(k_max, policy, mode)
+def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, mode="plain"):
+    _check_args(k_max, mode)
     v = as_point(v0, spec.dim_y, "v0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gmd", mode=mode, policy=policy)
+    trace = Trace(algo="gmd", mode=mode)
     trace.vs.append(v.copy())
     plain = sharp = None
-    agg = CertificateAggregate(policy)
+    agg, cert = CertificateAggregate(), None
     primal_avg = 0.0
     start = time.perf_counter()
     try:
@@ -257,11 +251,9 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
             trace.ys.append(y)
             trace.zs.append(z)
             trace.vs.append(v.copy())
-            if policy == "average":
-                cert_primal = _oracle_value(spec, "f_val", A(agg.point))
-                cert_primal += _oracle_value(spec, "h_val", agg.point)
-            else:
-                cert_primal = agg.best_value
+            avg_primal = _oracle_value(spec, "f_val", A(agg.average))
+            avg_primal += _oracle_value(spec, "h_val", agg.average)
+            cert, cert_primal = agg.certify(avg_primal)
             dual_obj = _oracle_value(spec, "f_conj_val", -v)
             dual_obj += _oracle_value(spec, "h_conj_val", At(v))
             trace.primal.append(cert_primal)
@@ -275,17 +267,16 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, policy="average",
                 break
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
-    trace.certificate = None if agg.point is None else agg.point.copy()
+    trace.certificate = None if cert is None else cert.copy()
     return trace
 
 
-def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, policy="average",
-                   mode="plain"):
-    _check_args(k_max, policy, mode)
+def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, mode="plain"):
+    _check_args(k_max, mode)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="hybrid", mode=mode, policy=policy)
+    trace = Trace(algo="hybrid", mode=mode)
     trace.xs.append(x.copy())
     trace.us.append(u.copy())
     plain = sharp = None

@@ -187,30 +187,80 @@ class TestGapState:
 class TestAggregates:
     """The run's certificate against a recomputation from its recorded history."""
 
+    @pytest.mark.parametrize("rule", [fd.FixedHarmonic(), fd.ExactLineSearch()],
+                             ids=["fixed_harmonic", "exact_ls"])
     @pytest.mark.parametrize("spec", [
         fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1])),
         fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1])),
     ], ids=["quadratic-simplex", "entropy-lse"])
-    def test_average_is_lambda_weighted_sum(self, spec):
-        trace = fd.run_gcs(spec, np.eye(3)[0], fd.ExactLineSearch(), 50, policy="average")
-        lam, _ = fd.weight_rows(trace.alphas)
-        want = np.sum(lam[:, None] * np.array(trace.us), axis=0)
-        np.testing.assert_allclose(trace.certificate, want, rtol=1e-12, atol=1e-12)
+    def test_certificate_is_lower_valued_candidate(self, spec, rule):
+        """at every k, the dual column is the value of the lambda-weighted
+        average of u_1..u_k or of the first u_i of least value, whichever is
+        lower, and the final certificate is that point"""
+        trace = fd.run_gcs(spec, np.eye(3)[0], rule, 50)
+
+        def value(u):
+            return float(spec.f_conj_val(u)) + float(spec.h_conj_val(-u))
+
+        values = [value(u) for u in trace.us]
+        for k in range(1, trace.k + 1):
+            lam, _ = fd.weight_rows(trace.alphas[:k])
+            average = np.sum(lam[:, None] * np.array(trace.us[:k]), axis=0)
+            first = int(np.argmin(values[:k]))
+            avg_value, best_value = value(average), values[first]
+            want = min(avg_value, best_value)
+            assert -trace.dual[k - 1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert trace.true_gap[k - 1] == trace.primal[k - 1] - trace.dual[k - 1]
+        assert value(trace.certificate) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if best_value < avg_value - 1e-9:  # apart by more than rounding: the point too
+            np.testing.assert_array_equal(trace.certificate, trace.us[first])
+        elif avg_value < best_value - 1e-9:
+            np.testing.assert_allclose(trace.certificate, average, rtol=1e-12, atol=1e-12)
+
+    def test_both_candidates_are_chosen(self):
+        """the choice is made at every k: on this run the dual value is the
+        best u_k's at 35 of the k > 1 and the lower one of the average at 14"""
+        spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+        trace = fd.run_gcs(spec, np.eye(3)[0], fd.ExactLineSearch(), 50)
+        values = np.minimum.accumulate([float(spec.f_conj_val(u) + spec.h_conj_val(-u))
+                                        for u in trace.us])
+        at_best = -np.asarray(trace.dual) == values
+        assert (int(at_best[1:].sum()), int((~at_best[1:]).sum())) == (35, 14)
 
     def test_single_iterate(self):
         spec = fd.make_quadratic_simplex(n=2)
         trace = fd.run_gcs(spec, [0.25, 0.75], fd.FixedHarmonic(), 1)
         np.testing.assert_array_equal(trace.certificate, [0.25, 0.75])
 
-    @pytest.mark.parametrize("rule", [fd.FixedHarmonic(), fd.ExactLineSearch()],
-                             ids=["fixed_harmonic", "exact_ls"])
-    def test_best_is_first_least_dual_value(self, rule):
-        spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
-        trace = fd.run_gcs(spec, np.eye(3)[0], rule, 40, policy="best")
-        values = [float(spec.f_conj_val(u)) + float(spec.h_conj_val(-u)) for u in trace.us]
-        first = int(np.argmin(values))
-        np.testing.assert_array_equal(trace.certificate, trace.us[first])
-        assert -trace.dual[-1] == values[first]
+
+REPLAYS = {"gcs": fd.cg_identity_residuals, "gmd": fd.md_identity_residuals,
+           "hybrid": fd.hybrid_identity_residuals}
+
+
+def _trace_of(algo):
+    spec = fd.make_quadratic_simplex(n=2)
+    if algo == "gcs":
+        return spec, fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 3)
+    if algo == "gmd":
+        return spec, fd.run_gmd(spec, np.zeros(2), fd.FixedHarmonic(), 3)
+    if algo == "hybrid":
+        return spec, fd.run_hybrid(spec, [1.0, 0.0], [1.0, 0.0], fd.FixedHarmonic(), 3)
+    spec, trace = _trace_of("gcs")
+    return spec, replace(trace, algo=algo)
+
+
+@pytest.mark.parametrize("replay", sorted(REPLAYS))
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid", "bfgs"])
+def test_replay_takes_only_its_drivers_trace(replay, algo):
+    """each replay reads one driver's histories: another driver's trace, or
+    one of an unknown algo, is a StateError, not a residual or a numpy error"""
+    spec, trace = _trace_of(algo)
+    if algo == replay:
+        assert float(np.max(REPLAYS[replay](trace, spec))) <= 1e-12
+        return
+    with pytest.raises(fd.StateError,
+                       match=f"^{REPLAYS[replay].__name__} needs a {replay} trace, got '{algo}'$"):
+        REPLAYS[replay](trace, spec)
 
 
 class TestIdentityResiduals:

@@ -113,13 +113,12 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
         main(["run", "--config", str(cfg), "--out", str(out), "--kmax", "7",
-              "--rule", "open_loop", "--gamma", "3.0", "--mode", "sharp",
-              "--policy", "best"])
+              "--rule", "open_loop", "--gamma", "3.0", "--mode", "sharp"])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] == 7
         assert summary["rule"] == {"name": "open_loop", "gamma": 3.0}
         assert summary["mode"] == "sharp"
-        assert summary["policy"] == "best"
+        assert "policy" not in summary
 
 
 # (key named in the error, config overrides): wrong JSON types
@@ -239,10 +238,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "cfg.json", algorithm="bfgs")
         assert main(["run", "--config", str(cfg)]) == 2
 
-    def test_hybrid_rejects_best_policy(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", algorithm="hybrid", policy="best")
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_policy_key_is_unknown(self, tmp_path, capsys, algorithm):
+        # gcs and gmd certify by the lower-valued of two points, hybrid by its
+        # iterates: no driver has a certificate choice to set
+        cfg = write_config(tmp_path / "cfg.json", algorithm=algorithm, policy="average")
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "policy" in capsys.readouterr().err
+        assert "unknown key(s) ['policy'] in config" in capsys.readouterr().err
+        assert exit_code(["run", "--config", str(cfg), "--policy", "avg"]) == 2
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -512,12 +515,11 @@ def exit_code(argv):
 
 class TestFlags:
     FLAGS = {
-        "run": {"--config", "--out", "--kmax", "--rule", "--gamma", "--policy", "--mode",
-                "--seed"},
+        "run": {"--config", "--out", "--kmax", "--rule", "--gamma", "--mode", "--seed"},
         "verify": {"--config", "--kmax", "--seed"},
         "probe": {"--config", "--gamma", "--seed"},
         "rate": set(),
-        "compare": {"--out", "--kmax", "--rule", "--gamma", "--policy", "--mode", "--seed"},
+        "compare": {"--out", "--kmax", "--rule", "--gamma", "--mode", "--seed"},
     }
 
     @staticmethod
@@ -530,7 +532,7 @@ class TestFlags:
     def test_each_subcommand_takes_only_the_flags_it_reads(self, command):
         flags = self.parser_flags()
         assert flags[command] == self.FLAGS[command]
-        assert sum(len(f) for f in flags.values()) == 21
+        assert sum(len(f) for f in flags.values()) == 19
 
     def test_flag_a_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -647,7 +649,7 @@ def test_start_points_too_large_are_config_error(tmp_path, capsys, problem):
 
 @pytest.mark.parametrize("overrides, match", [
     ({"k_max": 0}, "k_max must be a positive integer"),
-    ({"policy": "median"}, "policy must be avg|best"),
+    ({"policy": "best"}, "unknown key(s) ['policy'] in config"),
     ({"mode": "tight"}, "mode must be plain|sharp"),
     ({"rule": 5}, "config.rule must be a name or an object"),
     ({"rule": {"name": "open_loop", "gamma": -1}}, "open-loop exponent"),

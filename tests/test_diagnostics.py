@@ -46,6 +46,12 @@ class TestProbeCurvature:
         assert 0.0 < est.c_hat <= clean.c_hat * (1 + 1e-12)
         assert est.witness["alpha"] < 1.0
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match=f"n_samples must be at least 1, got {n_samples}"):
+            fd.probe_curvature(spec, 2.0, n_samples=n_samples)
+
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(fd.RangeError):
             fd.probe_curvature(fd.make_quadratic_simplex(n=2), gamma=1.0)
@@ -81,6 +87,12 @@ class TestTraceCurvature:
         tr = fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 50)
         c = fd.curvature_along_trace(tr, spec, 2.0)
         assert 0.0 < c <= 2.0 + 1e-9
+
+    def test_unknown_algo_is_range_error(self):
+        spec = fd.make_quadratic_simplex(n=2)
+        tr = replace(fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 5), algo="bfgs")
+        with pytest.raises(fd.RangeError, match="unknown trace algo 'bfgs'"):
+            fd.curvature_along_trace(tr, spec, 2.0)
 
     def test_hybrid_returns_both_sides(self):
         spec = fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1]))

@@ -1,5 +1,7 @@
 """Dual-spec construction and the two run-equivalence checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,23 @@ class TestHybridSymmetry:
         with pytest.raises(fd.RangeError):
             fd.check_hybrid_symmetry(quad_simplex(), [1.0, 0.0], [1.0, 0.0],
                                      fd.ExactLineSearch(), 5)
+
+
+def failing_gradient(spec):
+    """``spec`` whose f' raises: every run on it aborts at its first step."""
+    def f_grad(y):
+        raise ValueError("injected")
+    return replace(spec, f_grad=f_grad)
+
+
+@pytest.mark.parametrize("check, starts", [
+    (fd.check_bach_equivalence, ([1.0, 0.0],)),
+    (fd.check_hybrid_symmetry, ([1.0, 0.0], [1.0, 0.0])),
+], ids=["bach", "symmetry"])
+def test_aborted_primal_run_is_construction_error(check, starts):
+    with pytest.raises(fd.ConstructionError,
+                       match="primal run aborted: oracle f_grad failed: injected"):
+        check(failing_gradient(quad_simplex()), *starts, fd.FixedHarmonic(), 5)
 
 
 def test_weak_duality_across_paired_runs():

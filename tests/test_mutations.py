@@ -3,8 +3,11 @@ one-line mutation is applied to a temporary copy of the package, and a named
 test must fail on it with an assertion.  Two mutate the values the kernel
 carries from one step to the next, killed by a bit-for-bit test against the
 reference loops on entropy-lse (h is zero on every indicator problem, so a
-wrong h value would survive there); one lets NaN through the checked oracle
-call, killed by a run whose closed-form Bregman distance returns NaN."""
+wrong h value would survive there); one flips the choice of certificate to
+the higher-valued of the average and the best point, killed by the same
+test, whose gcs and gmd runs each have steps where the two values differ;
+one lets NaN through the checked oracle call, killed by a run whose
+closed-form Bregman distance returns NaN."""
 
 import os
 import shutil
@@ -31,6 +34,11 @@ MUTATIONS = {
         "engine.py",
         "u, w = -dual_seg.point, dual_seg.image",
         "u, w = -dual_seg.point, dual_seg.y0",
+        REFERENCE),
+    "certificate-choice-flipped": (
+        "engine.py",
+        "if best < u_val else",
+        "if best > u_val else",
         REFERENCE),
     "nan-passes-the-checked-call": (
         "oracles.py",
@@ -67,6 +75,10 @@ def assert_killed(tmp_path, name):
 @pytest.mark.parametrize("name", ["h-base-from-target", "w-from-previous-image"])
 def test_carried_value_mutation_is_killed(tmp_path, name):
     assert_killed(tmp_path, name)
+
+
+def test_certificate_choice_mutation_is_killed(tmp_path):
+    assert_killed(tmp_path, "certificate-choice-flipped")
 
 
 def test_checked_call_mutation_is_killed(tmp_path):

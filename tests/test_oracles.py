@@ -65,6 +65,10 @@ class TestLinearMap:
         with pytest.raises(fd.ConstructionError):
             fd.LinearMap.from_matrix([[np.inf, 0.0]])
 
+    def test_rejects_one_dimensional_array(self):
+        with pytest.raises(fd.ConstructionError, match=r"must be 2-D, got shape \(3,\)"):
+            fd.LinearMap.from_matrix([1.0, 2.0, 3.0])
+
 
 class TestBregmanF:
     def test_half_sq_norm(self):

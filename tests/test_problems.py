@@ -1,6 +1,8 @@
 """Problem library: closed-form conjugates, LMO optimality by enumeration,
 and construction-time validation."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ class TestQuadratic:
     def test_indefinite_rejected(self):
         with pytest.raises(fd.ConstructionError):
             fd.make_quadratic_simplex(Q=np.diag([1.0, -1.0]), n=2)
+
+    @pytest.mark.parametrize("Q", [np.eye(3), np.eye(2)[:1], np.ones(2)],
+                             ids=["3x3", "1x2", "1-D"])
+    def test_wrong_shape_Q_rejected(self, Q):
+        with pytest.raises(fd.ConstructionError, match=r"Q must be 2x2, got"):
+            fd.make_quadratic_simplex(Q=Q, n=2)
 
     def test_wrong_length_b_rejected(self):
         with pytest.raises(fd.ConstructionError, match="b must have length 2"):
@@ -101,6 +109,13 @@ class TestEntropyLse:
             fd.make_entropy_lse(3, f_kind="lse", Q=5.0 * np.eye(3), b=np.ones(3))
         with pytest.raises(fd.ConstructionError, match="takes no b"):
             fd.make_entropy_lse(3, f_kind="lse", b=np.ones(3))
+
+    @pytest.mark.parametrize("x", [[0.5, 0.6, 0.0], [1.5, -0.5, 0.0], [0.2, 0.2, 0.2]],
+                             ids=["sum-above-one", "negative-entry", "sum-below-one"])
+    def test_h_is_infinite_outside_simplex(self, x):
+        spec = fd.make_entropy_lse(3)
+        assert spec.h_val(np.array(x)) == math.inf
+        assert math.isfinite(spec.h_val(np.array([0.2, 0.3, 0.5])))
 
     def test_rejects_tiny_dimension(self):
         with pytest.raises(fd.ConstructionError):
@@ -183,6 +198,23 @@ class TestBoxBounds:
     def test_wrong_length_rejected(self, bounds):
         with pytest.raises(fd.ConstructionError, match="length 3"):
             fd.make_quadratic_box(n=3, **bounds)
+
+
+    @pytest.mark.parametrize("lower, upper", [(np.zeros(2), np.ones(3)),
+                                              (np.zeros((1, 2)), np.ones((1, 2)))],
+                             ids=["unequal-length", "2-D"])
+    def test_region_rejects_mismatched_bounds(self, lower, upper):
+        with pytest.raises(fd.ConstructionError, match="1-D arrays of equal length"):
+            fd.BoxRegion(lower, upper)
+
+    def test_region_rejects_lower_above_upper(self):
+        with pytest.raises(fd.ConstructionError, match="lower > upper"):
+            fd.BoxRegion(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+    def test_vertex_enumeration_limited_to_sixteen(self):
+        assert fd.BoxRegion(np.zeros(16), np.ones(16)).vertices().shape == (2 ** 16, 16)
+        with pytest.raises(fd.ConstructionError, match="n <= 16"):
+            fd.BoxRegion(np.zeros(17), np.ones(17)).vertices()
 
 
 def test_samplers_stay_feasible():

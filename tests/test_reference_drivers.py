@@ -62,7 +62,7 @@ def bits(values):
 
 def assert_same_run(got, want):
     assert got.error == want.error
-    assert (got.algo, got.mode, got.policy) == (want.algo, want.mode, want.policy)
+    assert (got.algo, got.mode) == (want.algo, want.mode)
     for name in COLUMNS:
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
     for name in HISTORIES:
@@ -84,12 +84,10 @@ def test_drivers_match_reference_loops(family, general, rule):
     x0, u0, v0 = start(spec)
     step = RULES[rule]
     for mode in ("plain", "sharp"):
-        for policy in ("average", "best"):
-            kw = dict(policy=policy, mode=mode)
-            assert_same_run(fd.run_gcs(spec, x0, step, K, **kw),
-                            ref_run_gcs(spec, x0, step, K, **kw))
-            assert_same_run(fd.run_gmd(spec, v0, step, K, **kw),
-                            ref_run_gmd(spec, v0, step, K, **kw))
+        assert_same_run(fd.run_gcs(spec, x0, step, K, mode=mode),
+                        ref_run_gcs(spec, x0, step, K, mode=mode))
+        assert_same_run(fd.run_gmd(spec, v0, step, K, mode=mode),
+                        ref_run_gmd(spec, v0, step, K, mode=mode))
         assert_same_run(fd.run_hybrid(spec, x0, u0, step, K, mode=mode),
                         ref_run_hybrid(spec, x0, u0, step, K, mode=mode))
 
