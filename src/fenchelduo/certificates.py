@@ -12,19 +12,20 @@
   :func:`~fenchelduo.oracles.dualize` of the spec, from v toward -z.
 
 The ``*_identity_residuals`` functions replay a finished trace against the
-exact algebraic identities the certificates are built on; they rebuild the
-weight rows from the recorded step sizes, independently of the streaming
-bookkeeping of the engine's kernel, and hold whichever point the kernel
-certifies with.  Each replay raises :class:`StateError` on the trace of
-another driver.  A mirror-descent trace replays as a conditional-subgradient
-trace of the dual spec.  The replay evaluates each increment itself, from
-uncached oracle calls at both ends of the step; the kernel (one cached
-segment per step) shares none of this code, so a replay checks the kernel's
-arithmetic rather than repeating it.  Every oracle value it reads is a
-checked call: an oracle that raises or returns NaN raises
-:class:`DomainError`, and one that returns +inf at a recorded point raises
-:class:`InfiniteValue`, each naming the user's oracle, on the dual spec too,
-as ``dualize`` records it.
+exact algebraic identities the certificates are built on; they weight the
+per-step terms by the recorded step sizes in closed form, as prefix sums
+(``mu^k_i = C_k / C_i`` with ``C_k`` the product of ``(1 - alpha_j)`` over
+``j <= k``), independently of the streaming bookkeeping of the engine's
+kernel, and hold whichever point the kernel certifies with.  Each replay
+raises :class:`StateError` on the trace of another driver.  A mirror-descent
+trace replays as a conditional-subgradient trace of the dual spec.  The
+replay evaluates each increment itself, from uncached oracle calls at both
+ends of the step; the kernel (one cached segment per step) shares none of
+this code, so a replay checks the kernel's arithmetic rather than repeating
+it.  Every oracle value it reads is a checked call: an oracle that raises or
+returns NaN raises :class:`DomainError`, and one that returns +inf at a
+recorded point raises :class:`InfiniteValue`, each naming the user's oracle,
+on the dual spec too, as ``dualize`` records it.
 """
 
 from __future__ import annotations
@@ -96,17 +97,39 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
 # exact identity residuals (recomputed from a finished trace)
 # ---------------------------------------------------------------------------
 
-def _residuals(alphas, terms) -> np.ndarray:
-    # relative residual of  avg - div + current = 0  at every k >= 1, where
-    # terms(k, lam, mu) gives the three terms under the weight rows of step k
-    if len(alphas) == 0 or alphas[0] != 1.0:
-        raise StateError("identity residuals require alpha_0 = 1")
-    out = np.empty(len(alphas))
-    for k in range(1, len(alphas) + 1):
-        lam, mu = weight_rows(alphas[:k])
-        avg, div, current = terms(k, lam, mu)
-        out[k - 1] = abs(avg - div + current) / (1.0 + abs(avg) + abs(div) + abs(current))
-    return out
+_RESCALE = 300.0  # a block keeps C_k / C_b >= e^-300; one step keeps >= 2^-53 > e^-300
+
+
+def _decayed_sums(alphas, *terms) -> np.ndarray:
+    # entry k of each row: sum_{i<=k} (C_k / C_i) terms_i, the mu-weighted sum of step k, as
+    # C_k times a prefix sum of terms_i / C_i.  An alpha = 1 zeroes the carried sum and
+    # starts a block; the log-product -log C_k places the other block ends, where the
+    # carried sum is rescaled.  C is a running product within a block, because a long
+    # sum of logs would lose |log C| eps per step.
+    a = np.asarray(alphas, dtype=float)
+    if len(a) == 0 or a[0] != 1.0 or not ((0.0 <= a) & (a <= 1.0)).all():
+        raise StateError("identity residuals require alpha_0 = 1 and every alpha in [0, 1]")
+    terms = np.stack(terms, axis=1)
+    fresh = a == 1.0
+    keep = np.where(fresh, 1.0, 1.0 - a)
+    drop = -np.cumsum(np.log1p(np.where(fresh, 0.0, -a)))
+    restarts = np.flatnonzero(fresh)
+    out = np.empty_like(terms)
+    b = 0
+    while b < len(a):
+        r = restarts.searchsorted(b, "right")
+        end = min(restarts[r] if r < len(restarts) else len(a),
+                  drop.searchsorted((drop[b - 1] if b else 0.0) + _RESCALE, "right"))
+        c = np.cumprod(keep[b:end])[:, None]
+        carry = 0.0 if fresh[b] else out[b - 1]
+        out[b:end] = c * (carry + np.cumsum(terms[b:end] / c, axis=0))
+        b = end
+    return out.T
+
+
+def _relative(avg, div, current) -> np.ndarray:
+    # relative residual of  avg - div + current = 0  at every k >= 1
+    return np.abs(avg - div + current) / (1.0 + np.abs(avg) + np.abs(div) + np.abs(current))
 
 
 def _require_algo(trace, algo: str, replay: str):
@@ -131,8 +154,8 @@ def _cg_residuals(xs, us, ss, alphas, spec: ProblemSpec) -> np.ndarray:
     primal = np.array([
         _recorded(spec, "f_val", A(x)) + _recorded(spec, "h_val", x) for x in xs[1:]
     ])
-    return _residuals(alphas, lambda k, lam, mu: (
-        float(lam @ dv[:k]), float(mu @ div[:k]), float(primal[k - 1])))
+    avg, weighted = _decayed_sums(alphas, np.multiply(alphas, dv), div)
+    return _relative(avg, weighted, primal)
 
 
 def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
@@ -176,5 +199,5 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
         + _recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", -At(u))
         for x, u in zip(trace.xs[1:], trace.us[1:])
     ])
-    return _residuals(trace.alphas, lambda k, lam, mu: (
-        float(gap[k - 1]), float(mu @ div[:k]), 0.0))
+    (weighted,) = _decayed_sums(trace.alphas, div)
+    return _relative(gap, weighted, 0.0)

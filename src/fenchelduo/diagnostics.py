@@ -16,6 +16,7 @@ value is counted as skipped; along a trace, the same fault raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,6 +90,8 @@ def probe_curvature(spec: ProblemSpec, gamma: float, n_samples: int = 200,
     the true constant.
     """
     _check_exponent(gamma)
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise RangeError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise RangeError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)

@@ -111,13 +111,14 @@ class Trace:
 
 
 def _check_args(k_max: int, epsilon: Optional[float], mode: str):
-    # a bool is an int to Python, but True would run one step
+    # a bool is an int to Python, but True would run one step (and as epsilon, stop at 1)
     if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
         raise RangeError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise RangeError(f"k_max must be >= 1, got {k_max}")
-    if epsilon is not None and math.isnan(epsilon):
-        raise RangeError("epsilon must be a number or None, got nan")
+    if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+                                or math.isnan(epsilon)):
+        raise RangeError(f"epsilon must be a number or None, got {epsilon!r}")
     if mode not in ("plain", "sharp"):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
 

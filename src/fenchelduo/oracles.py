@@ -242,7 +242,7 @@ def _oracle_point(spec: ProblemSpec, role: str, arg: np.ndarray) -> np.ndarray:
     if out.shape != np.shape(arg):  # f' maps R^m, and (h*)' R^n, to itself
         raise DomainError(f"oracle {_oracle_name(spec, role)} returned shape {out.shape} "
                           f"for a point of shape {np.shape(arg)}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError(f"oracle {_oracle_name(spec, role)} returned non-finite output")
     return out
 

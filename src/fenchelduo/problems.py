@@ -39,22 +39,27 @@ _SET_TOL = 1e-9
 def _log_sum_exp(u) -> float:
     """log(sum_i exp(u_i)) with max subtraction for overflow safety."""
     u = np.asarray(u, dtype=float)
-    m = float(np.max(u))
-    return m + math.log(float(np.sum(np.exp(u - m))))
+    m = float(u.max())
+    return m + math.log(float(np.exp(u - m).sum()))
 
 
 def softmax(u) -> np.ndarray:
     """exp(u_i) / sum_j exp(u_j), explicitly normalized."""
     u = np.asarray(u, dtype=float)
-    e = np.exp(u - np.max(u))
-    return e / np.sum(e)
+    e = np.exp(u - u.max())
+    return e / e.sum()
 
 
 def _neg_entropy(x) -> float:
     """sum_i x_i log x_i with 0 log 0 = 0; expects nonnegative input."""
     x = np.asarray(x, dtype=float)
     mask = x > 0.0
-    return float(np.sum(x[mask] * np.log(x[mask])))
+    return float((x[mask] * np.log(x[mask])).sum())
+
+
+def _on_simplex(x) -> bool:
+    x = np.asarray(x, dtype=float)
+    return bool(abs(float(x.sum()) - 1.0) <= _SET_TOL and x.min() >= -_SET_TOL)
 
 
 def _lse_bregman(v2, v1) -> float:
@@ -65,7 +70,7 @@ def _lse_bregman(v2, v1) -> float:
     logp1 = v1 - _log_sum_exp(v1)
     logp2 = v2 - _log_sum_exp(v2)
     p1 = np.exp(logp1)
-    return max(float(np.sum(p1 * (logp1 - logp2))), 0.0)
+    return max(float((p1 * (logp1 - logp2)).sum()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +84,15 @@ class SimplexRegion:
     n: int
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(abs(float(np.sum(x)) - 1.0) <= _SET_TOL and np.min(x) >= -_SET_TOL)
+        return _on_simplex(x)
 
     def support(self, c) -> float:
-        return float(np.max(c))
+        return float(np.asarray(c, dtype=float).max())
 
     def lmo(self, c) -> np.ndarray:
-        # np.argmax takes the first maximizer: lowest-index tie break.
+        # argmax takes the first maximizer: lowest-index tie break.
         out = np.zeros(self.n)
-        out[int(np.argmax(c))] = 1.0
+        out[int(np.asarray(c, dtype=float).argmax())] = 1.0
         return out
 
     def vertices(self) -> np.ndarray:
@@ -126,11 +130,11 @@ class BoxRegion:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - _SET_TOL) and np.all(x <= self.upper + _SET_TOL))
+        return bool((x >= self.lower - _SET_TOL).all() and (x <= self.upper + _SET_TOL).all())
 
     def support(self, c) -> float:
         c = np.asarray(c, dtype=float)
-        return float(np.sum(np.where(c > 0.0, c * self.upper, c * self.lower)))
+        return float(np.where(c > 0.0, c * self.upper, c * self.lower).sum())
 
     def lmo(self, c) -> np.ndarray:
         # Coordinates with c_i = 0 go to the lower corner (fixed convention).
@@ -164,15 +168,15 @@ class L1BallRegion:
                                     f"got {self.radius}")
 
     def contains(self, x) -> bool:
-        return bool(float(np.sum(np.abs(x))) <= self.radius + _SET_TOL * (1.0 + self.radius))
+        return bool(float(np.abs(x).sum()) <= self.radius + _SET_TOL * (1.0 + self.radius))
 
     def support(self, c) -> float:
-        return self.radius * float(np.max(np.abs(c)))
+        return self.radius * float(np.abs(c).max())
 
     def lmo(self, c) -> np.ndarray:
         # Tie break: largest |c_i|, then lowest index; sign(0) counts as +.
         c = np.asarray(c, dtype=float)
-        i = int(np.argmax(np.abs(c)))
+        i = int(np.abs(c).argmax())
         out = np.zeros(self.n)
         out[i] = self.radius if c[i] >= 0.0 else -self.radius
         return out
@@ -263,14 +267,14 @@ def _holder_oracles(p: float) -> dict:
     q = p / (p - 1.0)
 
     def f_val(y) -> float:
-        return float(np.sum(np.abs(y) ** p)) / p
+        return float((np.abs(y) ** p).sum()) / p
 
     def f_grad(y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return np.sign(y) * np.abs(y) ** (p - 1.0)
 
     def f_conj_val(u) -> float:
-        return float(np.sum(np.abs(u) ** q)) / q
+        return float((np.abs(u) ** q).sum()) / q
 
     return {"f_val": f_val, "f_grad": f_grad, "f_conj_val": f_conj_val}
 
@@ -279,8 +283,7 @@ def _lse_f_oracles():
     return {
         "f_val": _log_sum_exp,
         "f_grad": softmax,
-        "f_conj_val": lambda u: _neg_entropy(u) if abs(float(np.sum(u)) - 1.0) <= _SET_TOL
-        and float(np.min(u)) >= -_SET_TOL else INF,
+        "f_conj_val": lambda u: _neg_entropy(u) if _on_simplex(u) else INF,
         "breg_f": _lse_bregman,
     }
 

@@ -5,10 +5,11 @@ written out separately, with the gap recursion spelled out inline: the
 plain bound accumulates Bregman increments, the sharpened bound the full
 step divergences, both seeded by the Bregman distance of the forced full
 first step.  They share the oracle-layer primitives (the checked oracle
-calls and ``bregman_f``) with the package, and ``weight_rows``, which its
-kernel never calls, but none of its iteration or certificate code, so
-comparing the package drivers against them (and running the equivalence
-checks on them) stays a check of one wiring against another.
+calls and ``bregman_f``) with the package, and ``weight_rows``, which
+neither its kernel nor its replays call, but none of its iteration or
+certificate code, so comparing the package drivers against them (and
+running the equivalence checks on them) stays a check of one wiring
+against another.
 
 The certificate code is spelled out here by hand: ``CertificateAggregate``
 (the averaged and the best point, and the choice of the lower-valued of
@@ -130,16 +131,25 @@ def _check_alpha(alpha):
         raise RangeError(f"rule produced step size {alpha} outside [0, 1]")
 
 
-def ref_md_identity_residuals(trace, spec):
-    """Relative residuals of the dual-run identity, replayed on the primal
-    spec: the lambda-average of primal values at the mirror points, minus the
-    mu-weighted dual step divergences, plus the dual value at v_k."""
+def ref_md_identity_terms(trace, spec):
+    """Per-step terms of the dual-run identity on the primal spec: the primal
+    values at the mirror points, the dual step divergences, and the dual
+    values at v_1..v_K."""
     A, At = spec.linmap.apply, spec.linmap.adjoint
     pv = np.array([float(spec.f_val(A(y))) + float(spec.h_val(y)) for y in trace.ys])
     div = np.array([step_divergence_dual(v, -z, a, spec)
                     for v, z, a in zip(trace.vs[:-1], trace.zs, trace.alphas)])
     dual = np.array([float(spec.f_conj_val(-v)) + float(spec.h_conj_val(At(v)))
                      for v in trace.vs[1:]])
+    return pv, div, dual
+
+
+def ref_md_identity_residuals(trace, spec):
+    """Relative residuals of the dual-run identity, replayed on the primal
+    spec: the lambda-average of primal values at the mirror points, minus the
+    mu-weighted dual step divergences, plus the dual value at v_k, with the
+    weight rows of every k built explicitly."""
+    pv, div, dual = ref_md_identity_terms(trace, spec)
     out = np.empty(len(trace.alphas))
     for k in range(1, len(trace.alphas) + 1):
         lam, mu = weight_rows(trace.alphas[:k])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fenchelduo as fd
+from fenchelduo.certificates import _decayed_sums
 
 mpmath.mp.dps = 50
 
@@ -355,3 +356,70 @@ class TestIdentityResiduals:
         with pytest.raises(fd.InfiniteValue,
                            match=rf"^oracle {role} returned \+inf at a recorded iterate$"):
             replay(trace, replace(spec, **{role: lambda *args: math.inf}))
+
+
+def brute_weighted_sums(alphas, terms):
+    """Every k's mu-weighted sum of ``terms`` from the literal row recursion:
+    scale the old row by (1 - alpha), append 1, take the dot product (O(K^2))."""
+    mu, out = np.empty(0), np.empty(len(alphas))
+    for k, a in enumerate(alphas):
+        mu = np.append((1.0 - a) * mu, 1.0)
+        out[k] = mu @ terms[:k + 1]
+    return out
+
+
+def alpha_sequence(kind):
+    rng = np.random.default_rng(7)
+    k = np.arange(1.0, 10000.0)
+    tail = {
+        "one-mid-run": np.concatenate([np.full(150, 0.3), [1.0], 2.0 / (k[:300] + 2.0)]),
+        "zero-runs": np.where(np.arange(2000) % 100 < 60, 0.0, 0.05),
+        "zeros-and-ones": rng.integers(0, 2, 1000).astype(float),
+        "near-one": np.full(600, 1.0 - 1e-12),
+        "harmonic": 2.0 / (k + 2.0),
+        "random": rng.random(k.size),
+    }[kind]
+    return np.concatenate([[1.0], tail])
+
+
+class TestClosedFormReplay:
+    """The replay's closed-form prefix sums against the explicit weight rows of every k."""
+
+    @pytest.mark.parametrize("kind", ["one-mid-run", "zero-runs", "zeros-and-ones", "near-one",
+                                      "harmonic", "random"])
+    def test_matches_row_recursion(self, kind):
+        alphas = alpha_sequence(kind)
+        if kind == "near-one":  # C_k falls below 1e-308 within a few dozen steps
+            assert np.prod(1.0 - alphas[1:30]) < 1e-308
+        rng = np.random.default_rng(len(alphas))
+        terms = rng.standard_normal((2, len(alphas))) + np.array([[3.0], [-0.5]])
+        rows = _decayed_sums(alphas, *terms)
+        assert rows.shape == terms.shape and np.all(np.isfinite(rows))
+        for got, t in zip(rows, terms):
+            want, scale = brute_weighted_sums(alphas, t), brute_weighted_sums(alphas, np.abs(t))
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_replay_across_full_and_zero_steps(self, algo):
+        # alpha = 1 in mid-run starts the sums afresh, alpha = 0 carries them unchanged
+        spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+        k = np.arange(1.0, 30.0)
+        rule = Schedule(tuple(np.concatenate([[1.0], np.full(15, 0.3), [1.0], np.zeros(10),
+                                              2.0 / (k + 2.0)])))
+        x0 = spec.h_conj_grad(np.zeros(3))
+        trace, replay = {
+            "gcs": (lambda: fd.run_gcs(spec, x0, rule, 55), fd.cg_identity_residuals),
+            "gmd": (lambda: fd.run_gmd(spec, np.zeros(3), rule, 55), fd.md_identity_residuals),
+            "hybrid": (lambda: fd.run_hybrid(spec, x0, spec.f_grad(x0), rule, 55),
+                       fd.hybrid_identity_residuals),
+        }[algo]
+        trace = trace()
+        assert trace.error is None and list(trace.alphas) == list(rule.alphas[:55])
+        assert float(np.max(replay(trace, spec))) <= 1e-12
+
+    @pytest.mark.parametrize("alphas", [[], [0.9, 0.5], [1.0, 1.5], [1.0, -0.25], [1.0, math.nan]])
+    def test_rejects_step_sizes_without_a_full_first_step_or_outside_unit_interval(self, alphas):
+        # the closed form's log-products need 0 <= alpha <= 1; the weight rows never did
+        with pytest.raises(fd.StateError, match=r"^identity residuals require alpha_0 = 1 "
+                                                r"and every alpha in \[0, 1\]$"):
+            _decayed_sums(alphas, np.ones(len(alphas)))

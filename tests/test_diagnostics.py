@@ -52,6 +52,21 @@ class TestProbeCurvature:
         with pytest.raises(fd.RangeError, match=f"n_samples must be at least 1, got {n_samples}"):
             fd.probe_curvature(spec, 2.0, n_samples=n_samples)
 
+    @pytest.mark.parametrize("n_samples", [2.5, 3.0, True, "3", None],
+                             ids=["2.5", "3.0", "True", "str", "None"])
+    def test_rejects_non_integer_sample_count(self, n_samples):
+        # True would run one probe and report samples=True
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match="^n_samples must be an integer, got "):
+            fd.probe_curvature(spec, 2.0, n_samples=n_samples)
+
+    def test_accepts_numpy_integer_sample_count(self):
+        spec = fd.make_quadratic_simplex(n=2)
+        want = fd.probe_curvature(spec, 2.0, n_samples=5, seed=2)
+        for n_samples in (np.int64(5), np.int32(5), np.uint8(5)):
+            got = fd.probe_curvature(spec, 2.0, n_samples=n_samples, seed=2)
+            assert (got.c_hat, got.samples, got.skipped) == (want.c_hat, 5, want.skipped)
+
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(fd.RangeError):
             fd.probe_curvature(fd.make_quadratic_simplex(n=2), gamma=1.0)

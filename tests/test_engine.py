@@ -202,6 +202,28 @@ class TestRunHygiene:
             _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(), k_max=5,
                    epsilon=math.nan)
 
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    @pytest.mark.parametrize("epsilon", [True, False, "0.1", [0.1], 1j],
+                             ids=["True", "False", "str", "list", "complex"])
+    def test_rejects_non_real_epsilon(self, algo, epsilon):
+        # True would run with epsilon = 1 and stop at k = 2 as if it converged
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match="^epsilon must be a number or None, got "):
+            _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(), k_max=5,
+                   epsilon=epsilon)
+
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_accepts_numpy_epsilon(self, algo):
+        spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+        start = ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        for epsilon in (0.05, 0):
+            want = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=200, epsilon=epsilon)
+            for same in (np.float64(epsilon), np.float32(epsilon), np.int64(epsilon)):
+                if float(same) != epsilon:
+                    continue
+                got = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=200, epsilon=same)
+                assert got.error is None and (got.k, got.gap_plain) == (want.k, want.gap_plain)
+
     def test_no_driver_takes_policy(self):
         # no driver has a policy keyword: gcs and gmd certify by the better of
         # two points, hybrid by its iterates

@@ -3,17 +3,19 @@
 certificate must agree bit for bit, and the equivalence checks must hold
 when one side of them runs the reference loops.  The package's dual side,
 the primal side of ``dualize(spec)``, must agree bit for bit with the
-hand-mirrored dual-side functions kept there."""
+hand-mirrored dual-side functions kept there, and so must the per-step terms
+of its mirror-descent replay."""
 
 import numpy as np
 import pytest
 
 import fenchelduo as fd
-from fenchelduo import duality
+from fenchelduo import certificates, duality
 
 from reference_drivers import (
     bregman_hconj,
     ref_md_identity_residuals,
+    ref_md_identity_terms,
     ref_run_gcs,
     ref_run_gmd,
     ref_run_hybrid,
@@ -107,7 +109,7 @@ def test_equivalence_checks_against_reference_loops(family, general, monkeypatch
 
 @pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_dual_side_is_primal_side_of_dualize(family, general):
+def test_dual_side_is_primal_side_of_dualize(family, general, monkeypatch):
     spec = build(family, general)
     dual = fd.dualize(spec)
     rng = np.random.default_rng(11)
@@ -121,5 +123,24 @@ def test_dual_side_is_primal_side_of_dualize(family, general):
     _, _, v0 = start(spec)
     trace = fd.run_gmd(spec, v0, fd.ExactLineSearch(), K)
     assert trace.error is None
-    assert (bits(fd.md_identity_residuals(trace, spec))
-            == bits(ref_md_identity_residuals(trace, spec)))
+    # the package replays dualize(spec) through its primal-side replay: its
+    # per-step terms are the hand-mirrored ones bit for bit, and its closed-form
+    # weighting agrees with the reference's explicit weight rows to rounding
+    seen = {}
+    for name in ("_decayed_sums", "_relative"):
+        monkeypatch.setattr(certificates, name, spy(seen, name, getattr(certificates, name)))
+    got = fd.md_identity_residuals(trace, spec)
+    pv, div, dual = ref_md_identity_terms(trace, spec)
+    alphas, weighted_pv, weighted_div = seen["_decayed_sums"]
+    assert bits(alphas) == bits(trace.alphas)
+    assert bits(weighted_pv) == bits(np.multiply(trace.alphas, pv))
+    assert bits(weighted_div) == bits(div)
+    assert bits(seen["_relative"][2]) == bits(dual)
+    np.testing.assert_allclose(got, ref_md_identity_residuals(trace, spec), rtol=0, atol=1e-13)
+
+
+def spy(seen, key, fn):
+    def wrapped(*args):
+        seen[key] = args
+        return fn(*args)
+    return wrapped
