@@ -28,8 +28,10 @@ for k in (1, 2, 5, 10, 50, 100, 400):
           f"{r['gap_bound']:12.3e}")
 
 print()
+# the trace keeps the v_k; each mirror point is y_k = softmax(v_k)
+mirror_points = [spec.h_conj_grad(spec.linmap.adjoint(v)) for v in trace.vs[:-1]]
 print("mirror points stay strictly inside the simplex:",
-      bool(all(np.min(y) > 0 for y in trace.ys)))
+      bool(all(np.min(y) > 0 for y in mirror_points)))
 print(f"final primal certificate: {np.round(trace.certificate, 6).tolist()}")
 
 # the sharpened certificate uses the convexity slack of the entropy term and

@@ -18,14 +18,17 @@ per-step terms by the recorded step sizes in closed form, as prefix sums
 ``j <= k``), independently of the streaming bookkeeping of the engine's
 kernel, and hold whichever point the kernel certifies with.  Each replay
 raises :class:`StateError` on the trace of another driver.  A mirror-descent
-trace replays as a conditional-subgradient trace of the dual spec.  The
-replay evaluates each increment itself, from uncached oracle calls at both
-ends of the step; the kernel (one cached segment per step) shares none of
-this code, so a replay checks the kernel's arithmetic rather than repeating
-it.  Every oracle value it reads is a checked call: an oracle that raises or
-returns NaN raises :class:`DomainError`, and one that returns +inf at a
-recorded point raises :class:`InfiniteValue`, each naming the user's oracle,
-on the dual spec too, as ``dualize`` records it.
+trace replays as a conditional-subgradient trace of the dual spec.  From
+uncached oracle calls at each recorded iterate x_k, the replay evaluates
+A x_k, h(x_k), u_k = f'(A x_k) (hybrid records u_k), A* u_k and the target
+s_k; x_{k+1} is the step's end point once it is (1 - alpha_k) x_k +
+alpha_k s_k to a few ulps, and a :class:`StateError` names the row where it
+is not.  The kernel (one cached segment per step) shares none of this code,
+so a replay checks the kernel's arithmetic rather than repeating it.  Every
+oracle value it reads is a checked call: an oracle that raises or returns
+NaN raises :class:`DomainError`, and one that returns +inf at a recorded
+point raises :class:`InfiniteValue`, each naming the user's oracle, on the
+dual spec too, as ``dualize`` records it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import math
 
 import numpy as np
 
-from .oracles import (InfiniteValue, ProblemSpec, StateError, _oracle_name, _oracle_value,
-                      bregman_f, dualize)
+from .oracles import (InfiniteValue, ProblemSpec, StateError, _oracle_name, _oracle_point,
+                      _oracle_value, bregman_f, dualize)
 
 __all__ = [
     "weight_rows",
@@ -62,16 +65,24 @@ def weight_rows(alphas) -> tuple:
 # step divergences (certificate increments in sharpened form)
 # ---------------------------------------------------------------------------
 
-def _guarded(coeff: float, spec: ProblemSpec, point, where: str) -> float:
+def _guarded(spec: ProblemSpec, coeff: float, value: float, where: str) -> float:
     # coeff * h(point) with explicit inf handling: a zero coefficient drops the
     # term before the value is used, so 0 * inf never occurs
-    value = _oracle_value(spec, "h_val", point)
     if coeff == 0.0:
         return 0.0
     if math.isinf(value):
         raise InfiniteValue(f"oracle {_oracle_name(spec, 'h_val')} returned +inf at the "
                             f"{where} point of a step")
     return coeff * value
+
+
+def _divergence(spec: ProblemSpec, y, h, y_end, h_end: float, target, alpha: float) -> float:
+    # step_divergence_primal toward target from a point of image y and h value h, read at
+    # the end point of the step (image y_end, finite h value h_end)
+    value = bregman_f(y_end, y, spec) + h_end
+    value -= _guarded(spec, 1.0 - alpha, h, "base")
+    value -= _guarded(spec, alpha, _oracle_value(spec, "h_val", target), "target")
+    return value
 
 
 def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: ProblemSpec) -> float:
@@ -86,11 +97,8 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     """
     A = spec.linmap.apply
     comb = (1.0 - alpha) * x + alpha * s
-    value = bregman_f(A(comb), A(x), spec)
-    value += _guarded(1.0, spec, comb, "interpolated")
-    value -= _guarded(1.0 - alpha, spec, x, "base")
-    value -= _guarded(alpha, spec, s, "target")
-    return value
+    h_comb = _guarded(spec, 1.0, _oracle_value(spec, "h_val", comb), "interpolated")
+    return _divergence(spec, A(x), _oracle_value(spec, "h_val", x), A(comb), h_comb, s, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +147,38 @@ def _require_algo(trace, algo: str, replay: str):
 
 
 def _recorded(spec: ProblemSpec, role: str, point) -> float:
-    # an oracle's value at a recorded iterate; +inf raises InfiniteValue
+    # an oracle's value at a recorded iterate or its oracle output; +inf raises InfiniteValue
     return _oracle_value(spec, role, point, at="a recorded iterate")
 
 
-def _cg_residuals(xs, us, ss, alphas, spec: ProblemSpec) -> np.ndarray:
+def _step(spec: ProblemSpec, k: int, base, y, h, target, alpha: float, end):
+    # step k from base (image y, h value h) toward target; once ``end`` is that step to a few
+    # ulps (the method, not the kernel's arithmetic): its image, h value and the increment
+    comb = (1.0 - alpha) * base + alpha * target
+    if (end != comb).any():  # bit for bit is the usual case, and needs no tolerance
+        defect = np.abs(end - comb)
+        if not (defect <= 4.0 * np.finfo(float).eps * (np.abs(base) + np.abs(target))).all():
+            raise StateError(f"row {k + 1}: the recorded iterate is not the step from the one "
+                             f"before toward its oracle target (defect {float(defect.max()):.3e})")
+    y_end, h_end = spec.linmap.apply(end), _recorded(spec, "h_val", end)
+    return y_end, h_end, _divergence(spec, y, h, y_end, h_end, target, alpha)
+
+
+def _cg_residuals(xs, alphas, spec: ProblemSpec) -> np.ndarray:
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    dv = np.array([
-        _recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", -At(u)) for u in us
-    ])
-    div = np.array([
-        step_divergence_primal(x, s, a, spec) for x, s, a in zip(xs[:-1], ss, alphas)
-    ])
-    primal = np.array([
-        _recorded(spec, "f_val", A(x)) + _recorded(spec, "h_val", x) for x in xs[1:]
-    ])
-    avg, weighted = _decayed_sums(alphas, np.multiply(alphas, dv), div)
-    return _relative(avg, weighted, primal)
+    # h(x_0) enters with the weight 1 - alpha_0 = 0 alone, so it may be +inf
+    x, y, h = xs[0], A(xs[0]), _oracle_value(spec, "h_val", xs[0])
+    dv, div, primal = [], [], []
+    for k, (a, end) in enumerate(zip(alphas, xs[1:])):
+        u = _oracle_point(spec, "f_grad", y)
+        w = -At(u)
+        dv.append(_recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", w))
+        y_end, h_end, d = _step(spec, k, x, y, h, _oracle_point(spec, "h_conj_grad", w), a, end)
+        div.append(d)
+        primal.append(_recorded(spec, "f_val", y_end) + h_end)
+        x, y, h = end, y_end, h_end
+    avg, weighted = _decayed_sums(alphas, np.multiply(alphas, dv), np.array(div))
+    return _relative(avg, weighted, np.array(primal))
 
 
 def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
@@ -165,39 +188,41 @@ def cg_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     mu-weighted step divergences equals minus the primal value at x_k.
     """
     _require_algo(trace, "gcs", "cg_identity_residuals")
-    return _cg_residuals(trace.xs, trace.us, trace.ss, trace.alphas, spec)
+    return _cg_residuals(trace.xs, trace.alphas, spec)
 
 
 def md_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     """Relative residuals of the dual-run identity for every k >= 1.
 
-    The primal-run identity of ``dualize(spec)``, read through the map
-    (x, u, s) = (v, y, -z).
+    The primal-run identity of ``dualize(spec)``, whose iterates x' are the
+    v_k, read through the map (x', u', s') = (v, y, -z).
     """
     _require_algo(trace, "gmd", "md_identity_residuals")
-    return _cg_residuals(trace.vs, trace.ys, (-z for z in trace.zs), trace.alphas,
-                         dualize(spec))
+    return _cg_residuals(trace.vs, trace.alphas, dualize(spec))
 
 
 def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     """Relative residuals of the symmetric-run gap identity for every k >= 1.
 
     Here the certificate is exact: the duality gap at (x_k, u_k) equals the
-    mu-weighted sum of primal plus dual step divergences.
+    mu-weighted sum of primal plus dual step divergences.  The dual side is
+    the primal side of ``dualize(spec)`` from -u_k toward -z_k.
     """
     _require_algo(trace, "hybrid", "hybrid_identity_residuals")
-    A, At = spec.linmap.apply, spec.linmap.adjoint
-    dual = dualize(spec)
-    div = np.array([
-        step_divergence_primal(x, s, a, spec)
-        + step_divergence_primal(-u, -z, a, dual)
-        for x, u, s, z, a in zip(trace.xs[:-1], trace.us[:-1], trace.ss, trace.zs,
-                                 trace.alphas)
-    ])
-    gap = np.array([
-        _recorded(spec, "f_val", A(x)) + _recorded(spec, "h_val", x)
-        + _recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", -At(u))
-        for x, u in zip(trace.xs[1:], trace.us[1:])
-    ])
-    (weighted,) = _decayed_sums(trace.alphas, div)
-    return _relative(gap, weighted, 0.0)
+    A, dual = spec.linmap.apply, dualize(spec)
+    # the dual side moves v = -u; h(x_0) and its h(v_0) = f*(u_0) weigh 1 - alpha_0 = 0
+    x, v = trace.xs[0], -trace.us[0]
+    y, h = A(x), _oracle_value(spec, "h_val", x)
+    w, g = dual.linmap.apply(v), _oracle_value(dual, "h_val", v)
+    div, gap = [], []
+    for k, (a, x_end, u_end) in enumerate(zip(trace.alphas, trace.xs[1:], trace.us[1:])):
+        s, z = _oracle_point(spec, "h_conj_grad", w), _oracle_point(spec, "f_grad", y)
+        v_end = -u_end
+        y_end, h_end, d = _step(spec, k, x, y, h, s, a, x_end)
+        w_end, g_end, d_dual = _step(dual, k, v, w, g, -z, a, v_end)
+        gap.append(_recorded(spec, "f_val", y_end) + h_end + g_end
+                   + _recorded(dual, "f_val", w_end))
+        div.append(d + d_dual)
+        x, y, h, v, w, g = x_end, y_end, h_end, v_end, w_end, g_end
+    (weighted,) = _decayed_sums(trace.alphas, np.array(div))
+    return _relative(np.array(gap), weighted, 0.0)

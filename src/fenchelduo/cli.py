@@ -36,7 +36,7 @@ from .diagnostics import fit_rate, probe_curvature
 from .duality import check_bach_equivalence, check_hybrid_symmetry
 from .engine import Trace, run_gcs, run_gmd, run_hybrid
 from .oracles import (ConstructionError, DomainError, FenchelDuoError, FitError, InfiniteValue,
-                      LinearMap, ProblemSpec, RangeError, _oracle_point)
+                      LinearMap, ProblemSpec, RangeError, StateError, _oracle_point)
 from .problems import (
     make_entropy_lse,
     make_holder_power_simplex,
@@ -396,7 +396,7 @@ def _verify_one(config: dict, report: list) -> bool:
             continue
         try:
             worst = float(np.max(residual_fns[algo](trace, spec)))
-        except (DomainError, InfiniteValue) as exc:  # an oracle value the replay cannot use
+        except (DomainError, InfiniteValue, StateError) as exc:  # no value, or no step
             report.append(f"FAIL {label} {algo} replay: {exc}")
             ok = False
             continue

@@ -124,25 +124,27 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     side) and a (primal, dual) pair for 'hybrid'.  A bound computed with these
     constants is guaranteed for that same run, which is how rate statements
     are checked on problems whose global constant is unbounded.  The dual
-    side is the primal side of ``dualize(spec)``.
+    side is the primal side of ``dualize(spec)``.  A line runs from an iterate
+    x toward (h*)'(-A* u), with u = f'(A x) for gcs; for hybrid, u on the
+    primal side, and on the dual side x, from -u.
     """
     _check_exponent(gamma)
 
-    def sup(pairs, side):
+    def sup(side, pairs):  # (iterate, covector u) of each step line on ``side``
         c = 0.0
-        for x, s in pairs:
+        for x, u in pairs:
+            s = _oracle_point(side, "h_conj_grad", -side.linmap.adjoint(u))
             for _, ratio in _ratios(side, x, s, gamma):
                 c = max(c, ratio)
         return _finite(c, gamma)
 
-    if trace.algo == "gcs":
-        return sup(zip(trace.xs[:-1], trace.ss), spec)
-    if trace.algo == "gmd":
-        return sup(((v, -z) for v, z in zip(trace.vs[:-1], trace.zs)), dualize(spec))
+    if trace.algo in ("gcs", "gmd"):
+        side, xs = (spec, trace.xs) if trace.algo == "gcs" else (dualize(spec), trace.vs)
+        return sup(side, ((x, _oracle_point(side, "f_grad", side.linmap.apply(x)))
+                          for x in xs[:-1]))
     if trace.algo == "hybrid":
-        cp = sup(zip(trace.xs[:-1], trace.ss), spec)
-        cd = sup(((-u, -z) for u, z in zip(trace.us[:-1], trace.zs)), dualize(spec))
-        return cp, cd
+        pairs = list(zip(trace.xs[:-1], trace.us[:-1]))
+        return sup(spec, pairs), sup(dualize(spec), ((-u, x) for x, u in pairs))
     raise RangeError(f"unknown trace algo {trace.algo!r}")
 
 

@@ -21,9 +21,10 @@ once where its value is reused unchanged: per step and side, one segment
 serves the line-search probes and the certificate increment, whose point at
 the chosen step size is the next iterate, evaluated once; the values, step
 sizes and traces are those of an uncached evaluation.  Every run records a
-:class:`Trace` with the full iterate history, both gap-bound variants, the
-true gap of the certificate pair, and a streaming residual of the
-certificate identity: the run's Fenchel-Young check of its oracle pairs.
+:class:`Trace` with its iterates (the oracle outputs are functions of them),
+both gap-bound variants, the true gap of the certificate pair, and a
+streaming residual of the certificate identity: the run's Fenchel-Young check
+of its oracle pairs.
 Every oracle call is checked: an oracle that raises, returns NaN, or
 returns an infinite value where the run needs a finite one ends the run,
 and ``trace.error`` names the oracle of the user's spec.
@@ -66,8 +67,9 @@ class Trace:
     current certificate pair, ``true_gap`` their sum, ``gap_plain``/
     ``gap_sharp`` the two certified bounds, ``residual`` the streaming defect
     of the exact identity behind the certificate, and ``t_ms`` wall-clock
-    milliseconds since the run started.  Iterate histories keep one extra
-    entry (index 0 is the start point).
+    milliseconds since the run started.  The histories keep the iterates
+    alone, K + 1 each (index 0 is the start point): ``xs`` for gcs, ``vs``
+    for gmd, ``xs`` and ``us`` for hybrid, and no entry in the others.
     """
 
     algo: str
@@ -82,10 +84,7 @@ class Trace:
     t_ms: List[float] = field(default_factory=list)
     xs: List[np.ndarray] = field(default_factory=list)
     us: List[np.ndarray] = field(default_factory=list)
-    ss: List[np.ndarray] = field(default_factory=list)
-    zs: List[np.ndarray] = field(default_factory=list)
     vs: List[np.ndarray] = field(default_factory=list)
-    ys: List[np.ndarray] = field(default_factory=list)
     certificate: Optional[np.ndarray] = None
     error: Optional[str] = None
 
@@ -249,22 +248,17 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 u, w = -dual_seg.point, dual_seg.image
                 u_val, f_conj_u = _objective(dual, dual_seg.point, w, dual_seg.h)
                 current = p_val + u_val
+                trace.us.append(u.copy())
             else:
                 avg = (1.0 - alpha) * avg + alpha * step_value
                 cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
                 u_val = _objective(dual, -cert, At(-cert))[0]
                 current = p_val
-
-            trace.alphas.append(alpha)
-            trace.ss.append(s)
-            trace.xs.append(x.copy())
-            trace.us.append(u.copy())
-            if hybrid:
-                trace.zs.append(z)
-            else:
-                if step_value < best:  # the trace's copy of u_k serves as best_u
-                    best, best_u = step_value, trace.us[-1]
+                if step_value < best:  # u_k is the oracle's array: keep a copy
+                    best, best_u = step_value, u.copy()
                 point, u_val = (best_u, best) if best < u_val else (cert, u_val)
+            trace.alphas.append(alpha)
+            trace.xs.append(x.copy())
             trace.primal.append(p_val)
             trace.dual.append(-u_val)
             trace.gap_plain.append(plain)
@@ -304,17 +298,14 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     Each step reads the mirror point y_k = (h*)'(A* v_k) and the subgradient
     z_k = f'(A y_k), then moves v_{k+1} = (1-alpha_k) v_k - alpha_k z_k.  The
     primal certificate is the lower-valued of the lambda-average of the y_k
-    and the first y_k of least primal value.  An oracle error in
-    ``trace.error`` names the oracle of ``spec``, as ``dualize`` records it.
+    and the first y_k of least primal value.  The trace keeps the v_k, the
+    x' of the dual run, as ``vs``.  An oracle error in ``trace.error`` names
+    the oracle of ``spec``, as ``dualize`` records it.
     """
     _check_args(k_max, epsilon, mode)
     v = as_point(v0, spec.dim_y, "v0")
     trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, mode)
-    trace.algo = "gmd"
-    trace.vs, trace.ys, trace.zs = trace.xs, trace.us, trace.ss
-    trace.xs, trace.us, trace.ss = [], [], []
-    for z in trace.zs:
-        np.negative(z, out=z)
+    trace.algo, trace.vs, trace.xs = "gmd", trace.xs, []
     trace.primal, trace.dual = [-d for d in trace.dual], [-p for p in trace.primal]
     return trace
 

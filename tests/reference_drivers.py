@@ -15,10 +15,10 @@ The certificate code is spelled out here by hand: ``CertificateAggregate``
 (the averaged and the best point, and the choice of the lower-valued of
 the two, which the package's kernel keeps inline),
 ``step_divergence_primal`` (the sharpened increment, which the package's
-kernel computes in ``engine._Segment.increment`` and its replay in
-``certificates.step_divergence_primal``), and the dual-side
-``bregman_hconj`` and ``step_divergence_dual``, which the package computes
-as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
+kernel computes in ``engine._Segment.increment``, and the replay in
+``certificates._divergence`` at the recorded end point of the step), and
+the dual-side ``bregman_hconj`` and ``step_divergence_dual``, which the
+package computes as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
 symmetric loops use these copies, never ``dualize``.
 """
 
@@ -134,11 +134,14 @@ def _check_alpha(alpha):
 def ref_md_identity_terms(trace, spec):
     """Per-step terms of the dual-run identity on the primal spec: the primal
     values at the mirror points, the dual step divergences, and the dual
-    values at v_1..v_K."""
+    values at v_1..v_K.  The mirror points y_k = (h*)'(A* v_k) and the
+    subgradients z_k = f'(A y_k) are evaluated here from the v_k."""
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    pv = np.array([float(spec.f_val(A(y))) + float(spec.h_val(y)) for y in trace.ys])
+    ys = [np.asarray(spec.h_conj_grad(At(v)), dtype=float) for v in trace.vs[:-1]]
+    zs = [np.asarray(spec.f_grad(A(y)), dtype=float) for y in ys]
+    pv = np.array([float(spec.f_val(A(y))) + float(spec.h_val(y)) for y in ys])
     div = np.array([step_divergence_dual(v, -z, a, spec)
-                    for v, z, a in zip(trace.vs[:-1], trace.zs, trace.alphas)])
+                    for v, z, a in zip(trace.vs[:-1], zs, trace.alphas)])
     dual = np.array([float(spec.f_conj_val(-v)) + float(spec.h_conj_val(At(v)))
                      for v in trace.vs[1:]])
     return pv, div, dual
@@ -197,8 +200,6 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, mode="plain"):
             x = (1.0 - alpha) * x + alpha * s
 
             trace.alphas.append(alpha)
-            trace.us.append(u)
-            trace.ss.append(s)
             trace.xs.append(x.copy())
             primal = _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)
             avg_dual = _oracle_value(spec, "f_conj_val", agg.average)
@@ -258,8 +259,6 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, mode="plain"):
             v = (1.0 - alpha) * v - alpha * z
 
             trace.alphas.append(alpha)
-            trace.ys.append(y)
-            trace.zs.append(z)
             trace.vs.append(v.copy())
             avg_primal = _oracle_value(spec, "f_val", A(agg.average))
             avg_primal += _oracle_value(spec, "h_val", agg.average)
@@ -325,8 +324,6 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, mode="plain"):
             u = (1.0 - alpha) * u + alpha * z
 
             trace.alphas.append(alpha)
-            trace.ss.append(s)
-            trace.zs.append(z)
             trace.xs.append(x.copy())
             trace.us.append(u.copy())
             primal = _oracle_value(spec, "f_val", A(x)) + _oracle_value(spec, "h_val", x)

@@ -199,14 +199,15 @@ class TestAggregates:
         average of u_1..u_k or of the first u_i of least value, whichever is
         lower, and the final certificate is that point"""
         trace = fd.run_gcs(spec, np.eye(3)[0], rule, 50)
+        us = [spec.f_grad(x) for x in trace.xs[:-1]]
 
         def value(u):
             return float(spec.f_conj_val(u)) + float(spec.h_conj_val(-u))
 
-        values = [value(u) for u in trace.us]
+        values = [value(u) for u in us]
         for k in range(1, trace.k + 1):
             lam, _ = fd.weight_rows(trace.alphas[:k])
-            average = np.sum(lam[:, None] * np.array(trace.us[:k]), axis=0)
+            average = np.sum(lam[:, None] * np.array(us[:k]), axis=0)
             first = int(np.argmin(values[:k]))
             avg_value, best_value = value(average), values[first]
             want = min(avg_value, best_value)
@@ -214,7 +215,7 @@ class TestAggregates:
             assert trace.true_gap[k - 1] == trace.primal[k - 1] - trace.dual[k - 1]
         assert value(trace.certificate) == pytest.approx(want, rel=1e-12, abs=1e-12)
         if best_value < avg_value - 1e-9:  # apart by more than rounding: the point too
-            np.testing.assert_array_equal(trace.certificate, trace.us[first])
+            np.testing.assert_array_equal(trace.certificate, us[first])
         elif avg_value < best_value - 1e-9:
             np.testing.assert_allclose(trace.certificate, average, rtol=1e-12, atol=1e-12)
 
@@ -224,7 +225,7 @@ class TestAggregates:
         spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
         trace = fd.run_gcs(spec, np.eye(3)[0], fd.ExactLineSearch(), 50)
         values = np.minimum.accumulate([float(spec.f_conj_val(u) + spec.h_conj_val(-u))
-                                        for u in trace.us])
+                                        for u in map(spec.f_grad, trace.xs[:-1])])
         at_best = -np.asarray(trace.dual) == values
         assert (int(at_best[1:].sum()), int((~at_best[1:]).sum())) == (35, 14)
 
@@ -287,12 +288,12 @@ class TestIdentityResiduals:
             fd.cg_identity_residuals(trace, spec)
 
     def test_sign_error_is_detected(self):
-        # negative control: corrupting the dual iterates must break the identity
+        # negative control: a sign error in the dual values must break the identity
         spec = fd.make_quadratic_simplex(n=2)
         trace = fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 10)
         assert float(np.max(fd.cg_identity_residuals(trace, spec))) <= 1e-12
-        trace.us = [-u for u in trace.us]
-        assert float(np.max(fd.cg_identity_residuals(trace, spec))) > 1e-3
+        flipped = replace(spec, h_conj_val=lambda w: spec.h_conj_val(-w))
+        assert float(np.max(fd.cg_identity_residuals(trace, flipped))) > 1e-3
 
     def test_streaming_residual_agrees_with_recomputation(self):
         spec = fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1]))
@@ -335,6 +336,44 @@ class TestIdentityResiduals:
         with pytest.raises(fd.InfiniteValue,
                            match=r"^oracle f_conj_val returned \+inf at the \w+ point of a step$"):
             replay(trace, replace(spec, f_conj_val=f_conj_val))
+
+    @pytest.mark.parametrize("algo, history", [("gcs", "xs"), ("gmd", "vs"), ("hybrid", "xs"),
+                                               ("hybrid", "us")])
+    def test_tampered_iterate_is_a_state_error(self, algo, history):
+        # x_7 (or u_7, v_7) moved inside the domain: not the step from x_6 toward s_6
+        spec = fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1]))
+        x0 = np.array([1.0, 0.0, 0.0])
+        trace, replay = {
+            "gcs": (lambda: fd.run_gcs(spec, x0, fd.FixedHarmonic(), 20),
+                    fd.cg_identity_residuals),
+            "gmd": (lambda: fd.run_gmd(spec, np.zeros(3), fd.FixedHarmonic(), 20),
+                    fd.md_identity_residuals),
+            "hybrid": (lambda: fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.FixedHarmonic(), 20),
+                       fd.hybrid_identity_residuals),
+        }[algo]
+        trace = trace()
+        assert float(np.max(replay(trace, spec))) <= 1e-12
+        getattr(trace, history)[7] = getattr(trace, history)[7] + np.array([1e-6, -1e-6, 0.0])
+        with pytest.raises(fd.StateError, match=r"^row 7: the recorded iterate is not the step "
+                                                r"from the one before toward its oracle target "
+                                                r"\(defect 1\.000e-06\)$"):
+            replay(trace, spec)
+
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_trace_of_another_spec_is_a_state_error(self, algo):
+        # the oracle targets of another tilt are not the steps this run took
+        spec = fd.make_entropy_lse(3, b=np.array([0.3, -0.2, 0.1]))
+        other = fd.make_entropy_lse(3, b=np.array([-0.1, 0.2, 0.0]))
+        x0 = np.array([1.0, 0.0, 0.0])
+        trace, replay = {
+            "gcs": (fd.run_gcs(spec, x0, fd.FixedHarmonic(), 20), fd.cg_identity_residuals),
+            "gmd": (fd.run_gmd(spec, np.zeros(3), fd.FixedHarmonic(), 20),
+                    fd.md_identity_residuals),
+            "hybrid": (fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.FixedHarmonic(), 20),
+                       fd.hybrid_identity_residuals),
+        }[algo]
+        with pytest.raises(fd.StateError, match=r"^row 1: the recorded iterate is not the step"):
+            replay(trace, other)
 
     @pytest.mark.parametrize("algo, role", [
         ("gcs", "f_conj_val"), ("gcs", "f_val"), ("gcs", "h_conj_val"),

@@ -392,6 +392,20 @@ class TestVerify:
         assert "PASS quadratic-simplex gcs weight-sum defect" not in out
         assert "PASS quadratic-simplex gmd identity residual" in out
 
+    def test_tampered_trace_fails_with_its_row(self, tmp_path, monkeypatch, capsys):
+        # the gcs trace with x_3 mirrored, still a point of the simplex, is not a run
+        def replay(trace, spec):
+            trace.xs[3] = trace.xs[3][::-1].copy()
+            return fd.cg_identity_residuals(trace, spec)
+
+        monkeypatch.setattr(cli, "cg_identity_residuals", replay)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["verify", "--config", str(cfg), "--kmax", "5"]) == 1
+        out = capsys.readouterr().out
+        assert ("FAIL quadratic-simplex gcs replay: row 3: the recorded iterate is not the "
+                "step from the one before toward its oracle target (defect ") in out
+        assert "PASS quadratic-simplex gmd identity residual" in out
+
 
 class TestProbeRateCompare:
     def test_probe_reports_constant(self, tmp_path, capsys):

@@ -177,9 +177,11 @@ def test_weak_duality_across_paired_runs():
                           fd.FixedHarmonic(), 40)
     At = spec.linmap.adjoint
     primal_vals = [spec.f_val(spec.linmap.apply(x)) + spec.h_val(x) for x in primal.xs[1:]]
-    # a dual-run mirror point y' corresponds to the certificate u = -y'
+    # a dual-run mirror point y', the dual spec's (h*)'(A* v'), corresponds to the
+    # certificate u = -y'
+    dual = fd.dualize(spec)
     dual_vals = []
-    for y in dual_run.ys:
+    for y in (dual.h_conj_grad(dual.linmap.adjoint(v)) for v in dual_run.vs[:-1]):
         u = -y
         dual_vals.append(-(spec.f_conj_val(u) + spec.h_conj_val(-At(u))))
     assert max(dual_vals) <= min(primal_vals) + 1e-9

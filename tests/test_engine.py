@@ -81,8 +81,9 @@ class TestConditionalSubgradient:
         # the certificate is the average or the best u_k, whichever is lower
         spec = fd.make_quadratic_simplex(n=2)
         tr = fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 50)
-        At = spec.linmap.adjoint
-        vals = [spec.f_conj_val(u) + spec.h_conj_val(-At(u)) for u in tr.us]
+        A, At = spec.linmap.apply, spec.linmap.adjoint
+        us = [spec.f_grad(A(x)) for x in tr.xs[:-1]]
+        vals = [spec.f_conj_val(u) + spec.h_conj_val(-At(u)) for u in us]
         for k in range(tr.k):
             best = min(vals[:k + 1])
             assert -tr.dual[k] <= best + 1e-15 * abs(best)
@@ -94,9 +95,9 @@ class TestMirrorDescent:
         # the shift invariance of softmax keeps it there
         spec = fd.make_entropy_lse(2)
         tr = fd.run_gmd(spec, np.zeros(2), fd.FixedHarmonic(), 3)
-        np.testing.assert_allclose(tr.ys[0], [0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(spec.h_conj_grad(tr.vs[0]), [0.5, 0.5], rtol=1e-15)
         np.testing.assert_allclose(tr.vs[1], [-0.5, -0.5], rtol=1e-15)
-        np.testing.assert_allclose(tr.ys[1], [0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(spec.h_conj_grad(tr.vs[1]), [0.5, 0.5], rtol=1e-15)
         assert tr.gap_plain[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_subgradient_fixed_point(self):
@@ -109,20 +110,20 @@ class TestMirrorDescent:
         # y+ = (h*)'((1-a) dh(y) - a f'(y)) with dh(y) the certificate of y
         spec = tilted_entropy()
         tr = fd.run_gmd(spec, np.array([0.5, -0.2, 0.1]), fd.FixedHarmonic(), 25)
+        ys = [spec.h_conj_grad(v) for v in tr.vs]
         for k in range(1, 25):
-            v, y, z, a = tr.vs[k], tr.ys[k], tr.zs[k], tr.alphas[k]
+            v, y, a = tr.vs[k], ys[k], tr.alphas[k]
             want = spec.h_conj_grad((1.0 - a) * v - a * spec.f_grad(y))
-            np.testing.assert_allclose(tr.ys[k + 1] if k + 1 < len(tr.ys) else
-                                       spec.h_conj_grad(spec.linmap.adjoint(tr.vs[k + 1])),
-                                       want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(ys[k + 1], want, rtol=1e-9, atol=1e-12)
 
     def test_primal_column_uses_aggregate(self):
         spec = tilted_entropy()
         tr = fd.run_gmd(spec, np.zeros(3), fd.FixedHarmonic(), 30)
         lam, _ = fd.weight_rows(tr.alphas)
-        y_hat = np.sum(lam[:, None] * np.array(tr.ys), axis=0)
+        ys = [spec.h_conj_grad(v) for v in tr.vs[:-1]]
+        y_hat = np.sum(lam[:, None] * np.array(ys), axis=0)
         average = spec.f_val(y_hat) + spec.h_val(y_hat)
-        best = min(spec.f_val(y) + spec.h_val(y) for y in tr.ys)
+        best = min(spec.f_val(y) + spec.h_val(y) for y in ys)
         # the certificate is the lower-valued of the average and the best y_k;
         # here that is the best mirror point, by more than the tolerance
         assert best < average - 1e-11
@@ -363,12 +364,8 @@ def _wrapped(spec, oracle, fail_from, failure):
 
 
 _COLUMNS = ("alphas", "primal", "dual", "gap_plain", "gap_sharp", "true_gap", "residual")
-# iterate histories each driver records, with their extra start entry
-_HISTORIES = {
-    "gcs": {"xs": 1, "us": 0, "ss": 0},
-    "gmd": {"vs": 1, "ys": 0, "zs": 0},
-    "hybrid": {"xs": 1, "us": 1, "ss": 0, "zs": 0},
-}
+# the iterate histories each driver records, K + 1 entries each
+_HISTORIES = {"gcs": ("xs",), "gmd": ("vs",), "hybrid": ("xs", "us")}
 
 
 @pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
@@ -398,10 +395,9 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
         k = broken.k
         assert (k > 0) == (fail_from > 1) and k < healthy.k
         assert all(len(getattr(broken, c)) == k for c in _COLUMNS + ("t_ms",))
-        recorded = _HISTORIES[algo]
-        for name in ("xs", "us", "ss", "zs", "vs", "ys"):
+        for name in ("xs", "us", "vs"):
             history = getattr(broken, name)
-            assert len(history) == (k + recorded[name] if name in recorded else 0)
+            assert len(history) == (k + 1 if name in _HISTORIES[algo] else 0)
             for got, want in zip(history, getattr(healthy, name)):
                 assert got.tobytes() == want.tobytes()
         for c in _COLUMNS:
@@ -538,20 +534,23 @@ class RecordingRule(fd.StepRule):
 
 def _uncached_divergence(algo, sharp, spec, trace, k, a):
     """The surrogate's divergence at step k of ``trace``, as the reference
-    loops evaluate it: every oracle value recomputed from the raw points."""
+    loops evaluate it: every oracle value recomputed from the raw iterates."""
     A, At = spec.linmap.apply, spec.linmap.adjoint
     keep = 1.0 - a
     if algo == "gmd":
-        v, z = trace.vs[k], trace.zs[k]
+        v = trace.vs[k]
+        z = spec.f_grad(A(spec.h_conj_grad(At(v))))
         if sharp:
             return step_divergence_dual(v, -z, a, spec)
         return bregman_hconj(At(keep * v - a * z), At(v), spec)
-    x, s = trace.xs[k], trace.ss[k]
+    x = trace.xs[k]
     if algo == "gcs":
+        s = spec.h_conj_grad(-At(spec.f_grad(A(x))))
         if sharp:
             return step_divergence_primal(x, s, a, spec)
         return fd.bregman_f(A(keep * x + a * s), A(x), spec)
-    u, z = trace.us[k], trace.zs[k]
+    u = trace.us[k]
+    s, z = spec.h_conj_grad(-At(u)), spec.f_grad(A(x))
     if sharp:
         return step_divergence_primal(x, s, a, spec) + step_divergence_dual(-u, -z, a, spec)
     return (fd.bregman_f(A(keep * x + a * s), A(x), spec)

@@ -7,7 +7,9 @@ wrong h value would survive there); one flips the choice of certificate to
 the higher-valued of the average and the best point, killed by the same
 test, whose gcs and gmd runs each have steps where the two values differ;
 one lets NaN through the checked oracle call, killed by a run whose
-closed-form Bregman distance returns NaN."""
+closed-form Bregman distance returns NaN; one moves x toward the previous
+step's target, killed by the default ``verify`` suite, whose replays check
+that each recorded iterate is the step toward its own oracle target."""
 
 import os
 import shutil
@@ -21,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ("tests/test_reference_drivers.py::test_drivers_match_reference_loops"
              "[entropy-lse-random-A-fixed_harmonic]")
 CHECKED = "tests/test_checked_oracles.py::test_nan_closed_form_bregman_ends_run[fixed_harmonic]"
+VERIFY = "tests/test_cli.py::TestVerify::test_default_suite_passes"
 
 # name -> (file of the package, its line, the mutation, the test that kills it)
 MUTATIONS = {
@@ -45,6 +48,11 @@ MUTATIONS = {
         "if math.isnan(out):",
         "if False:",
         CHECKED),
+    "x-toward-previous-target": (
+        "engine.py",
+        "primal_seg = _Segment(spec, x, s, y, h_x)",
+        "primal_seg, s_prev = _Segment(spec, x, s if k == 0 else s_prev, y, h_x), s",
+        VERIFY),
 }
 
 
@@ -83,3 +91,7 @@ def test_certificate_choice_mutation_is_killed(tmp_path):
 
 def test_checked_call_mutation_is_killed(tmp_path):
     assert_killed(tmp_path, "nan-passes-the-checked-call")
+
+
+def test_step_target_mutation_is_killed(tmp_path):
+    assert_killed(tmp_path, "x-toward-previous-target")

@@ -155,9 +155,10 @@ class TestBregmanHConj:
 
 
 def one_step(spec, x, u):
-    """(s, z) of the joint oracle step at (x, u): the first step of a hybrid run."""
+    """(s, z) of the joint oracle step at (x, u): the iterates of a hybrid run
+    after its first step, a full one."""
     trace = fd.run_hybrid(spec, x, u, fd.FixedHarmonic(), 1)
-    return trace.ss[0], trace.zs[0]
+    return trace.xs[1], trace.us[1]
 
 
 class TestJointOracleStep:

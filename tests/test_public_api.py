@@ -2,7 +2,8 @@
 ``fenchelduo``, and names removed with the single iteration kernel, the
 hand-mirrored dual side, the helpers folded into their one caller and the
 adaptive-exponent rule stay gone; the settable surface of the step rules and
-the drivers stays pinned, and README lists exactly the rules there are; no
+the drivers stays pinned, and README lists exactly the rules there are; a
+trace's fields and the iterate histories each driver fills stay pinned; no
 message spells out an oracle's name; and no oracle is called outside the
 checked layer."""
 
@@ -12,6 +13,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fenchelduo as fd
@@ -58,6 +60,33 @@ def test_settable_surface_is_pinned():
                         "run_hybrid": ["epsilon", "mode"]}
     sources = sorted(Path(fd.__file__).parent.glob("*.py"))
     assert sources and not [p.name for p in sources if "environ" in p.read_text()]
+
+
+def test_trace_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(fd.Trace)] == [
+        "algo", "mode", "alphas", "primal", "dual", "gap_plain", "gap_sharp", "true_gap",
+        "residual", "t_ms", "xs", "us", "vs", "certificate", "error"]
+
+
+@pytest.mark.parametrize("algo, filled", [("gcs", ("xs",)), ("gmd", ("vs",)),
+                                          ("hybrid", ("xs", "us"))])
+def test_each_driver_fills_its_iterate_histories(algo, filled):
+    """K + 1 iterates in each history the driver fills, none in the others, and
+    a certificate that shares no memory with them: editing them leaves it as it was"""
+    spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+    x0 = np.eye(3)[0]
+    trace = {"gcs": lambda: fd.run_gcs(spec, x0, fd.FixedHarmonic(), 7),
+             "gmd": lambda: fd.run_gmd(spec, np.zeros(3), fd.FixedHarmonic(), 7),
+             "hybrid": lambda: fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.FixedHarmonic(), 7),
+             }[algo]()
+    assert trace.error is None
+    assert {name: len(getattr(trace, name)) for name in ("xs", "us", "vs")} == {
+        name: 8 if name in filled else 0 for name in ("xs", "us", "vs")}
+    certificate = trace.certificate.copy()
+    for name in filled:
+        for point in getattr(trace, name):
+            point += 1.0
+    np.testing.assert_array_equal(trace.certificate, certificate)
 
 
 def test_readme_lists_each_rule_and_its_keys():

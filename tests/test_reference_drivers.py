@@ -31,7 +31,7 @@ RULES = {
     "exact_ls": fd.ExactLineSearch(),
 }
 COLUMNS = ("alphas", "gap_plain", "gap_sharp", "true_gap", "residual", "primal", "dual")
-HISTORIES = ("xs", "us", "ss", "zs", "vs", "ys")
+HISTORIES = ("xs", "us", "vs")
 
 
 def build(family, general, seed=3):
