@@ -21,9 +21,9 @@ print("optimum: x* = (1/2, 1/2) with value 1/4, duality gap 0 at (x*, x*)")
 print()
 print(f"{'k':>6} {'primal':>12} {'dual':>12} {'true gap':>12} {'certified':>12} {'2C/(k+2)':>12}")
 for k in (1, 2, 5, 10, 50, 100, 500, 1000):
-    r = trace.row(k - 1)
-    print(f"{k:6d} {r['primal']:12.6f} {r['dual']:12.6f} {r['true_gap']:12.3e} "
-          f"{r['gap_bound']:12.3e} {4.0 / (k + 2):12.3e}")
+    i = k - 1
+    print(f"{k:6d} {trace.primal[i]:12.6f} {trace.dual[i]:12.6f} {trace.true_gap[i]:12.3e} "
+          f"{trace.gap_bound[i]:12.3e} {4.0 / (k + 2):12.3e}")
 
 gap = np.asarray(trace.true_gap)
 bound = np.asarray(trace.gap_bound)

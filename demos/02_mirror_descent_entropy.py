@@ -23,9 +23,9 @@ print(f"b = {tilt.tolist()}")
 print()
 print(f"{'k':>6} {'primal@cert':>14} {'dual@v_k':>14} {'true gap':>12} {'certified':>12}")
 for k in (1, 2, 5, 10, 50, 100, 400):
-    r = trace.row(k - 1)
-    print(f"{k:6d} {r['primal']:14.8f} {r['dual']:14.8f} {r['true_gap']:12.3e} "
-          f"{r['gap_bound']:12.3e}")
+    i = k - 1
+    print(f"{k:6d} {trace.primal[i]:14.8f} {trace.dual[i]:14.8f} {trace.true_gap[i]:12.3e} "
+          f"{trace.gap_bound[i]:12.3e}")
 
 print()
 # the trace keeps the v_k; each mirror point is y_k = softmax(v_k)

@@ -30,8 +30,9 @@ print("random A in R^{5x3}")
 print()
 print(f"{'k':>6} {'true gap':>14} {'certified':>14} {'identity residual':>20}")
 for k in (1, 2, 5, 10, 50, 100, 500):
-    r = trace.row(k - 1)
-    print(f"{k:6d} {r['true_gap']:14.6e} {r['gap_bound']:14.6e} {r['residual']:20.3e}")
+    i = k - 1
+    print(f"{k:6d} {trace.true_gap[i]:14.6e} {trace.gap_bound[i]:14.6e} "
+          f"{trace.residual[i]:20.3e}")
 
 diff = np.max(np.abs(np.asarray(trace.true_gap) - np.asarray(trace.gap_sharp)))
 print()

@@ -13,10 +13,11 @@
 
 The ``*_identity_residuals`` functions replay a finished trace against the
 exact algebraic identities the certificates are built on; they weight the
-per-step terms by the recorded step sizes in closed form, as prefix sums
-(``mu^k_i = C_k / C_i`` with ``C_k`` the product of ``(1 - alpha_j)`` over
-``j <= k``), independently of the streaming bookkeeping of the engine's
-kernel, and hold whichever point the kernel certifies with.  Each replay
+per-step terms by the recorded step sizes through the weights' own
+recursion (every sum the identities need is ``s_k = (1 - alpha_k) s_{k-1} +
+t_k``, as ``mu^k_i = (1 - alpha_k) mu^{k-1}_i`` and the new term weighs 1),
+independently of the streaming bookkeeping of the engine's kernel, and hold
+whichever point the kernel certifies with.  Each replay
 raises :class:`StateError` on the trace of another driver.  A mirror-descent
 trace replays as a conditional-subgradient trace of the dual spec.  From
 uncached oracle calls at each recorded iterate x_k, the replay evaluates
@@ -105,34 +106,17 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
 # exact identity residuals (recomputed from a finished trace)
 # ---------------------------------------------------------------------------
 
-_RESCALE = 300.0  # a block keeps C_k / C_b >= e^-300; one step keeps >= 2^-53 > e^-300
-
-
 def _decayed_sums(alphas, *terms) -> np.ndarray:
-    # entry k of each row: sum_{i<=k} (C_k / C_i) terms_i, the mu-weighted sum of step k, as
-    # C_k times a prefix sum of terms_i / C_i.  An alpha = 1 zeroes the carried sum and
-    # starts a block; the log-product -log C_k places the other block ends, where the
-    # carried sum is rescaled.  C is a running product within a block, because a long
-    # sum of logs would lose |log C| eps per step.
+    # entry k of each row: the mu-weighted sum of step k, s_k = (1 - alpha_k) s_{k-1} + t_k
     a = np.asarray(alphas, dtype=float)
     if len(a) == 0 or a[0] != 1.0 or not ((0.0 <= a) & (a <= 1.0)).all():
         raise StateError("identity residuals require alpha_0 = 1 and every alpha in [0, 1]")
-    terms = np.stack(terms, axis=1)
-    fresh = a == 1.0
-    keep = np.where(fresh, 1.0, 1.0 - a)
-    drop = -np.cumsum(np.log1p(np.where(fresh, 0.0, -a)))
-    restarts = np.flatnonzero(fresh)
-    out = np.empty_like(terms)
-    b = 0
-    while b < len(a):
-        r = restarts.searchsorted(b, "right")
-        end = min(restarts[r] if r < len(restarts) else len(a),
-                  drop.searchsorted((drop[b - 1] if b else 0.0) + _RESCALE, "right"))
-        c = np.cumprod(keep[b:end])[:, None]
-        carry = 0.0 if fresh[b] else out[b - 1]
-        out[b:end] = c * (carry + np.cumsum(terms[b:end] / c, axis=0))
-        b = end
-    return out.T
+    out, keeps = np.array(terms, dtype=float), 1.0 - a
+    for row in out:
+        s = 0.0
+        for k, keep in enumerate(keeps):
+            s = row[k] = keep * s + row[k]
+    return out
 
 
 def _relative(avg, div, current) -> np.ndarray:

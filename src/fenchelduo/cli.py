@@ -296,12 +296,13 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: Trace, path: str):
+    # the columns of CSV_HEADER after k, in its order
+    columns = (trace.alphas, trace.primal, trace.dual, trace.gap_bound, trace.true_gap,
+               trace.residual, trace.t_ms)
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(trace.k):
-            r = trace.row(i)
-            fh.write(",".join([str(r["k"])] + [_fmt(r[c]) for c in CSV_HEADER.split(",")[1:]])
-                     + "\n")
+        for k, row in enumerate(zip(*columns), 1):
+            fh.write(",".join([str(k)] + [_fmt(v) for v in row]) + "\n")
 
 
 def summarize(trace: Trace, config: dict) -> dict:

@@ -96,18 +96,6 @@ class Trace:
     def gap_bound(self) -> np.ndarray:
         return np.asarray(self.gap_sharp if self.mode == "sharp" else self.gap_plain)
 
-    def row(self, i: int) -> dict:
-        return {
-            "k": i + 1,
-            "alpha": self.alphas[i],
-            "primal": self.primal[i],
-            "dual": self.dual[i],
-            "gap_bound": (self.gap_sharp if self.mode == "sharp" else self.gap_plain)[i],
-            "true_gap": self.true_gap[i],
-            "residual": self.residual[i],
-            "t_ms": self.t_ms[i],
-        }
-
 
 def _check_args(k_max: int, epsilon: Optional[float], mode: str):
     # a bool is an int to Python, but True would run one step (and as epsilon, stop at 1)

@@ -235,7 +235,8 @@ class OpenLoop(StepRule):
             raise RangeError(f"open-loop exponent must be positive and finite, got {self.gamma}")
 
     def select(self, k, gap, d_fun):
-        return 1.0 if k == 0 else self.gamma / (k + self.gamma)
+        """The gamma/(k+gamma) schedule; equals 1 at k = 0."""
+        return self.gamma / (k + self.gamma)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ independent recomputation."""
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fenchelduo as fd
 from fenchelduo.certificates import _decayed_sums
@@ -421,8 +423,28 @@ def alpha_sequence(kind):
     return np.concatenate([[1.0], tail])
 
 
+def exact_weighted_sums(alphas, terms):
+    """Every k's mu-weighted sum of ``terms`` from s_k = (1 - alpha_k) s_{k-1} + t_k in
+    exact rational arithmetic."""
+    s, out = Fraction(0), []
+    for a, t in zip(alphas, terms):
+        s = (1 - Fraction(a)) * s + Fraction(t)
+        out.append(s)
+    return out
+
+
+@st.composite
+def weighted_sum_cases(draw):
+    # alpha_0 = 1, then full, zero, nearly full or any steps; one or two rows of terms
+    step = st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2.0 ** -40]), st.floats(0.0, 1.0))
+    alphas = [1.0] + draw(st.lists(step, max_size=199))
+    row = st.lists(st.floats(-1e6, 1e6), min_size=len(alphas), max_size=len(alphas))
+    return alphas, draw(st.lists(row, min_size=1, max_size=2))
+
+
 class TestClosedFormReplay:
-    """The replay's closed-form prefix sums against the explicit weight rows of every k."""
+    """The replay's weighted-sum recursion against the explicit weight rows of every k,
+    and against exact rational arithmetic."""
 
     @pytest.mark.parametrize("kind", ["one-mid-run", "zero-runs", "zeros-and-ones", "near-one",
                                       "harmonic", "random"])
@@ -437,6 +459,20 @@ class TestClosedFormReplay:
         for got, t in zip(rows, terms):
             want, scale = brute_weighted_sums(alphas, t), brute_weighted_sums(alphas, np.abs(t))
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    # on a failure Hypothesis imports libcst to print a patch, and that import warns; as
+    # an error, the warning would abort the whole session instead of reporting the failure
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(weighted_sum_cases())
+    def test_matches_exact_recursion(self, case):
+        alphas, terms = case
+        rows = _decayed_sums(alphas, *map(np.array, terms))
+        assert rows.shape == (len(terms), len(alphas))
+        for got, t in zip(rows, terms):
+            want, scale = exact_weighted_sums(alphas, t), exact_weighted_sums(alphas, map(abs, t))
+            assert all(abs(Fraction(g) - w) <= Fraction(1e-13) * c
+                       for g, w, c in zip(got.tolist(), want, scale))
 
     @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
     def test_replay_across_full_and_zero_steps(self, algo):
@@ -458,7 +494,7 @@ class TestClosedFormReplay:
 
     @pytest.mark.parametrize("alphas", [[], [0.9, 0.5], [1.0, 1.5], [1.0, -0.25], [1.0, math.nan]])
     def test_rejects_step_sizes_without_a_full_first_step_or_outside_unit_interval(self, alphas):
-        # the closed form's log-products need 0 <= alpha <= 1; the weight rows never did
+        # the identities hold for convex weights, 0 <= alpha <= 1; weight_rows takes any alphas
         with pytest.raises(fd.StateError, match=r"^identity residuals require alpha_0 = 1 "
                                                 r"and every alpha in \[0, 1\]$"):
             _decayed_sums(alphas, np.ones(len(alphas)))

@@ -9,7 +9,10 @@ test, whose gcs and gmd runs each have steps where the two values differ;
 one lets NaN through the checked oracle call, killed by a run whose
 closed-form Bregman distance returns NaN; one moves x toward the previous
 step's target, killed by the default ``verify`` suite, whose replays check
-that each recorded iterate is the step toward its own oracle target."""
+that each recorded iterate is the step toward its own oracle target; one
+weights the new term of the replay's weighted-sum recursion by 1 - alpha_k
+instead of 1, killed by the test of that recursion against the explicit
+weight rows of every k on the 2/(k+2) schedule."""
 
 import os
 import shutil
@@ -24,6 +27,7 @@ REFERENCE = ("tests/test_reference_drivers.py::test_drivers_match_reference_loop
              "[entropy-lse-random-A-fixed_harmonic]")
 CHECKED = "tests/test_checked_oracles.py::test_nan_closed_form_bregman_ends_run[fixed_harmonic]"
 VERIFY = "tests/test_cli.py::TestVerify::test_default_suite_passes"
+WEIGHTS = "tests/test_certificates.py::TestClosedFormReplay::test_matches_row_recursion[harmonic]"
 
 # name -> (file of the package, its line, the mutation, the test that kills it)
 MUTATIONS = {
@@ -53,6 +57,11 @@ MUTATIONS = {
         "primal_seg = _Segment(spec, x, s, y, h_x)",
         "primal_seg, s_prev = _Segment(spec, x, s if k == 0 else s_prev, y, h_x), s",
         VERIFY),
+    "replay-weight-misplaced": (
+        "certificates.py",
+        "s = row[k] = keep * s + row[k]",
+        "s = row[k] = keep * (s + row[k])",
+        WEIGHTS),
 }
 
 
@@ -95,3 +104,7 @@ def test_checked_call_mutation_is_killed(tmp_path):
 
 def test_step_target_mutation_is_killed(tmp_path):
     assert_killed(tmp_path, "x-toward-previous-target")
+
+
+def test_replay_weight_mutation_is_killed(tmp_path):
+    assert_killed(tmp_path, "replay-weight-misplaced")

@@ -124,8 +124,8 @@ def test_dual_side_is_primal_side_of_dualize(family, general, monkeypatch):
     trace = fd.run_gmd(spec, v0, fd.ExactLineSearch(), K)
     assert trace.error is None
     # the package replays dualize(spec) through its primal-side replay: its
-    # per-step terms are the hand-mirrored ones bit for bit, and its closed-form
-    # weighting agrees with the reference's explicit weight rows to rounding
+    # per-step terms are the hand-mirrored ones bit for bit, and its weighted-sum
+    # recursion agrees with the reference's explicit weight rows to rounding
     seen = {}
     for name in ("_decayed_sums", "_relative"):
         monkeypatch.setattr(certificates, name, spy(seen, name, getattr(certificates, name)))

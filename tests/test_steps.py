@@ -19,8 +19,11 @@ class TestSchedules:
 
     def test_open_loop_schedule(self):
         rule = fd.OpenLoop(gamma=1.5)
-        assert rule.select(0, 1.0, None) == 1.0
         assert rule.select(1, 1.0, None) == pytest.approx(0.6, abs=0)
+        # gamma / (0 + gamma) is exactly 1 for every positive finite gamma
+        for gamma in (5e-324, 1e-300, 0.5, 1.5, 2.0, 1e300, 1.7976931348623157e308):
+            for k in (0, np.int64(0)):
+                assert fd.OpenLoop(gamma).select(k, 1.0, None) == 1.0
 
     def test_open_loop_validates_gamma(self):
         with pytest.raises(fd.RangeError):
