@@ -4,13 +4,13 @@ probe curvature, fit the rate of a trace file, and compare configurations.
 Subcommands: run, verify, probe, rate, compare; each takes only the flags it
 reads (``_SUBCOMMANDS``), and rate none.  Experiments are described by a JSON
 config.  A flag sets the config key of the same name (``--kmax`` sets
-``k_max``; ``--gamma`` sets that key of the effective rule), and ``resolve``
-checks every key once, unknown keys and types included, before any oracle is
-built.  Traces are written as CSV with a fixed column set at 17 significant
-digits so files round-trip 64-bit floats; summaries are JSON with sorted keys.
-Exit codes: 1 for failed verification, 2 for config and usage errors, 3 for
-oracle/domain errors (a partial trace is still written), 141 when the reader
-closes stdout early.
+``k_max``); the rule, its parameter and the mode come from the config alone.
+``resolve`` checks every key once, unknown keys and types included, before
+any oracle is built.  Traces are written as CSV with a fixed column set at 17
+significant digits so files round-trip 64-bit floats; summaries are JSON with
+sorted keys.  Exit codes: 1 for failed verification, 2 for config and usage
+errors, 3 for oracle/domain errors (a partial trace is still written), 141
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -206,22 +206,13 @@ def load_config(path: str) -> dict:
     return config
 
 
-_TOP_FLAGS = {"kmax": "k_max", "mode": "mode", "seed": "seed", "out": "out"}
+_TOP_FLAGS = {"kmax": "k_max", "seed": "seed", "out": "out"}
 
 
 def _with_flags(config: dict, args) -> dict:
-    """The config with each given flag set on the key of the same name:
-    ``--rule`` replaces the rule, and ``--gamma`` then sets that key of the
-    effective rule, to be checked like a config key."""
+    """The config with each given flag set on the key of the same name."""
     given = {flag: v for flag, v in vars(args).items() if v is not None}
-    config = {**config, **{key: given[f] for f, key in _TOP_FLAGS.items() if f in given}}
-    if "rule" in given:
-        config["rule"] = {"name": given["rule"]}
-    if "gamma" in given:
-        rule = config.get("rule", "fixed_harmonic")
-        rule = {"name": rule} if isinstance(rule, str) else rule
-        config["rule"] = {**rule, "gamma": given["gamma"]} if isinstance(rule, dict) else rule
-    return config
+    return {**config, **{key: given[f] for f, key in _TOP_FLAGS.items() if f in given}}
 
 
 class Setup(NamedTuple):
@@ -372,7 +363,7 @@ _DEFAULT_VERIFY = [
 def _verify_one(config: dict, report: list) -> bool:
     setup = resolve({**config, "algorithm": "gcs"})
     spec, rule, k_max, x0, u0 = setup.spec, setup.rule, setup.k_max, setup.x0, setup.u0
-    label = spec.name if spec.linmap.is_identity else f"{spec.name}(general-A)"
+    label = spec.name if config["problem"].get("a") is None else f"{spec.name}(general-A)"
     ok = True
 
     def check(name: str, value: float, tol: float) -> bool:
@@ -436,7 +427,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    setup = resolve(_with_flags(load_config(args.config), argparse.Namespace(seed=args.seed)))
+    setup = resolve(_with_flags(load_config(args.config), args))
     gamma = args.gamma if args.gamma is not None else 2.0
     try:
         est = probe_curvature(setup.spec, gamma, n_samples=200, seed=setup.seed)
@@ -538,22 +529,21 @@ _FLAGS = {
     "--config": {"help": "JSON experiment config"},
     "--out": {"help": "output directory"},
     "--kmax": {"type": int, "help": "iteration budget"},
-    "--rule": {"choices": sorted(_RULE_KEYS), "help": "step rule (replaces the config's)"},
-    "--gamma": {"type": float, "help": "open_loop exponent (probe: curvature exponent)"},
-    "--mode": {"choices": ["plain", "sharp"], "help": "gap recursion variant"},
+    "--gamma": {"type": float, "help": "curvature exponent (default 2)"},
     "--seed": {"type": int, "help": "seed for problem-library sampling"},
 }
 # subcommand -> (function, help, the flags it reads); probe's --gamma is the
 # probed exponent, not a config key
 _SUBCOMMANDS = {
-    "run": (cmd_run, "run one experiment, write trace.csv + summary.json", tuple(_FLAGS)),
+    "run": (cmd_run, "run one experiment, write trace.csv + summary.json",
+            ("--config", "--out", "--kmax", "--seed")),
     "verify": (cmd_verify, "run the identity/equivalence suite",
                ("--config", "--kmax", "--seed")),
     "probe": (cmd_probe, "estimate a relative curvature constant",
               ("--config", "--gamma", "--seed")),
     "rate": (cmd_rate, "fit the gap decay exponent of a trace file", ()),
     "compare": (cmd_compare, "aligned gap table for several configs",
-                tuple(f for f in _FLAGS if f != "--config")),
+                ("--out", "--kmax", "--seed")),
 }
 
 

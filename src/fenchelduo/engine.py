@@ -271,6 +271,9 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     x_{k+1} = (1-alpha_k) x_k + alpha_k s_k.  The dual certificate at each k
     is the lambda-weighted average of the u_k or the first u_k of least dual
     value, whichever has the lower dual value.
+    ``mode`` picks the bound: ``gap_sharp`` if ``"sharp"``, else ``gap_plain``;
+    with ``epsilon`` the run stops after the first row whose bound is strictly
+    below it.
     """
     _check_args(k_max, epsilon, mode)
     x = as_point(x0, spec.dim_x, "x0")
@@ -289,6 +292,9 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     and the first y_k of least primal value.  The trace keeps the v_k, the
     x' of the dual run, as ``vs``.  An oracle error in ``trace.error`` names
     the oracle of ``spec``, as ``dualize`` records it.
+    ``mode`` picks the bound: ``gap_sharp`` if ``"sharp"``, else ``gap_plain``;
+    with ``epsilon`` the run stops after the first row whose bound is strictly
+    below it.
     """
     _check_args(k_max, epsilon, mode)
     v = as_point(v0, spec.dim_y, "v0")
@@ -306,6 +312,9 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
     (s_k, z_k) = ((h*)'(-A*u_k), f'(Ax_k)) with the same step size, and the
     certified bound coincides with the true duality gap at (x_k, u_k).  The
     iterates are their own certificate.
+    ``mode`` picks the bound: ``gap_sharp`` if ``"sharp"``, else ``gap_plain``;
+    with ``epsilon`` the run stops after the first row whose bound is strictly
+    below it.
     """
     _check_args(k_max, epsilon, mode)
     x = as_point(x0, spec.dim_x, "x0")

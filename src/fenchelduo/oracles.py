@@ -115,10 +115,6 @@ class LinearMap:
             matrix=mat,
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix is None and self.dim_in == self.dim_out
-
     def adjoint_residual(self, rng: np.random.Generator, trials: int = 100) -> float:
         """Worst relative defect of <Ax, u> = <x, A*u> over random probes."""
         worst = 0.0

@@ -460,9 +460,6 @@ class TestClosedFormReplay:
             want, scale = brute_weighted_sums(alphas, t), brute_weighted_sums(alphas, np.abs(t))
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
-    # on a failure Hypothesis imports libcst to print a patch, and that import warns; as
-    # an error, the warning would abort the whole session instead of reporting the failure
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
     @settings(derandomize=True, database=None, deadline=None)
     @given(weighted_sum_cases())
     def test_matches_exact_recursion(self, case):

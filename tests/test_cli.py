@@ -110,10 +110,10 @@ class TestRun:
         assert gap_l <= gap_f + 1e-12
 
     def test_flag_overrides(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
+        cfg = write_config(tmp_path / "cfg.json", rule={"name": "open_loop", "gamma": 3.0},
+                           mode="sharp")
         out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out), "--kmax", "7",
-              "--rule", "open_loop", "--gamma", "3.0", "--mode", "sharp"])
+        main(["run", "--config", str(cfg), "--out", str(out), "--kmax", "7"])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] == 7
         assert summary["rule"] == {"name": "open_loop", "gamma": 3.0}
@@ -203,7 +203,7 @@ class TestConfigValidation:
 
     def test_deleted_rule_is_config_or_usage_error(self, tmp_path, capsys):
         """the adaptive-exponent rule is gone: a config naming it is a config
-        error listing the three rules, and --rule naming it a usage error"""
+        error listing the three rules, and a --rule flag is a usage error"""
         cfg = write_config(tmp_path / "cfg.json", rule="approx_gamma", k_max=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -212,7 +212,7 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
         cfg = write_config(tmp_path / "cfg.json", k_max=5)
         assert exit_code(["run", "--config", str(cfg), "--rule", "approx_gamma"]) == 2
-        assert "invalid choice: 'approx_gamma'" in capsys.readouterr().err
+        assert "unrecognized arguments: --rule approx_gamma" in capsys.readouterr().err
 
     # the line-search budget and polish tolerance are constants, not config
     # keys, so no setting can freeze or crash a run
@@ -529,11 +529,11 @@ def exit_code(argv):
 
 class TestFlags:
     FLAGS = {
-        "run": {"--config", "--out", "--kmax", "--rule", "--gamma", "--mode", "--seed"},
+        "run": {"--config", "--out", "--kmax", "--seed"},
         "verify": {"--config", "--kmax", "--seed"},
         "probe": {"--config", "--gamma", "--seed"},
         "rate": set(),
-        "compare": {"--out", "--kmax", "--rule", "--gamma", "--mode", "--seed"},
+        "compare": {"--out", "--kmax", "--seed"},
     }
 
     @staticmethod
@@ -546,7 +546,7 @@ class TestFlags:
     def test_each_subcommand_takes_only_the_flags_it_reads(self, command):
         flags = self.parser_flags()
         assert flags[command] == self.FLAGS[command]
-        assert sum(len(f) for f in flags.values()) == 19
+        assert sum(len(f) for f in flags.values()) == 13
 
     def test_flag_a_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -555,19 +555,16 @@ class TestFlags:
         assert exit_code(["verify", "--mode", "sharp"]) == 2
         assert exit_code(["probe", "--config", str(cfg), "--kmax", "3"]) == 2
         assert exit_code(["rate", str(out / "trace.csv"), "--kmax", "5"]) == 2
-        # fixed_harmonic has no exponent: a rule flag is checked like a config key
-        assert exit_code(["run", "--config", str(cfg), "--gamma", "3",
-                          "--out", str(tmp_path / "o2")]) == 2
-        assert "'gamma'" in capsys.readouterr().err
-
-    def test_rule_flag_sets_key_of_config_rule(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", rule={"name": "open_loop", "gamma": 1.5})
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--gamma", "3"]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["rule"] == {"gamma": 3.0, "name": "open_loop"}
-        rows = read_rows(out / "trace.csv")
-        assert float(rows[1][1]) == 3.0 / 4.0  # second step: gamma / (1 + gamma)
+        # the rule, its gamma and the mode are set in the config alone
+        other = write_config(tmp_path / "other.json", rule={"name": "exact_ls"})
+        o2 = str(tmp_path / "o2")
+        for flag in (["--rule", "exact_ls"], ["--gamma", "3"], ["--mode", "sharp"]):
+            for argv in (["run", "--config", str(cfg), "--out", o2],
+                         ["compare", str(cfg), str(other)]):
+                capsys.readouterr()
+                assert exit_code(argv + flag) == 2
+                assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
 
 
 def test_closed_stdout_exits_without_traceback(tmp_path):

@@ -225,6 +225,21 @@ class TestRunHygiene:
                 got = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=200, epsilon=same)
                 assert got.error is None and (got.k, got.gap_plain) == (want.k, want.gap_plain)
 
+    @pytest.mark.parametrize("mode", ["plain", "sharp"])
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_epsilon_stops_after_first_row_strictly_below(self, algo, mode):
+        # epsilon is row 10's own bound: the run goes past row 10, where a
+        # non-strict test would stop, to the first row whose bound is below it
+        spec = fd.make_quadratic_simplex(n=3)
+        start = ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        full = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=40, mode=mode)
+        epsilon = full.gap_bound[9]
+        first = next(k for k, g in enumerate(full.gap_bound, 1) if g < epsilon)
+        tr = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=40, mode=mode, epsilon=epsilon)
+        bound = tr.gap_sharp if mode == "sharp" else tr.gap_plain
+        assert tr.error is None and tr.k == first > 10
+        assert bound == list(tr.gap_bound) == list(full.gap_bound[:first])
+
     def test_no_driver_takes_policy(self):
         # no driver has a policy keyword: gcs and gmd certify by the better of
         # two points, hybrid by its iterates

@@ -55,7 +55,6 @@ class TestLinearMap:
         lm = fd.LinearMap.identity(4)
         x = np.arange(4.0)
         assert lm.apply(x) is x
-        assert lm.is_identity
 
     def test_from_matrix_dims(self):
         lm = fd.LinearMap.from_matrix([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
