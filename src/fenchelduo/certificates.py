@@ -17,19 +17,20 @@ per-step terms by the recorded step sizes through the weights' own
 recursion (every sum the identities need is ``s_k = (1 - alpha_k) s_{k-1} +
 t_k``, as ``mu^k_i = (1 - alpha_k) mu^{k-1}_i`` and the new term weighs 1),
 independently of the streaming bookkeeping of the engine's kernel, and hold
-whichever point the kernel certifies with.  Each replay
-raises :class:`StateError` on the trace of another driver.  A mirror-descent
-trace replays as a conditional-subgradient trace of the dual spec.  From
-uncached oracle calls at each recorded iterate x_k, the replay evaluates
-A x_k, h(x_k), u_k = f'(A x_k) (hybrid records u_k), A* u_k and the target
-s_k; x_{k+1} is the step's end point once it is (1 - alpha_k) x_k +
-alpha_k s_k to a few ulps, and a :class:`StateError` names the row where it
-is not.  The kernel (one cached segment per step) shares none of this code,
-so a replay checks the kernel's arithmetic rather than repeating it.  Every
-oracle value it reads is a checked call: an oracle that raises or returns
-NaN raises :class:`DomainError`, and one that returns +inf at a recorded
-point raises :class:`InfiniteValue`, each naming the user's oracle, on the
-dual spec too, as ``dualize`` records it.
+whichever point the kernel certifies with.  Each replay raises
+:class:`StateError` on the trace of another driver.  A mirror-descent trace
+replays as a conditional-subgradient trace of the dual spec.  From uncached
+oracle calls at each recorded iterate x_k, the replay evaluates A x_k, h(x_k),
+u_k = f'(A x_k) (hybrid records u_k), A* u_k and the target s_k; u_k is f' at
+the base of step k, and f(A x_k), read once, is carried from row to row.
+x_{k+1} is the step's end point once it is (1 - alpha_k) x_k + alpha_k s_k to
+a few ulps, and a :class:`StateError` names the row where it is not.  The
+kernel (one cached segment per step) shares none of this code, so a replay
+checks the kernel's arithmetic rather than repeating it.  Every oracle value
+it reads is a checked call: an oracle that raises or returns NaN raises
+:class:`DomainError`, and one that returns +inf at a recorded point raises
+:class:`InfiniteValue`, each naming the user's oracle, on the dual spec too,
+as ``dualize`` records it.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import math
 
 import numpy as np
 
-from .oracles import (InfiniteValue, ProblemSpec, StateError, _oracle_name, _oracle_point,
-                      _oracle_value, bregman_f, dualize)
+from .oracles import (InfiniteValue, ProblemSpec, StateError, _bregman, _oracle_name,
+                      _oracle_point, _oracle_value, bregman_f, dualize)
 
 __all__ = [
     "weight_rows",
@@ -77,10 +78,10 @@ def _guarded(spec: ProblemSpec, coeff: float, value: float, where: str) -> float
     return coeff * value
 
 
-def _divergence(spec: ProblemSpec, y, h, y_end, h_end: float, target, alpha: float) -> float:
-    # step_divergence_primal toward target from a point of image y and h value h, read at
-    # the end point of the step (image y_end, finite h value h_end)
-    value = bregman_f(y_end, y, spec) + h_end
+def _divergence(spec: ProblemSpec, d: float, h, h_end: float, target, alpha: float) -> float:
+    # step_divergence_primal toward target from a point of h value h, read at the end point
+    # of the step (finite h value h_end), from the Bregman term d across the step
+    value = d + h_end
     value -= _guarded(spec, 1.0 - alpha, h, "base")
     value -= _guarded(spec, alpha, _oracle_value(spec, "h_val", target), "target")
     return value
@@ -99,7 +100,8 @@ def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: Pro
     A = spec.linmap.apply
     comb = (1.0 - alpha) * x + alpha * s
     h_comb = _guarded(spec, 1.0, _oracle_value(spec, "h_val", comb), "interpolated")
-    return _divergence(spec, A(x), _oracle_value(spec, "h_val", x), A(comb), h_comb, s, alpha)
+    h = _oracle_value(spec, "h_val", x)
+    return _divergence(spec, bregman_f(A(comb), A(x), spec), h, h_comb, s, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +137,10 @@ def _recorded(spec: ProblemSpec, role: str, point) -> float:
     return _oracle_value(spec, role, point, at="a recorded iterate")
 
 
-def _step(spec: ProblemSpec, k: int, base, y, h, target, alpha: float, end):
-    # step k from base (image y, h value h) toward target; once ``end`` is that step to a few
-    # ulps (the method, not the kernel's arithmetic): its image, h value and the increment
+def _step(spec: ProblemSpec, k: int, base, y, f, g, h, target, alpha: float, end):
+    # step k from base (image y, f(y) = f or None, f'(y) = g, h value h) toward target; once
+    # ``end`` is that step to a few ulps (the method, not the kernel's arithmetic): its image,
+    # f value (None after a closed form), h value and the increment
     comb = (1.0 - alpha) * base + alpha * target
     if (end != comb).any():  # bit for bit is the usual case, and needs no tolerance
         defect = np.abs(end - comb)
@@ -145,22 +148,30 @@ def _step(spec: ProblemSpec, k: int, base, y, h, target, alpha: float, end):
             raise StateError(f"row {k + 1}: the recorded iterate is not the step from the one "
                              f"before toward its oracle target (defect {float(defect.max()):.3e})")
     y_end, h_end = spec.linmap.apply(end), _recorded(spec, "h_val", end)
-    return y_end, h_end, _divergence(spec, y, h, y_end, h_end, target, alpha)
+    d, f_end, _, _ = _bregman(spec, y_end, y, f, g)
+    return y_end, f_end, h_end, _divergence(spec, d, h, h_end, target, alpha)
+
+
+def _value(spec: ProblemSpec, f_end, y_end) -> float:
+    # f at a step's end point: the value its Bregman term read, or a call after a closed form
+    return _recorded(spec, "f_val", y_end) if f_end is None else f_end
 
 
 def _cg_residuals(xs, alphas, spec: ProblemSpec) -> np.ndarray:
     A, At = spec.linmap.apply, spec.linmap.adjoint
     # h(x_0) enters with the weight 1 - alpha_0 = 0 alone, so it may be +inf
-    x, y, h = xs[0], A(xs[0]), _oracle_value(spec, "h_val", xs[0])
+    x, y, f, h = xs[0], A(xs[0]), None, _oracle_value(spec, "h_val", xs[0])
     dv, div, primal = [], [], []
     for k, (a, end) in enumerate(zip(alphas, xs[1:])):
         u = _oracle_point(spec, "f_grad", y)
         w = -At(u)
         dv.append(_recorded(spec, "f_conj_val", u) + _recorded(spec, "h_conj_val", w))
-        y_end, h_end, d = _step(spec, k, x, y, h, _oracle_point(spec, "h_conj_grad", w), a, end)
+        s = _oracle_point(spec, "h_conj_grad", w)
+        y_end, f_end, h_end, d = _step(spec, k, x, y, f, u, h, s, a, end)
         div.append(d)
-        primal.append(_recorded(spec, "f_val", y_end) + h_end)
-        x, y, h = end, y_end, h_end
+        f_end = _value(spec, f_end, y_end)
+        primal.append(f_end + h_end)
+        x, y, f, h = end, y_end, f_end, h_end
     avg, weighted = _decayed_sums(alphas, np.multiply(alphas, dv), np.array(div))
     return _relative(avg, weighted, np.array(primal))
 
@@ -194,19 +205,19 @@ def hybrid_identity_residuals(trace, spec: ProblemSpec) -> np.ndarray:
     """
     _require_algo(trace, "hybrid", "hybrid_identity_residuals")
     A, dual = spec.linmap.apply, dualize(spec)
-    # the dual side moves v = -u; h(x_0) and its h(v_0) = f*(u_0) weigh 1 - alpha_0 = 0
+    # the dual side moves v = -u, with f value e = h*(w); h(x_0) and h(v_0) = f*(u_0) weigh 0
     x, v = trace.xs[0], -trace.us[0]
-    y, h = A(x), _oracle_value(spec, "h_val", x)
-    w, g = dual.linmap.apply(v), _oracle_value(dual, "h_val", v)
+    y, f, h = A(x), None, _oracle_value(spec, "h_val", x)
+    w, e, g = dual.linmap.apply(v), None, _oracle_value(dual, "h_val", v)
     div, gap = [], []
     for k, (a, x_end, u_end) in enumerate(zip(trace.alphas, trace.xs[1:], trace.us[1:])):
         s, z = _oracle_point(spec, "h_conj_grad", w), _oracle_point(spec, "f_grad", y)
         v_end = -u_end
-        y_end, h_end, d = _step(spec, k, x, y, h, s, a, x_end)
-        w_end, g_end, d_dual = _step(dual, k, v, w, g, -z, a, v_end)
-        gap.append(_recorded(spec, "f_val", y_end) + h_end + g_end
-                   + _recorded(dual, "f_val", w_end))
+        y_end, f_end, h_end, d = _step(spec, k, x, y, f, z, h, s, a, x_end)
+        w_end, e_end, g_end, d_dual = _step(dual, k, v, w, e, s, g, -z, a, v_end)
+        f_end, e_end = _value(spec, f_end, y_end), _value(dual, e_end, w_end)
+        gap.append(f_end + h_end + g_end + e_end)
         div.append(d + d_dual)
-        x, y, h, v, w, g = x_end, y_end, h_end, v_end, w_end, g_end
+        x, y, f, h, v, w, e, g = x_end, y_end, f_end, h_end, v_end, w_end, e_end, g_end
     (weighted,) = _decayed_sums(trace.alphas, np.array(div))
     return _relative(np.array(gap), weighted, 0.0)

@@ -27,8 +27,8 @@ from .oracles import (
     FitError,
     ProblemSpec,
     RangeError,
+    _bregman,
     _oracle_point,
-    bregman_f,
     dualize,
 )
 
@@ -63,12 +63,12 @@ def _check_exponent(gamma: float) -> None:
 
 
 def _ratios(spec: ProblemSpec, x, s, gamma: float):
-    # (a, gamma D(a) / a^gamma) along the line from x toward s for each a of
-    # the grid, with A(x) computed once; an oracle error ends the line there
-    A = spec.linmap.apply
-    y0 = A(x)
+    # (a, gamma D(a) / a^gamma) along the line from x toward s for each a of the grid, with
+    # A(x), f and f' there read once (f, f' at the first a); an oracle error ends the line
+    y0, f0, g0 = spec.linmap.apply(x), None, None
     for a in _ALPHAS:
-        yield a, gamma * bregman_f(A((1.0 - a) * x + a * s), y0, spec) / float(a ** gamma)
+        d, _, f0, g0 = _bregman(spec, spec.linmap.apply((1.0 - a) * x + a * s), y0, f0, g0)
+        yield a, gamma * d / float(a ** gamma)
 
 
 # the ratios divide by float(a ** gamma): in Python floats an overflow is inf,

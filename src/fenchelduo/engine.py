@@ -19,15 +19,16 @@ identity map is the special case with zero overhead.  Oracle calls and
 applications of A and A* are the cost of a run, so the kernel makes each
 once where its value is reused unchanged: per step and side, one segment
 serves the line-search probes and the certificate increment, whose point at
-the chosen step size is the next iterate, evaluated once; the values, step
-sizes and traces are those of an uncached evaluation.  Every run records a
+the chosen step size is the next iterate, evaluated once.  A step reads its
+base's A(x), f(Ax) and h(x) off the step before and f'(Ax) off its oracle
+output, so a probe reads f at its own point alone; the values, step sizes
+and traces are those of an uncached evaluation.  Every run records a
 :class:`Trace` with its iterates (the oracle outputs are functions of them),
 both gap-bound variants, the true gap of the certificate pair, and a
 streaming residual of the certificate identity: the run's Fenchel-Young check
-of its oracle pairs.
-Every oracle call is checked: an oracle that raises, returns NaN, or
-returns an infinite value where the run needs a finite one ends the run,
-and ``trace.error`` names the oracle of the user's spec.
+of its oracle pairs.  Every oracle call is checked: an oracle that raises,
+returns NaN, or returns an infinite value where the run needs a finite one
+ends the run, and ``trace.error`` names the oracle of the user's spec.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .oracles import (
     _oracle_name,
     _oracle_point,
     _oracle_value,
+    _snap,
 )
 from .steps import StepRule
 
@@ -110,12 +112,12 @@ def _check_args(k_max: int, epsilon: Optional[float], mode: str):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
 
 
-def _objective(spec: ProblemSpec, x, y, h=None):
-    # (f(y) + h(x), h(x)) with y = A(x), and h = h(x) when the caller has it;
-    # a dual value f*(u) + h*(-A*u) is this on dualize(spec) at (-u, -A*u)
-    value = _oracle_value(spec, "f_val", y, at="an iterate")
+def _objective(spec: ProblemSpec, x, y, h=None, f=None):
+    # (f(y) + h(x), f(y), h(x)) with y = A(x), and h = h(x), f = f(y) when the caller
+    # has them; a dual value f*(u) + h*(-A*u) is this on dualize(spec) at (-u, -A*u)
+    f = _oracle_value(spec, "f_val", y, at="an iterate") if f is None else f
     h = _oracle_value(spec, "h_val", x, at="an iterate") if h is None else h
-    return value + h, h
+    return f + h, f, h
 
 
 def _guarded(spec: ProblemSpec, coeff: float, value: float, where: str) -> float:
@@ -135,23 +137,32 @@ class _Segment:
     ``increment(alpha, sharp)`` is the certificate increment at the
     interpolated point comb: the Bregman term D = D_f(A comb, A base), alone,
     or with ``sharp`` the pair (D, D plus the Jensen slack of h).  What every
-    probe of the step shares is evaluated once: A(base) and h(base) come from
-    the step before (``h0`` is None on the first, plain, step), and h(target)
-    is read at the first sharp probe, so a failing oracle raises where an
-    uncached evaluation would.  Each probe keeps its comb, A(comb) and (when
-    sharp) h(comb) as ``point``, ``image`` and ``h``, computed afresh, bit for
-    bit as an uncached evaluation: the next iterate and its values.
+    probe of the step shares is read once: f'(A base) is the step's oracle
+    output ``g0``; A(base), f(A base) and h(base) come from the step before
+    (``f0`` and ``h0`` are None on the first, plain, step, where f(A base) is
+    read after f(A comb), as ``bregman_f`` reads it), and h(target) is read at
+    the first sharp probe, so a failing oracle raises where an uncached
+    evaluation would.  Each probe keeps its comb, A(comb), f(A comb) (None on
+    a closed form) and (when sharp) h(comb) as ``point``, ``image``, ``f`` and
+    ``h``, computed afresh, bit for bit: the next iterate and its values.
     """
 
-    def __init__(self, spec: ProblemSpec, base, target, y0, h0):
-        self.spec, self.base, self.target, self.y0 = spec, base, target, y0
-        self.h_base, self.h_target = h0, None
+    def __init__(self, spec: ProblemSpec, base, target, y0, g0, f0, h0):
+        self.spec, self.base, self.target = spec, base, target
+        self.y0, self.g0, self.f0, self.f, self.h_base, self.h_target = y0, g0, f0, None, h0, None
 
     def increment(self, alpha: float, sharp: bool):
         spec = self.spec
         self.point = comb = (1.0 - alpha) * self.base + alpha * self.target
-        self.image = spec.linmap.apply(comb)
-        d = bregman_f(self.image, self.y0, spec)
+        self.image = y = spec.linmap.apply(comb)
+        if spec.breg_f is not None:
+            d = bregman_f(y, self.y0, spec)
+        else:  # bregman_f's fallback, from the base values the step holds
+            self.f = _oracle_value(spec, "f_val", y, at="the first Bregman argument")
+            if self.f0 is None:
+                self.f0 = _oracle_value(spec, "f_val", self.y0, at="the Bregman base point",
+                                        error=DomainError)
+            d = _snap(self.f - self.f0 - float(np.dot(self.g0, y - self.y0)))
         self.h = _oracle_value(spec, "h_val", comb) if sharp else None
         if not sharp:
             return d
@@ -173,12 +184,12 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     ``dualize(spec)`` from -u toward -z.  Each side is one :class:`_Segment`
     per step, shared by every line-search probe and the increment at the
     chosen step size, which hands over the new iterate once evaluated: x,
-    A(x) and h(x), and hybrid's -u, -A*(u) and f*(u).  A dual value is the
-    objective of ``dualize(spec)`` at (-u, -A*(u)).  gcs certifies its dual
-    side by a point of the u_k instead of its iterate: at each k, the one of
-    lower dual value (the average on a tie) of their lambda-weighted average
-    and the first u_k of least dual value.  By weak duality either is valid,
-    and neither enters the certified bound.
+    A(x), f(A x) and h(x), and hybrid's -u, -A*(u), h*(-A*u) and f*(u).  A
+    dual value is the objective of ``dualize(spec)`` at (-u, -A*(u)).  gcs
+    certifies its dual side by a point of the u_k instead of its iterate: at
+    each k, the one of lower dual value (the average on a tie) of their
+    lambda-weighted average and the first u_k of least dual value.  By weak
+    duality either is valid, and neither enters the certified bound.
     """
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec)
@@ -205,16 +216,16 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
     start = time.perf_counter()
     try:
-        y, h_x, f_conj_u = A(x), None, None
+        y, f_y, h_x, hc_w, f_conj_u = A(x), None, None, None, None
         w = -At(u) if hybrid else None
         for k in range(k_max):
             z = _oracle_point(spec, "f_grad", y)
             if not hybrid:
                 u, w = z, -At(z)
             s = _oracle_point(spec, "h_conj_grad", w)
-            primal_seg = _Segment(spec, x, s, y, h_x)
+            primal_seg = _Segment(spec, x, s, y, z, f_y, h_x)
             if hybrid:
-                dual_seg = _Segment(dual, -u, -z, w, f_conj_u)
+                dual_seg = _Segment(dual, -u, -z, w, s, hc_w, f_conj_u)
             else:
                 step_value = _objective(dual, -u, w)[0]
 
@@ -230,11 +241,12 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 sharp = (1.0 - alpha) * sharp + d_sharp
             # each segment's last increment was at alpha: its point is the next iterate
             x, y = primal_seg.point, primal_seg.image
-            p_val, h_x = _objective(spec, x, y, primal_seg.h)
+            p_val, f_y, h_x = _objective(spec, x, y, primal_seg.h, primal_seg.f)
             # the identity behind the residual: avg + (moving sides' values) = sharp
             if hybrid:
                 u, w = -dual_seg.point, dual_seg.image
-                u_val, f_conj_u = _objective(dual, dual_seg.point, w, dual_seg.h)
+                u_val, hc_w, f_conj_u = _objective(dual, dual_seg.point, w, dual_seg.h,
+                                                   dual_seg.f)
                 current = p_val + u_val
                 trace.us.append(u.copy())
             else:

@@ -282,10 +282,18 @@ def bregman_f(y: np.ndarray, x: np.ndarray, spec: ProblemSpec) -> float:
             raise DomainError(f"oracle {_oracle_name(spec, 'breg_f')} returned a negative "
                               f"Bregman distance {d!r}")
         return d
+    return _bregman(spec, y, x)[0]
+
+
+def _bregman(spec: ProblemSpec, y, x, fx=None, g=None):
+    # bregman_f with f(x), f'(x) given or read after f(y): D, f(y) (None if closed), f(x), f'(x)
+    if spec.breg_f is not None:
+        return bregman_f(y, x, spec), None, fx, g
     fy = _oracle_value(spec, "f_val", y, at="the first Bregman argument")
-    fx = _oracle_value(spec, "f_val", x, at="the Bregman base point", error=DomainError)
-    g = _oracle_point(spec, "f_grad", x)
-    return _snap(fy - fx - float(np.dot(g, y - x)))
+    if fx is None:
+        fx = _oracle_value(spec, "f_val", x, at="the Bregman base point", error=DomainError)
+    g = _oracle_point(spec, "f_grad", x) if g is None else g
+    return _snap(fy - fx - float(np.dot(g, y - x))), fy, fx, g
 
 
 def fenchel_young_residual(spec: ProblemSpec, y: Optional[np.ndarray] = None,

@@ -9,7 +9,11 @@ calls and ``bregman_f``) with the package, and ``weight_rows``, which
 neither its kernel nor its replays call, but none of its iteration or
 certificate code, so comparing the package drivers against them (and
 running the equivalence checks on them) stays a check of one wiring
-against another.
+against another.  The loops call ``bregman_f`` uncached, reading f and f'
+at the base point afresh at every step size, while the kernel reads them
+from the values it carries (f from the row before, f' from the step's
+oracle output): the bit-for-bit comparison is what checks those carried
+values.
 
 The certificate code is spelled out here by hand: ``CertificateAggregate``
 (the averaged and the best point, and the choice of the lower-valued of

@@ -96,6 +96,88 @@ class TestProbeCurvature:
         assert grid_sup <= analytic + 1e-9
 
 
+_GRID = np.geomspace(1e-3, 1.0, 64)
+
+
+def _literal_line_sup(side, x, s, gamma):
+    """sup over the probe grid of gamma D(a) / a^gamma on the line from x toward
+    s, each D an uncached bregman_f; with its witness step size"""
+    A = side.linmap.apply
+    c, at = 0.0, None
+    for a in _GRID:
+        ratio = gamma * fd.bregman_f(A((1.0 - a) * x + a * s), A(x), side) / float(a ** gamma)
+        if ratio > c:
+            c, at = ratio, float(a)
+    return c, at
+
+
+def _flaky_holder():
+    # Hölder with a random A, no closed forms; its f' fails where the image has y_0 > 0
+    rng = np.random.default_rng(7)
+    spec = fd.make_holder_power_simplex(1.5, 3, a=fd.random_linear_map(4, 3, rng))
+
+    def f_grad(y):
+        if y[0] > 0.0:
+            raise ValueError("outside the gradient's range")
+        return spec.f_grad(y)
+
+    return spec, replace(spec, f_grad=f_grad)
+
+
+class TestLiteralBregmanLoop:
+    """``_ratios`` reads f and f' at a line's base once; the estimates are those of
+    a per-step-size bregman_f loop, bit for bit, and a failing oracle still
+    skips the sample"""
+
+    @pytest.mark.parametrize("flaky", [False, True], ids=["holder", "holder-failing-f_grad"])
+    def test_probe_curvature(self, flaky):
+        clean, failing = _flaky_holder()
+        spec = failing if flaky else clean
+        gamma = 1.5
+        rng = np.random.default_rng(3)
+        c_hat, witness_alpha, skipped = 0.0, None, 0
+        for i in range(60):
+            x = spec.sample_x(rng)
+            v = rng.standard_normal(3) * (0.1, 1.0, 10.0)[i % 3]
+            try:
+                c, at = _literal_line_sup(spec, x, spec.h_conj_grad(v), gamma)
+            except fd.FenchelDuoError:
+                skipped += 1
+                continue
+            if c > c_hat:
+                c_hat, witness_alpha = c, at
+        est = fd.probe_curvature(spec, gamma, n_samples=60, seed=3)
+        assert np.float64(est.c_hat).tobytes() == np.float64(c_hat).tobytes()
+        assert (est.witness["alpha"], est.skipped) == (witness_alpha, skipped)
+        assert (skipped > 0) == flaky
+
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_curvature_along_trace(self, algo):
+        spec, _ = _flaky_holder()
+        x0 = spec.h_conj_grad(np.zeros(3))
+        if algo == "gcs":
+            tr = fd.run_gcs(spec, x0, fd.FixedHarmonic(), 20)
+        elif algo == "gmd":
+            tr = fd.run_gmd(spec, np.zeros(4), fd.FixedHarmonic(), 20)
+        else:
+            tr = fd.run_hybrid(spec, x0, spec.f_grad(spec.linmap.apply(x0)), fd.FixedHarmonic(), 20)
+        dual = fd.dualize(spec)
+
+        def sup(side, lines):
+            return max(_literal_line_sup(side, x, side.h_conj_grad(-side.linmap.adjoint(u)),
+                                         2.0)[0] for x, u in lines)
+
+        if algo == "gcs":
+            want = sup(spec, ((x, spec.f_grad(spec.linmap.apply(x))) for x in tr.xs[:-1]))
+        elif algo == "gmd":
+            want = sup(dual, ((v, dual.f_grad(dual.linmap.apply(v))) for v in tr.vs[:-1]))
+        else:
+            pairs = list(zip(tr.xs[:-1], tr.us[:-1]))
+            want = (sup(spec, pairs), sup(dual, ((-u, x) for x, u in pairs)))
+        got = fd.curvature_along_trace(tr, spec, 2.0)
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
 class TestTraceCurvature:
     def test_primal_side_below_global_constant(self):
         spec = fd.make_quadratic_simplex(n=2)

@@ -6,10 +6,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fenchelduo as fd
+from fenchelduo.engine import _Segment
+from fenchelduo.oracles import _oracle_point
 from reference_drivers import bregman_hconj, step_divergence_dual, step_divergence_primal
-from test_reference_drivers import FAMILIES, build, start
+from test_reference_drivers import FAMILIES, bits, build, start
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,11 @@ class TestRunHygiene:
         calls = {"n": 0}
 
         def flaky_grad(y):
-            # 2 calls per iteration (step + the Bregman fallback of the
-            # certificate increment); budget 8 completes exactly 4 rows
+            # 1 call per iteration (the step's z, which the Bregman fallback
+            # of the certificate increment reuses); budget 4 completes
+            # exactly 4 rows
             calls["n"] += 1
-            if calls["n"] > 8:
+            if calls["n"] > 4:
                 raise ValueError("oracle budget exhausted")
             return y
 
@@ -662,8 +666,11 @@ def _step_budgets(spec, algo):
     against the budget: one A and one h per probe, and h at the target once
     per step (A and h at the base come with the iterate from the step
     before); hybrid's dual segment likewise, one A* and one f* per probe plus
-    f* at the target."""
-    counted, counts = _counting(spec, ("h_val", "f_conj_val"))
+    f* at the target.  Without a closed-form Bregman distance a probe reads f
+    (h* on hybrid's dual side) at its point alone, and no gradient: f' at the
+    base is the step's oracle output."""
+    counted, counts = _counting(spec, ("h_val", "f_conj_val", "f_val", "f_grad", "h_conj_val",
+                                       "h_conj_grad"))
     log = []
     x0 = spec.h_conj_grad(np.zeros(spec.dim_x))
     if algo == "gcs":
@@ -680,6 +687,9 @@ def _step_budgets(spec, algo):
         else:
             assert calls["adjoint"] == probes
             assert calls["f_conj_val"] == probes + 1
+        assert calls["f_val"] == (0 if spec.breg_f else probes)
+        assert calls["h_conj_val"] == (probes if algo == "hybrid" and not spec.breg_hconj else 0)
+        assert calls["f_grad"] == calls["h_conj_grad"] == 0
     return [probes for probes, _ in log]
 
 
@@ -732,3 +742,81 @@ def test_schedule_iteration_oracle_counts(algo, per_iteration):
         assert trace.error is None and trace.k == k_max
         totals.append(counts)
     assert {name: totals[1][name] - totals[0][name] for name in totals[0]} == per_iteration
+
+
+# the sides each driver moves: the value and gradient oracles of f on the primal
+# side, of h* on the dual side, and the closed-form Bregman distance of each
+_SIDES = {"gcs": [("f_val", "f_grad", "breg_f")],
+          "gmd": [("h_conj_val", "h_conj_grad", "breg_hconj")],
+          "hybrid": [("f_val", "f_grad", "breg_f"), ("h_conj_val", "h_conj_grad", "breg_hconj")]}
+
+
+@pytest.mark.parametrize("rule", [fd.FixedHarmonic(), fd.ExactLineSearch()],
+                         ids=["fixed_harmonic", "exact_ls"])
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+@pytest.mark.parametrize("family", ["holder", "quadratic-box"])
+def test_each_point_reads_f_and_its_gradient_once(family, algo, rule):
+    """a side without a closed-form Bregman distance reads f once per probe
+    and once per row, at the point's image, plus f(A x_0) once on the first
+    row, and f' once per row, the step's oracle output, which serves every
+    probe as f' at the base: at K = 50 on Hölder gcs, 51 f_val and 50 f_grad
+    calls on the 2/(k+2) schedule; a closed-form side reads f once per row,
+    for the objective, and its closed form once per probe and per row"""
+    rng = np.random.default_rng(5)
+    a = fd.random_linear_map(4, 3, rng)
+    spec = (fd.make_holder_power_simplex(1.5, 3, a=a) if family == "holder"
+            else fd.make_quadratic_box(n=3, b=0.5 * rng.standard_normal(4), a=a))
+    names = tuple(n for n in ("f_val", "f_grad", "h_conj_val", "h_conj_grad", "breg_f",
+                              "breg_hconj") if getattr(spec, n) is not None)
+    counted, counts = _counting(spec, names)
+    probes, k_max = [], 50
+    recording = RecordingRule(rule, probes)
+    x0 = spec.h_conj_grad(np.zeros(3))
+    if algo == "gcs":
+        trace = fd.run_gcs(counted, x0, recording, k_max)
+    elif algo == "gmd":
+        trace = fd.run_gmd(counted, np.zeros(4), recording, k_max)
+    else:
+        trace = fd.run_hybrid(counted, x0, spec.f_grad(spec.linmap.apply(x0)), recording, k_max)
+    assert trace.error is None and trace.k == k_max
+    p = len(probes)
+    assert (p == 0) == isinstance(rule, fd.FixedHarmonic)
+    for value, grad, closed in _SIDES[algo]:
+        if getattr(spec, closed) is None:
+            assert (counts[value], counts[grad]) == (p + k_max + 1, k_max)
+        else:
+            assert (counts[value], counts[grad], counts[closed]) == (k_max, k_max, p + k_max)
+
+
+@st.composite
+def holder_segments(draw):
+    # a Hölder spec with the identity or a random A, a step from a point of the
+    # simplex toward a vertex or another point of it, and the step sizes probed
+    p = draw(st.sampled_from([1.1, 1.5, 2.0]) | st.floats(1.01, 2.0))
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = fd.random_linear_map(m, n, rng) if draw(st.booleans()) else None
+    spec = fd.make_holder_power_simplex(p, n, a=a)
+    base = rng.dirichlet(np.ones(n))
+    target = np.eye(n)[rng.integers(n)] if draw(st.booleans()) else rng.dirichlet(np.ones(n))
+    step = st.sampled_from([0.0, 1.0, 1e-9, 0.5]) | st.floats(0.0, 1.0)
+    return spec, base, target, draw(st.lists(step, min_size=1, max_size=8)), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(holder_segments())
+def test_segment_increment_is_bregman_f_bit_for_bit(case):
+    """the kernel's Bregman term from the base values a step holds (f' at the
+    base, the step's oracle output; f at the base, carried from the row
+    before or read at the first probe) is bregman_f's, bit for bit"""
+    spec, base, target, alphas, carried = case
+    A = spec.linmap.apply
+    y0 = A(base)
+    f0 = spec.f_val(y0) if carried else None
+    seg = _Segment(spec, base, target, y0, _oracle_point(spec, "f_grad", y0), f0, 0.0)
+    for a in alphas:
+        got = seg.increment(a, False)
+        comb = (1.0 - a) * base + a * target
+        assert bits(got) == bits(fd.bregman_f(A(comb), A(base), spec))
+        assert bits(seg.f) == bits(spec.f_val(A(comb)))
+        assert seg.f0 == spec.f_val(y0)

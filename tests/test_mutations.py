@@ -1,18 +1,22 @@
 """Mutation smoke test for the checks that guard the certificate.  Each
 one-line mutation is applied to a temporary copy of the package, and a named
-test must fail on it with an assertion.  Two mutate the values the kernel
+test must fail on it with an assertion.  Three mutate the values the kernel
 carries from one step to the next, killed by a bit-for-bit test against the
 reference loops on entropy-lse (h is zero on every indicator problem, so a
-wrong h value would survive there); one flips the choice of certificate to
+wrong h value would survive there): h(x) read at the target, A*u read at the
+previous image, and the objective's f read at the step's base instead of its
+end point; one flips the choice of certificate to
 the higher-valued of the average and the best point, killed by the same
 test, whose gcs and gmd runs each have steps where the two values differ;
 one lets NaN through the checked oracle call, killed by a run whose
 closed-form Bregman distance returns NaN; one moves x toward the previous
 step's target, killed by the default ``verify`` suite, whose replays check
-that each recorded iterate is the step toward its own oracle target; one
-weights the new term of the replay's weighted-sum recursion by 1 - alpha_k
-instead of 1, killed by the test of that recursion against the explicit
-weight rows of every k on the 2/(k+2) schedule."""
+that each recorded iterate is the step toward its own oracle target, and
+which also kills a replay that keeps f(y_0) as every row's Bregman base
+value instead of carrying f(y) from row to row; one weights the new term
+of the replay's weighted-sum recursion by 1 - alpha_k instead of 1, killed
+by the test of that recursion against the explicit weight rows of every k
+on the 2/(k+2) schedule."""
 
 import os
 import shutil
@@ -33,9 +37,14 @@ WEIGHTS = "tests/test_certificates.py::TestClosedFormReplay::test_matches_row_re
 MUTATIONS = {
     "h-base-from-target": (
         "engine.py",
-        "p_val, h_x = _objective(spec, x, y, primal_seg.h)",
-        "p_val, h_x = (_objective(spec, x, y, primal_seg.h)[0], "
+        "p_val, f_y, h_x = _objective(spec, x, y, primal_seg.h, primal_seg.f)",
+        "p_val, f_y, h_x = (*_objective(spec, x, y, primal_seg.h, primal_seg.f)[:2], "
         "_oracle_value(spec, 'h_val', primal_seg.target))",
+        REFERENCE),
+    "f-value-from-base": (
+        "engine.py",
+        "primal_seg.h, primal_seg.f)",
+        "primal_seg.h, primal_seg.f0)",
         REFERENCE),
     "w-from-previous-image": (
         "engine.py",
@@ -54,8 +63,13 @@ MUTATIONS = {
         CHECKED),
     "x-toward-previous-target": (
         "engine.py",
-        "primal_seg = _Segment(spec, x, s, y, h_x)",
-        "primal_seg, s_prev = _Segment(spec, x, s if k == 0 else s_prev, y, h_x), s",
+        "primal_seg = _Segment(spec, x, s, y, z, f_y, h_x)",
+        "primal_seg, s_prev = _Segment(spec, x, s if k == 0 else s_prev, y, z, f_y, h_x), s",
+        VERIFY),
+    "replay-keeps-first-base-f": (
+        "certificates.py",
+        "x, y, f, h = end, y_end, f_end, h_end",
+        "x, y, f, h = end, y_end, f if k else _recorded(spec, 'f_val', y), h_end",
         VERIFY),
     "replay-weight-misplaced": (
         "certificates.py",
@@ -89,7 +103,8 @@ def assert_killed(tmp_path, name):
     assert "AssertionError" in result.stdout and "1 failed" in result.stdout, result.stdout
 
 
-@pytest.mark.parametrize("name", ["h-base-from-target", "w-from-previous-image"])
+@pytest.mark.parametrize("name", ["h-base-from-target", "w-from-previous-image",
+                                  "f-value-from-base"])
 def test_carried_value_mutation_is_killed(tmp_path, name):
     assert_killed(tmp_path, name)
 
@@ -104,6 +119,10 @@ def test_checked_call_mutation_is_killed(tmp_path):
 
 def test_step_target_mutation_is_killed(tmp_path):
     assert_killed(tmp_path, "x-toward-previous-target")
+
+
+def test_replay_base_value_mutation_is_killed(tmp_path):
+    assert_killed(tmp_path, "replay-keeps-first-base-f")
 
 
 def test_replay_weight_mutation_is_killed(tmp_path):
