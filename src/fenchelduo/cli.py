@@ -268,14 +268,17 @@ def resolve(config: dict) -> Setup:
     return Setup(spec, algo, rule, k_max, epsilon, mode, seed, x0, u0, v0)
 
 
+def _drive(setup: Setup, algo: str, **kwargs) -> Trace:
+    """Run driver ``algo`` on a setup from the start points that driver takes."""
+    run, starts = {"gcs": (run_gcs, (setup.x0,)), "gmd": (run_gmd, (setup.v0,)),
+                   "hybrid": (run_hybrid, (setup.x0, setup.u0))}[algo]
+    return run(setup.spec, *starts, setup.rule, setup.k_max, **kwargs)
+
+
 def execute(config: dict) -> Trace:
     """Run the experiment a config describes and return its trace."""
     setup = resolve(config)
-    kwargs = dict(epsilon=setup.epsilon, mode=setup.mode)
-    if setup.algo == "hybrid":
-        return run_hybrid(setup.spec, setup.x0, setup.u0, setup.rule, setup.k_max, **kwargs)
-    run, start = (run_gcs, setup.x0) if setup.algo == "gcs" else (run_gmd, setup.v0)
-    return run(setup.spec, start, setup.rule, setup.k_max, **kwargs)
+    return _drive(setup, setup.algo, epsilon=setup.epsilon, mode=setup.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +364,8 @@ _DEFAULT_VERIFY = [
 
 
 def _verify_one(config: dict, report: list) -> bool:
-    setup = resolve({**config, "algorithm": "gcs"})
-    spec, rule, k_max, x0, u0 = setup.spec, setup.rule, setup.k_max, setup.x0, setup.u0
+    setup = resolve(config)
+    spec, k_max, x0, u0 = setup.spec, setup.k_max, setup.x0, setup.u0
     label = spec.name if config["problem"].get("a") is None else f"{spec.name}(general-A)"
     ok = True
 
@@ -371,23 +374,16 @@ def _verify_one(config: dict, report: list) -> bool:
         report.append(f"{'PASS' if good else 'FAIL'} {label} {name}: {value:.3e} (tol {tol:g})")
         return good
 
-    traces = {
-        "gcs": run_gcs(spec, x0, rule, k_max),
-        "gmd": run_gmd(spec, setup.v0, rule, k_max),
-        "hybrid": run_hybrid(spec, x0, u0, rule, k_max),
-    }
-    residual_fns = {
-        "gcs": cg_identity_residuals,
-        "gmd": md_identity_residuals,
-        "hybrid": hybrid_identity_residuals,
-    }
-    for algo, trace in traces.items():
+    # each driver in plain mode without a target, run and replayed before the next
+    for algo, replay in (("gcs", cg_identity_residuals), ("gmd", md_identity_residuals),
+                         ("hybrid", hybrid_identity_residuals)):
+        trace = _drive(setup, algo)
         if trace.error:
             report.append(f"FAIL {label} {algo} aborted: {trace.error}")
             ok = False
             continue
         try:
-            worst = float(np.max(residual_fns[algo](trace, spec)))
+            worst = float(np.max(replay(trace, spec)))
         except (DomainError, InfiniteValue, StateError) as exc:  # no value, or no step
             report.append(f"FAIL {label} {algo} replay: {exc}")
             ok = False

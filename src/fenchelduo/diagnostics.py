@@ -7,10 +7,10 @@ The convergence theory is driven by the smallest constant C with
 where D is the Bregman distance of the smooth part along a segment from a
 feasible point toward a conjugate-subgradient output.  ``probe_curvature``
 estimates C from random probes (a lower bound on the true constant, reported
-as such), ``curvature_along_trace`` restricts the sup to the step lines a
-finished run actually used, and ``fit_rate`` reads the empirical decay
-exponent off a trace.  A probe whose oracle raises or returns a non-finite
-value is counted as skipped; along a trace, the same fault raises.
+as such), ``curvature_along_trace`` restricts the sup to the step lines of a
+finished run, read off its steps' own oracle outputs, and ``fit_rate`` reads
+the empirical decay exponent off a trace.  A probe whose oracle raises or
+returns a non-finite value counts as skipped; along a trace, it raises.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def _check_exponent(gamma: float) -> None:
                          f"alpha^gamma underflows to 0 at alpha = {_ALPHAS[0]}")
 
 
-def _ratios(spec: ProblemSpec, x, s, gamma: float):
+def _ratios(spec: ProblemSpec, x, s, gamma: float, y0=None, g0=None):
     # (a, gamma D(a) / a^gamma) along the line from x toward s for each a of the grid, with
-    # A(x), f and f' there read once (f, f' at the first a); an oracle error ends the line
-    y0, f0, g0 = spec.linmap.apply(x), None, None
+    # A(x) = y0 and f' = g0 there given or read once, f at the first a; an oracle error ends it
+    y0, f0 = spec.linmap.apply(x) if y0 is None else y0, None
     for a in _ALPHAS:
         d, _, f0, g0 = _bregman(spec, spec.linmap.apply((1.0 - a) * x + a * s), y0, f0, g0)
         yield a, gamma * d / float(a ** gamma)
@@ -124,28 +124,28 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     side) and a (primal, dual) pair for 'hybrid'.  A bound computed with these
     constants is guaranteed for that same run, which is how rate statements
     are checked on problems whose global constant is unbounded.  The dual
-    side is the primal side of ``dualize(spec)``.  A line runs from an iterate
-    x toward (h*)'(-A* u), with u = f'(A x) for gcs; for hybrid, u on the
-    primal side, and on the dual side x, from -u.
+    side is the primal side of ``dualize(spec)``.  A step reads y = A x,
+    z = f'(y), u (z, or hybrid's recorded u), w = -A* u and s = (h*)'(w) once;
+    its line runs from x toward s, and hybrid's dual line from -u toward -z.
     """
     _check_exponent(gamma)
-
-    def sup(side, pairs):  # (iterate, covector u) of each step line on ``side``
-        c = 0.0
-        for x, u in pairs:
-            s = _oracle_point(side, "h_conj_grad", -side.linmap.adjoint(u))
-            for _, ratio in _ratios(side, x, s, gamma):
-                c = max(c, ratio)
-        return _finite(c, gamma)
-
-    if trace.algo in ("gcs", "gmd"):
-        side, xs = (spec, trace.xs) if trace.algo == "gcs" else (dualize(spec), trace.vs)
-        return sup(side, ((x, _oracle_point(side, "f_grad", side.linmap.apply(x)))
-                          for x in xs[:-1]))
-    if trace.algo == "hybrid":
-        pairs = list(zip(trace.xs[:-1], trace.us[:-1]))
-        return sup(spec, pairs), sup(dualize(spec), ((-u, x) for x, u in pairs))
-    raise RangeError(f"unknown trace algo {trace.algo!r}")
+    if trace.algo not in ("gcs", "gmd", "hybrid"):
+        raise RangeError(f"unknown trace algo {trace.algo!r}")
+    hybrid, dual = trace.algo == "hybrid", dualize(spec)
+    side, xs = (dual, trace.vs) if trace.algo == "gmd" else (spec, trace.xs)
+    c = c_dual = 0.0
+    for k, x in enumerate(xs[:-1]):
+        y = side.linmap.apply(x)
+        z = _oracle_point(side, "f_grad", y)
+        u = trace.us[k] if hybrid else z
+        w = -side.linmap.adjoint(u)
+        s = _oracle_point(side, "h_conj_grad", w)
+        for _, ratio in _ratios(side, x, s, gamma, y, z):
+            c = max(c, ratio)
+        if hybrid:
+            for _, ratio in _ratios(dual, -u, -z, gamma, w, s):
+                c_dual = max(c_dual, ratio)
+    return (_finite(c, gamma), _finite(c_dual, gamma)) if hybrid else _finite(c, gamma)
 
 
 def fit_rate(trace_or_gaps):

@@ -27,7 +27,7 @@ def _require_schedule(rule: StepRule):
     if not rule.is_schedule:
         raise RangeError(
             "equivalence checks need a deterministic step schedule; "
-            f"got trajectory-dependent rule {rule.label!r}"
+            f"got trajectory-dependent rule {type(rule).__name__}"
         )
 
 

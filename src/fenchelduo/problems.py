@@ -5,6 +5,8 @@ Each constructor returns a :class:`~fenchelduo.oracles.ProblemSpec` whose
 conjugates and Bregman distances are closed forms, so certificate identities
 can be tested to tight tolerances.  Each part of a spec (a feasible region,
 or a smooth f) comes from a private function that returns its oracles as a dict.
+The entropy spec's h part is the log-sum-exp f part with its roles swapped:
+h is that part's f*, h* its f, (h*)' its f' and D_{h*} its D_f.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def softmax(u) -> np.ndarray:
 
 
 def _neg_entropy(x) -> float:
-    """sum_i x_i log x_i with 0 log 0 = 0; expects nonnegative input."""
+    """sum_i x_i log x_i over the entries x_i > 0, so 0 log 0 = 0."""
     x = np.asarray(x, dtype=float)
     mask = x > 0.0
     return float((x[mask] * np.log(x[mask])).sum())
@@ -193,17 +195,6 @@ class L1BallRegion:
         return w * rng.choice([-1.0, 1.0], size=self.n)
 
 
-def _indicator_oracles(region):
-    def h_val(x):
-        return 0.0 if region.contains(x) else INF
-
-    return {
-        "h_val": h_val,
-        "h_conj_val": region.support,
-        "h_conj_grad": region.lmo,
-    }
-
-
 # ---------------------------------------------------------------------------
 # smooth parts
 # ---------------------------------------------------------------------------
@@ -314,7 +305,9 @@ def _indicator_spec(region, fpart_oracles, linmap, name) -> ProblemSpec:
         linmap=linmap,
         name=name,
         sample_x=region.sample,
-        **_indicator_oracles(region),
+        h_val=lambda x: 0.0 if region.contains(x) else INF,
+        h_conj_val=region.support,
+        h_conj_grad=region.lmo,
         **fpart_oracles,
     )
 
@@ -361,36 +354,25 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
     if n < 2:
         raise ConstructionError(f"entropy problem needs n >= 2, got {n}")
     linmap = _resolve_map(n, a)
-    m = linmap.dim_out
-
+    lse = _lse_f_oracles()  # the h part too, with its roles swapped
     if f_kind == "quadratic":
-        fpart = _quadratic_oracles(Q, b, m)
+        fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     elif f_kind == "lse":
         unread = [name for name, value in (("Q", Q), ("b", b)) if value is not None]
         if unread:
             raise ConstructionError(f"f_kind 'lse' takes no {' or '.join(unread)}")
-        fpart = _lse_f_oracles()
+        fpart = lse
     else:
         raise ConstructionError(f"unknown f_kind {f_kind!r} (expected 'quadratic' or 'lse')")
 
-    region = SimplexRegion(n)
-
-    def h_val(x):
-        if not region.contains(x):
-            return INF
-        return _neg_entropy(np.maximum(np.asarray(x, dtype=float), 0.0))
-
-    def sample_interior(rng):
-        return softmax(rng.standard_normal(n))
-
     return ProblemSpec(
         linmap=linmap,
-        h_val=h_val,
-        h_conj_val=_log_sum_exp,
-        h_conj_grad=softmax,
-        breg_hconj=_lse_bregman,
+        h_val=lse["f_conj_val"],
+        h_conj_val=lse["f_val"],
+        h_conj_grad=lse["f_grad"],
+        breg_hconj=lse["breg_f"],
         name="entropy-lse",
-        sample_x=sample_interior,
+        sample_x=lambda rng: softmax(rng.standard_normal(n)),
         **fpart,
     )
 

@@ -209,12 +209,6 @@ class StepRule:
     def select(self, k: int, gap: float, d_fun) -> float:  # pragma: no cover
         raise NotImplementedError
 
-    @property
-    def label(self) -> str:
-        """The rule's config name, or its class name for a rule outside ``_RULES``."""
-        names = {cls: name for name, cls in _RULES.items()}
-        return names.get(type(self), type(self).__name__)
-
 
 @dataclass(frozen=True)
 class FixedHarmonic(StepRule):

@@ -342,6 +342,43 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--kmax", "50"]) == 0
         assert "entropy-lse" in capsys.readouterr().out
 
+    def test_config_is_checked_as_run_checks_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", algorithm="bogus")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == run_err
+        assert "algorithm must be gcs|gmd|hybrid, got 'bogus'" in run_err
+
+    def test_config_algorithm_does_not_narrow_the_suite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", algorithm="hybrid")
+        assert main(["verify", "--config", str(cfg), "--kmax", "20"]) == 0
+        passed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("PASS")]
+        assert len(passed) == 20
+        for algo in ("gcs", "gmd", "hybrid"):
+            assert f"PASS quadratic-simplex {algo} identity residual" in "\n".join(passed)
+
+    def test_runs_and_replays_are_looked_up_in_order(self, monkeypatch, capsys):
+        """each config runs gcs, gmd and hybrid, each replayed before the next
+        runs, through the module names a caller may patch"""
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        names = ("run_gcs", "cg_identity_residuals", "run_gmd", "md_identity_residuals",
+                 "run_hybrid", "hybrid_identity_residuals")
+        for name in names:
+            monkeypatch.setattr(cli, name, spy(name))
+        assert main(["verify", "--kmax", "20"]) == 0
+        assert calls == list(names) * len(cli._DEFAULT_VERIFY)
+
     def test_config_k_max_is_the_budget(self, tmp_path, monkeypatch, capsys):
         budgets = []
 

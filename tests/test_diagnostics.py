@@ -124,6 +124,16 @@ def _flaky_holder():
     return spec, replace(spec, f_grad=f_grad)
 
 
+def _holder_run(spec, algo):
+    # a 20-step run of ``algo`` on the Hölder spec of _flaky_holder
+    x0 = spec.h_conj_grad(np.zeros(3))
+    if algo == "gcs":
+        return fd.run_gcs(spec, x0, fd.FixedHarmonic(), 20)
+    if algo == "gmd":
+        return fd.run_gmd(spec, np.zeros(4), fd.FixedHarmonic(), 20)
+    return fd.run_hybrid(spec, x0, spec.f_grad(spec.linmap.apply(x0)), fd.FixedHarmonic(), 20)
+
+
 class TestLiteralBregmanLoop:
     """``_ratios`` reads f and f' at a line's base once; the estimates are those of
     a per-step-size bregman_f loop, bit for bit, and a failing oracle still
@@ -154,13 +164,7 @@ class TestLiteralBregmanLoop:
     @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
     def test_curvature_along_trace(self, algo):
         spec, _ = _flaky_holder()
-        x0 = spec.h_conj_grad(np.zeros(3))
-        if algo == "gcs":
-            tr = fd.run_gcs(spec, x0, fd.FixedHarmonic(), 20)
-        elif algo == "gmd":
-            tr = fd.run_gmd(spec, np.zeros(4), fd.FixedHarmonic(), 20)
-        else:
-            tr = fd.run_hybrid(spec, x0, spec.f_grad(spec.linmap.apply(x0)), fd.FixedHarmonic(), 20)
+        tr = _holder_run(spec, algo)
         dual = fd.dualize(spec)
 
         def sup(side, lines):
@@ -176,6 +180,39 @@ class TestLiteralBregmanLoop:
             want = (sup(spec, pairs), sup(dual, ((-u, x) for x, u in pairs)))
         got = fd.curvature_along_trace(tr, spec, 2.0)
         assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _counting(spec):
+    """``spec`` whose linear map and oracles count their calls."""
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return call
+
+    linmap = replace(spec.linmap, apply=counted("apply", spec.linmap.apply),
+                     adjoint=counted("adjoint", spec.linmap.adjoint))
+    names = ("f_val", "f_grad", "f_conj_val", "h_val", "h_conj_val", "h_conj_grad")
+    return replace(spec, linmap=linmap, **{n: counted(n, getattr(spec, n)) for n in names}), counts
+
+
+@pytest.mark.parametrize("algo, want", [
+    ("gcs", {"apply": 1300, "adjoint": 20, "f_val": 1300, "f_grad": 20, "h_conj_grad": 20}),
+    ("gmd", {"apply": 20, "adjoint": 1300, "h_conj_val": 1300, "f_grad": 20, "h_conj_grad": 20}),
+    ("hybrid", {"apply": 1300, "adjoint": 1300, "f_val": 1300, "h_conj_val": 1300, "f_grad": 20,
+                "h_conj_grad": 20}),
+])
+def test_curvature_along_trace_reads_each_step_once(algo, want):
+    """a step reads f'(A x) and (h*)'(-A* u) once, which hybrid's two lines
+    share; a line takes 65 products, A x and its 64 probe images, with A on the
+    primal side and with A* on the dual side (gmd's line, hybrid's second)"""
+    spec, _ = _flaky_holder()
+    tr = _holder_run(spec, algo)
+    counted, counts = _counting(spec)
+    fd.curvature_along_trace(tr, counted, 1.5)
+    assert counts == want
 
 
 class TestTraceCurvature:

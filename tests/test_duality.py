@@ -113,7 +113,7 @@ class TestBachEquivalence:
         np.testing.assert_array_equal(dual.vs[1], -primal.xs[1])
 
     def test_refuses_line_search(self):
-        with pytest.raises(fd.RangeError):
+        with pytest.raises(fd.RangeError, match="trajectory-dependent rule ExactLineSearch$"):
             fd.check_bach_equivalence(quad_simplex(), [1.0, 0.0], fd.ExactLineSearch(), 5)
 
     def test_open_loop_is_accepted(self):

@@ -16,7 +16,11 @@ which also kills a replay that keeps f(y_0) as every row's Bregman base
 value instead of carrying f(y) from row to row; one weights the new term
 of the replay's weighted-sum recursion by 1 - alpha_k instead of 1, killed
 by the test of that recursion against the explicit weight rows of every k
-on the 2/(k+2) schedule."""
+on the 2/(k+2) schedule; two give a hybrid curvature line its covector as
+the base gradient, u for z = f'(A x) on the primal line and x for
+s = (h*)'(-A* u) on the dual line, killed by the bit-for-bit test of
+``curvature_along_trace`` against a literal per-step-size Bregman loop on
+hybrid."""
 
 import os
 import shutil
@@ -32,6 +36,7 @@ REFERENCE = ("tests/test_reference_drivers.py::test_drivers_match_reference_loop
 CHECKED = "tests/test_checked_oracles.py::test_nan_closed_form_bregman_ends_run[fixed_harmonic]"
 VERIFY = "tests/test_cli.py::TestVerify::test_default_suite_passes"
 WEIGHTS = "tests/test_certificates.py::TestClosedFormReplay::test_matches_row_recursion[harmonic]"
+CURVATURE = "tests/test_diagnostics.py::TestLiteralBregmanLoop::test_curvature_along_trace[hybrid]"
 
 # name -> (file of the package, its line, the mutation, the test that kills it)
 MUTATIONS = {
@@ -76,6 +81,16 @@ MUTATIONS = {
         "s = row[k] = keep * s + row[k]",
         "s = row[k] = keep * (s + row[k])",
         WEIGHTS),
+    "curvature-primal-base-gradient": (
+        "diagnostics.py",
+        "_ratios(side, x, s, gamma, y, z)",
+        "_ratios(side, x, s, gamma, y, u)",
+        CURVATURE),
+    "curvature-dual-base-gradient": (
+        "diagnostics.py",
+        "_ratios(dual, -u, -z, gamma, w, s)",
+        "_ratios(dual, -u, -z, gamma, w, x)",
+        CURVATURE),
 }
 
 
@@ -127,3 +142,9 @@ def test_replay_base_value_mutation_is_killed(tmp_path):
 
 def test_replay_weight_mutation_is_killed(tmp_path):
     assert_killed(tmp_path, "replay-weight-misplaced")
+
+
+@pytest.mark.parametrize("name", ["curvature-primal-base-gradient",
+                                  "curvature-dual-base-gradient"])
+def test_curvature_base_gradient_mutation_is_killed(tmp_path, name):
+    assert_killed(tmp_path, name)

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
 import fenchelduo as fd
@@ -121,9 +122,57 @@ class TestEntropyLse:
         with pytest.raises(fd.ConstructionError):
             fd.make_entropy_lse(1)
 
+    @pytest.mark.parametrize("f_kind", ["quadratic", "lse"])
+    def test_h_conjugate_side_is_the_lse_f_part(self, f_kind):
+        spec = fd.make_entropy_lse(3, f_kind=f_kind)
+        lse = problems._lse_f_oracles()
+        assert spec.h_conj_val is lse["f_val"]
+        assert spec.h_conj_grad is lse["f_grad"]
+        assert spec.breg_hconj is lse["breg_f"]
+
     def test_rejects_unknown_f_kind(self):
         with pytest.raises(fd.ConstructionError):
             fd.make_entropy_lse(3, f_kind="cubic")
+
+
+def _entropy_h_reference(x):
+    """The entropy h written out: +inf unless the entries sum to 1 and none is
+    below 0, each to within the set tolerance; else sum x_i log x_i over the
+    entries clipped at 0, with 0 log 0 = 0."""
+    x = np.asarray(x, dtype=float)
+    tol = problems._SET_TOL
+    if not (abs(float(x.sum()) - 1.0) <= tol and x.min() >= -tol):
+        return math.inf
+    x = np.maximum(x, 0.0)
+    positive = x[x > 0.0]
+    return float((positive * np.log(positive)).sum())
+
+
+@st.composite
+def near_simplex(draw):
+    """A point of the simplex (vertices and faces too), moved by 0, by about the
+    set tolerance, by ten times it, or by up to 1 in each entry."""
+    n = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n,
+                                     max_size=n)))
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    shift = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([0.0, problems._SET_TOL, 10 * problems._SET_TOL, 1.0]))
+    return weights / weights.sum() + scale * shift
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(near_simplex())
+@example(np.array([0.5, 0.5 + 5e-10, -5e-10]))  # a negative entry within the tolerance
+@example(np.array([1.0, 0.0, 0.0]))
+@example(np.array([0.5, 0.5 + 2e-9, 0.0]))
+def test_entropy_h_is_the_written_out_entropy_bit_for_bit(x):
+    """the entropy spec's h, the lse f part's f*, is the hand-written entropy
+    on, near and off the simplex, bit for bit"""
+    for f_kind in ("quadratic", "lse"):
+        got = fd.make_entropy_lse(x.shape[0], f_kind=f_kind).h_val(x)
+        assert np.float64(got).tobytes() == np.float64(_entropy_h_reference(x)).tobytes()
 
 
 class TestHolderPower:
