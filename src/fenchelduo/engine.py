@@ -21,8 +21,10 @@ once where its value is reused unchanged: per step and side, one segment
 serves the line-search probes and the certificate increment, whose point at
 the chosen step size is the next iterate, evaluated once.  A step reads its
 base's A(x), f(Ax) and h(x) off the step before and f'(Ax) off its oracle
-output, so a probe reads f at its own point alone; the values, step sizes
-and traces are those of an uncached evaluation.  Every run records a
+output, so a probe reads f at its own point alone; a probe at step size 0,
+whose point is the base, is answered with 0 unevaluated, and a call at the
+step size evaluated last reuses it.  The values, step sizes and traces are
+those of an uncached evaluation.  Every run records a
 :class:`Trace` with its iterates (the oracle outputs are functions of them),
 both gap-bound variants, the true gap of the certificate pair, and a
 streaming residual of the certificate identity: the run's Fenchel-Young check
@@ -141,37 +143,44 @@ class _Segment:
     output ``g0``; A(base), f(A base) and h(base) come from the step before
     (``f0`` and ``h0`` are None on the first, plain, step, where f(A base) is
     read after f(A comb), as ``bregman_f`` reads it), and h(target) is read at
-    the first sharp probe, so a failing oracle raises where an uncached
-    evaluation would.  Each probe keeps its comb, A(comb), f(A comb) (None on
-    a closed form) and (when sharp) h(comb) as ``point``, ``image``, ``f`` and
-    ``h``, computed afresh, bit for bit: the next iterate and its values.
+    the first sharp call, so a failing oracle raises where an uncached
+    evaluation would.  The last call keeps its step size ``alpha`` and its
+    comb, A(comb), f(A comb) (None on a closed form), D and, once read sharp,
+    h(comb) as ``point``, ``image``, ``f``, ``d`` and ``h``, the next iterate
+    and its values at the chosen step size.  A call at that step size reuses
+    them, any other computes them afresh, bit for bit; one that raised keeps none.
     """
 
     def __init__(self, spec: ProblemSpec, base, target, y0, g0, f0, h0):
-        self.spec, self.base, self.target = spec, base, target
-        self.y0, self.g0, self.f0, self.f, self.h_base, self.h_target = y0, g0, f0, None, h0, None
+        self.spec, self.base, self.target, self.alpha = spec, base, target, None
+        self.y0, self.g0, self.f0, self.h_base, self.h_target = y0, g0, f0, h0, None
 
     def increment(self, alpha: float, sharp: bool):
         spec = self.spec
-        self.point = comb = (1.0 - alpha) * self.base + alpha * self.target
-        self.image = y = spec.linmap.apply(comb)
-        if spec.breg_f is not None:
-            d = bregman_f(y, self.y0, spec)
-        else:  # bregman_f's fallback, from the base values the step holds
-            self.f = _oracle_value(spec, "f_val", y, at="the first Bregman argument")
-            if self.f0 is None:
-                self.f0 = _oracle_value(spec, "f_val", self.y0, at="the Bregman base point",
-                                        error=DomainError)
-            d = _snap(self.f - self.f0 - float(np.dot(self.g0, y - self.y0)))
-        self.h = _oracle_value(spec, "h_val", comb) if sharp else None
+        if alpha != self.alpha:
+            self.alpha = None  # set again once D is computed
+            comb = (1.0 - alpha) * self.base + alpha * self.target
+            y, f = spec.linmap.apply(comb), None
+            if spec.breg_f is not None:
+                d = bregman_f(y, self.y0, spec)
+            else:  # bregman_f's fallback, from the base values the step holds
+                f = _oracle_value(spec, "f_val", y, at="the first Bregman argument")
+                if self.f0 is None:
+                    self.f0 = _oracle_value(spec, "f_val", self.y0, at="the Bregman base point",
+                                            error=DomainError)
+                d = _snap(f - self.f0 - float(np.dot(self.g0, y - self.y0)))
+            self.alpha, self.point, self.image, self.f, self.d = alpha, comb, y, f, d
+            self.h = _oracle_value(spec, "h_val", comb) if sharp else None
+        elif sharp and self.h is None:  # a plain call's point, now read sharp
+            self.h = _oracle_value(spec, "h_val", self.point)
         if not sharp:
-            return d
-        value = d + _guarded(spec, 1.0, self.h, "interpolated")
+            return self.d
+        value = self.d + _guarded(spec, 1.0, self.h, "interpolated")
         value -= _guarded(spec, 1.0 - alpha, self.h_base, "base")
         if self.h_target is None:
             self.h_target = _oracle_value(spec, "h_val", self.target)
         value -= _guarded(spec, alpha, self.h_target, "target")
-        return d, value
+        return self.d, value
 
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
@@ -212,6 +221,8 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
 
     def probe(a):
+        if a == 0.0:  # comb is the base, bit for bit: D and h's Jensen slack are 0
+            return 0.0
         return increment(a, True)[1] if sharp_mode else increment(a, False)
 
     start = time.perf_counter()

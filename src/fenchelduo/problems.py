@@ -6,7 +6,9 @@ conjugates and Bregman distances are closed forms, so certificate identities
 can be tested to tight tolerances.  Each part of a spec (a feasible region,
 or a smooth f) comes from a private function that returns its oracles as a dict.
 The entropy spec's h part is the log-sum-exp f part with its roles swapped:
-h is that part's f*, h* its f, (h*)' its f' and D_{h*} its D_f.
+h is that part's f*, h* its f, (h*)' its f' and D_{h*} its D_f.  A diagonal
+Q (the default I too) acts elementwise, with no m x m array kept, and each
+log-sum-exp D_f keeps its base point's log probabilities, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,15 +66,26 @@ def _on_simplex(x) -> bool:
     return bool(abs(float(x.sum()) - 1.0) <= _SET_TOL and x.min() >= -_SET_TOL)
 
 
-def _lse_bregman(v2, v1) -> float:
-    # D_lse(v2, v1) = KL(softmax(v1) || softmax(v2)), computed through log
-    # probabilities so nearby arguments do not cancel.
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    logp1 = v1 - _log_sum_exp(v1)
-    logp2 = v2 - _log_sum_exp(v2)
-    p1 = np.exp(logp1)
-    return max(float((p1 * (logp1 - logp2)).sum()), 0.0)
+def _lse_bregman():
+    """A new D_lse(v2, v1) = KL(softmax(v1) || softmax(v2)), computed through
+    log probabilities so nearby arguments do not cancel.  A line search holds
+    v1 fixed: the last v1's log probabilities and probabilities are kept,
+    keyed by its bytes and swapped as one tuple."""
+    memo = (None, None, None)
+
+    def breg(v2, v1) -> float:
+        nonlocal memo
+        v1 = np.asarray(v1, dtype=float)
+        key, (seen, logp1, p1) = v1.tobytes(), memo
+        if seen != key:
+            logp1 = v1 - _log_sum_exp(v1)
+            p1 = np.exp(logp1)
+            memo = key, logp1, p1
+        v2 = np.asarray(v2, dtype=float)
+        logp2 = v2 - _log_sum_exp(v2)
+        return max(float((p1 * (logp1 - logp2)).sum()), 0.0)
+
+    return breg
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +236,31 @@ def _quadratic_oracles(Q, b, m: int) -> dict:
     w = np.where(w > 1e-12 * scale, w, 0.0)
     pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
     positive_definite = bool(np.all(w > 0.0))
+    if np.array_equal(Q, np.diag(np.diag(Q))):
+        # elementwise, bit for bit: each entry of a product is one term plus exact zeros
+        Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()
+        times, form = np.multiply, lambda d, M: float((d * M) @ d)
+    else:
+        times, form = np.matmul, lambda d, M: float(d @ M @ d)
 
     def f_val(y) -> float:
-        return 0.5 * float(y @ Q @ y) + float(b @ y)
+        return 0.5 * form(y, Q) + float(b @ y)
 
     def f_grad(y) -> np.ndarray:
-        return Q @ y + b
+        return times(Q, y) + b
 
     def f_conj_val(u) -> float:
         d = np.asarray(u, dtype=float) - b
         if not positive_definite:
             # range test: d must be reproduced by Q Q^+ d
-            resid = d - Q @ (pinv @ d)
+            resid = d - times(Q, times(pinv, d))
             if float(np.linalg.norm(resid)) > 1e-9 * (1.0 + float(np.linalg.norm(d))):
                 return INF
-        return 0.5 * float(d @ pinv @ d)
+        return 0.5 * form(d, pinv)
 
     def breg_f(y2, y1) -> float:
         d = np.asarray(y2, dtype=float) - np.asarray(y1, dtype=float)
-        return max(0.5 * float(d @ Q @ d), 0.0)
+        return max(0.5 * form(d, Q), 0.0)
 
     return {"f_val": f_val, "f_grad": f_grad, "f_conj_val": f_conj_val, "breg_f": breg_f}
 
@@ -275,7 +294,7 @@ def _lse_f_oracles():
         "f_val": _log_sum_exp,
         "f_grad": softmax,
         "f_conj_val": lambda u: _neg_entropy(u) if _on_simplex(u) else INF,
-        "breg_f": _lse_bregman,
+        "breg_f": _lse_bregman(),
     }
 
 
@@ -354,14 +373,14 @@ def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) 
     if n < 2:
         raise ConstructionError(f"entropy problem needs n >= 2, got {n}")
     linmap = _resolve_map(n, a)
-    lse = _lse_f_oracles()  # the h part too, with its roles swapped
+    lse = _lse_f_oracles()  # the h part, with its roles swapped
     if f_kind == "quadratic":
         fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     elif f_kind == "lse":
         unread = [name for name, value in (("Q", Q), ("b", b)) if value is not None]
         if unread:
             raise ConstructionError(f"f_kind 'lse' takes no {' or '.join(unread)}")
-        fpart = lse
+        fpart = _lse_f_oracles()  # a part of its own: each side's Bregman memo is its own
     else:
         raise ConstructionError(f"unknown f_kind {f_kind!r} (expected 'quadratic' or 'lse')")
 

@@ -657,18 +657,30 @@ class CallBudget(fd.StepRule):
 
         alpha = fd.ExactLineSearch().select(k, gap, probe)
         if k > 0:
-            self.log.append((len(probes), {n: c - before[n] for n, c in self.counts.items()}))
+            self.log.append((probes, {n: c - before[n] for n, c in self.counts.items()}))
         return alpha
+
+
+def _new_points(alphas):
+    """The probes among one step's ``alphas`` that evaluate a point: those
+    with alpha > 0 whose step size is not the one evaluated just before."""
+    new = []
+    for a in alphas:
+        if a > 0.0 and a != (new[-1] if new else None):
+            new.append(a)
+    return new
 
 
 def _step_budgets(spec, algo):
     """Each line-search step's probes and calls in a 6-step sharp run, checked
-    against the budget: one A and one h per probe, and h at the target once
-    per step (A and h at the base come with the iterate from the step
-    before); hybrid's dual segment likewise, one A* and one f* per probe plus
-    f* at the target.  Without a closed-form Bregman distance a probe reads f
-    (h* on hybrid's dual side) at its point alone, and no gradient: f' at the
-    base is the step's oracle output."""
+    against the budget.  The probe at 0 is the base, answered with 0 and no
+    call.  Each probe that evaluates a point (``_new_points``) makes one A
+    and one h, and h at the target is read once per step, at the first of
+    them (A and h at the base come with the iterate from the step before);
+    hybrid's dual segment likewise, one A* and one f* per such probe plus f*
+    at the target.  Without a closed-form Bregman distance such a probe reads
+    f (h* on hybrid's dual side) at its point alone, and no gradient: f' at
+    the base is the step's oracle output."""
     counted, counts = _counting(spec, ("h_val", "f_conj_val", "f_val", "f_grad", "h_conj_val",
                                        "h_conj_grad"))
     log = []
@@ -680,17 +692,19 @@ def _step_budgets(spec, algo):
                               CallBudget(counts, log), 6, mode="sharp")
     assert trace.error is None and len(log) == 5
     for probes, calls in log:
-        assert calls["apply"] == probes
-        assert calls["h_val"] == probes + 1
+        assert probes.count(0.0) == 1
+        moved = len(_new_points(probes))
+        assert calls["apply"] == moved
+        assert calls["h_val"] == moved + 1
         if algo == "gcs":
             assert calls["adjoint"] == 0 and calls["f_conj_val"] == 0
         else:
-            assert calls["adjoint"] == probes
-            assert calls["f_conj_val"] == probes + 1
-        assert calls["f_val"] == (0 if spec.breg_f else probes)
-        assert calls["h_conj_val"] == (probes if algo == "hybrid" and not spec.breg_hconj else 0)
+            assert calls["adjoint"] == moved
+            assert calls["f_conj_val"] == moved + 1
+        assert calls["f_val"] == (0 if spec.breg_f else moved)
+        assert calls["h_conj_val"] == (moved if algo == "hybrid" and not spec.breg_hconj else 0)
         assert calls["f_grad"] == calls["h_conj_grad"] == 0
-    return [probes for probes, _ in log]
+    return [len(probes) for probes, _ in log]
 
 
 @pytest.mark.parametrize("algo", ["gcs", "hybrid"])
@@ -757,11 +771,13 @@ _SIDES = {"gcs": [("f_val", "f_grad", "breg_f")],
 @pytest.mark.parametrize("family", ["holder", "quadratic-box"])
 def test_each_point_reads_f_and_its_gradient_once(family, algo, rule):
     """a side without a closed-form Bregman distance reads f once per probe
-    and once per row, at the point's image, plus f(A x_0) once on the first
-    row, and f' once per row, the step's oracle output, which serves every
-    probe as f' at the base: at K = 50 on Hölder gcs, 51 f_val and 50 f_grad
-    calls on the 2/(k+2) schedule; a closed-form side reads f once per row,
-    for the objective, and its closed form once per probe and per row"""
+    with alpha > 0 and once per row, at the point's image, plus f(A x_0)
+    once on the first row, and f' once per row, the step's oracle output,
+    which serves every probe as f' at the base: at K = 50 on Hölder gcs, 51
+    f_val and 50 f_grad calls on the 2/(k+2) schedule; a closed-form side
+    reads f once per row, for the objective, and its closed form once per
+    probe with alpha > 0 and per row.  A probe or row at the step size
+    evaluated just before reuses that evaluation: no f, and no closed form"""
     rng = np.random.default_rng(5)
     a = fd.random_linear_map(4, 3, rng)
     spec = (fd.make_holder_power_simplex(1.5, 3, a=a) if family == "holder"
@@ -779,8 +795,11 @@ def test_each_point_reads_f_and_its_gradient_once(family, algo, rule):
     else:
         trace = fd.run_hybrid(counted, x0, spec.f_grad(spec.linmap.apply(x0)), recording, k_max)
     assert trace.error is None and trace.k == k_max
-    p = len(probes)
-    assert (p == 0) == isinstance(rule, fd.FixedHarmonic)
+    assert (len(probes) == 0) == isinstance(rule, fd.FixedHarmonic)
+    p = 0
+    for k in range(1, k_max):
+        new = _new_points([a for step, a, _ in probes if step == k])
+        p += len(new) - (bool(new) and trace.alphas[k] == new[-1])
     for value, grad, closed in _SIDES[algo]:
         if getattr(spec, closed) is None:
             assert (counts[value], counts[grad]) == (p + k_max + 1, k_max)
@@ -820,3 +839,67 @@ def test_segment_increment_is_bregman_f_bit_for_bit(case):
         assert bits(got) == bits(fd.bregman_f(A(comb), A(base), spec))
         assert bits(seg.f) == bits(spec.f_val(A(comb)))
         assert seg.f0 == spec.f_val(y0)
+
+
+@st.composite
+def family_segments(draw):
+    # a step of one of the five families, identity or random A, as the kernel
+    # builds it at k >= 1: the primal side from a sampled x toward the oracle
+    # target s, or hybrid's dual side from -u toward -z, each with its base
+    # values carried as the row before leaves them
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    spec = build(draw(st.sampled_from(FAMILIES)), draw(st.booleans()), seed)
+    rng = np.random.default_rng(seed)
+    A, At = spec.linmap.apply, spec.linmap.adjoint
+    x = spec.sample_x(rng)
+    z = spec.f_grad(A(x))
+    if draw(st.booleans()):
+        s = spec.h_conj_grad(-At(z))
+        return spec, x, s, A(x), z, spec.f_val(A(x)), spec.h_val(x)
+    u = spec.f_grad(A(spec.sample_x(rng)))
+    dual, w = fd.dualize(spec), -At(u)
+    return dual, -u, -z, w, dual.f_grad(w), dual.f_val(w), dual.h_val(-u)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(family_segments())
+def test_segment_increment_at_zero_is_zero(case):
+    """the premise of the kernel's answer to a probe at step size 0: there the
+    point is the base, and an evaluated increment is exactly 0, plain, and
+    (0, 0), sharp, so the answer is the evaluation's, bit for bit"""
+    spec, base, target, y0, g0, f0, h0 = case
+    assert math.isfinite(h0)
+    plain = _Segment(spec, base, target, y0, g0, f0, h0).increment(0.0, False)
+    sharp = _Segment(spec, base, target, y0, g0, f0, h0).increment(0.0, True)
+    assert bits(plain) == bits(0.0)
+    assert bits(sharp) == bits([0.0, 0.0])
+
+
+def test_segment_evaluates_again_after_a_call_that_raised():
+    """a closed form that is +inf once, at a probed step size, raises there
+    and leaves nothing to reuse: the next call, at that step size or at the
+    one evaluated before it, evaluates afresh and gets the uncached value"""
+    rng = np.random.default_rng(5)
+    spec = fd.make_quadratic_simplex(b=0.3 * rng.standard_normal(4), n=3,
+                                     a=fd.random_linear_map(4, 3, rng))
+    A = spec.linmap.apply
+    base, target = np.array([0.2, 0.3, 0.5]), np.array([0.0, 1.0, 0.0])
+    y0 = A(base)
+    calls = []
+
+    def breg_f(y2, y1):  # +inf on its second call alone
+        calls.append(y2)
+        return math.inf if len(calls) == 2 else spec.breg_f(y2, y1)
+
+    def want(a):
+        return fd.bregman_f(A((1.0 - a) * base + a * target), y0, spec)
+
+    for again in (0.5, 0.3):
+        calls.clear()
+        seg = _Segment(replace(spec, breg_f=breg_f), base, target, y0, spec.f_grad(y0),
+                       spec.f_val(y0), 0.0)
+        assert bits(seg.increment(0.3, False)) == bits(want(0.3))
+        with pytest.raises(fd.InfiniteValue):
+            seg.increment(0.5, False)
+        assert bits(seg.increment(again, True)) == bits([want(again), want(again)])
+        assert len(calls) == 3

@@ -20,7 +20,13 @@ on the 2/(k+2) schedule; two give a hybrid curvature line its covector as
 the base gradient, u for z = f'(A x) on the primal line and x for
 s = (h*)'(-A* u) on the dual line, killed by the bit-for-bit test of
 ``curvature_along_trace`` against a literal per-step-size Bregman loop on
-hybrid."""
+hybrid.  Four break the reuse of evaluations: a line search's final step
+that reuses a plain probe takes h at the base for h at its point, killed by
+the reference loops with the exact line search, whose plain runs make such
+steps; a segment marks its step size evaluated before D is computed, killed
+by a closed form that is +inf once; the log-sum-exp Bregman memo is keyed by
+the base array's id, killed by a base changed in place; and a diagonal Q
+drops b, killed by the diagonal Q's check against the literal matrix forms."""
 
 import os
 import shutil
@@ -37,6 +43,15 @@ CHECKED = "tests/test_checked_oracles.py::test_nan_closed_form_bregman_ends_run[
 VERIFY = "tests/test_cli.py::TestVerify::test_default_suite_passes"
 WEIGHTS = "tests/test_certificates.py::TestClosedFormReplay::test_matches_row_recursion[harmonic]"
 CURVATURE = "tests/test_diagnostics.py::TestLiteralBregmanLoop::test_curvature_along_trace[hybrid]"
+REFERENCE_LS = ("tests/test_reference_drivers.py::test_drivers_match_reference_loops"
+                "[entropy-lse-random-A-exact_ls]")
+RAISED = "tests/test_engine.py::test_segment_evaluates_again_after_a_call_that_raised"
+LSE_MEMO = "tests/test_reduction_forms.py::test_lse_bregman_memo_gives_the_memo_free_kl"
+DIAGONAL = "tests/test_problems.py::test_diagonal_q_is_the_matrix_form_bit_for_bit"
+# the modules of tests/ that a killer's file imports
+HELPERS = {"tests/test_reference_drivers.py": ["tests/reference_drivers.py"],
+           "tests/test_engine.py": ["tests/reference_drivers.py",
+                                    "tests/test_reference_drivers.py"]}
 
 # name -> (file of the package, its line, the mutation, the test that kills it)
 MUTATIONS = {
@@ -91,6 +106,26 @@ MUTATIONS = {
         "_ratios(dual, -u, -z, gamma, w, s)",
         "_ratios(dual, -u, -z, gamma, w, x)",
         CURVATURE),
+    "reuse-skips-h-read": (
+        "engine.py",
+        'self.h = _oracle_value(spec, "h_val", self.point)',
+        "self.h = self.h_base",
+        REFERENCE_LS),
+    "alpha-marked-before-d": (
+        "engine.py",
+        "self.alpha = None  # set again once D is computed",
+        "self.alpha = alpha",
+        RAISED),
+    "lse-memo-keyed-by-id": (
+        "problems.py",
+        "key, (seen, logp1, p1) = v1.tobytes(), memo",
+        "key, (seen, logp1, p1) = id(v1), memo",
+        LSE_MEMO),
+    "diagonal-q-drops-b": (
+        "problems.py",
+        "Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()",
+        "Q, pinv, b = np.diag(Q).copy(), np.diag(pinv).copy(), 0.0 * b",
+        DIAGONAL),
 }
 
 
@@ -101,9 +136,7 @@ def assert_killed(tmp_path, name):
     shutil.copy(ROOT / "pyproject.toml", tmp_path)
     (tmp_path / "tests").mkdir()
     test_file = killer.split("::")[0]
-    # the reference loops are a module of their own, which their test imports
-    helpers = ["tests/reference_drivers.py"] if killer == REFERENCE else []
-    for path in [test_file] + helpers:
+    for path in [test_file] + HELPERS.get(test_file, []):
         shutil.copy(ROOT / path, tmp_path / "tests")
     path = tmp_path / "src" / "fenchelduo" / module
     source = path.read_text()
@@ -147,4 +180,10 @@ def test_replay_weight_mutation_is_killed(tmp_path):
 @pytest.mark.parametrize("name", ["curvature-primal-base-gradient",
                                   "curvature-dual-base-gradient"])
 def test_curvature_base_gradient_mutation_is_killed(tmp_path, name):
+    assert_killed(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["reuse-skips-h-read", "alpha-marked-before-d",
+                                  "lse-memo-keyed-by-id", "diagonal-q-drops-b"])
+def test_evaluation_reuse_mutation_is_killed(tmp_path, name):
     assert_killed(tmp_path, name)

@@ -73,6 +73,75 @@ class TestQuadratic:
             assert spec.f_conj_val(u) == pytest.approx(-res.fun, rel=1e-7)
 
 
+@st.composite
+def diagonal_quadratics(draw):
+    """A diagonal Q (None, c I, a random positive diagonal, or one with zeros,
+    all of them perhaps) with the diagonal it means, a b, and points whose
+    entries are sometimes exactly 0.  b has no -0.0 entry: with b_i = -0.0
+    and q_i y_i = -0.0, q * y + b keeps the sign that the matrix product,
+    which sums from +0.0, drops, a difference that compares equal."""
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["none", "scaled", "positive", "zeros"]))
+    if kind == "none":
+        Q, q = None, np.ones(m)
+    elif kind == "scaled":
+        c = draw(st.sampled_from([0.0, 0.5, 2.0]) | st.floats(1e-3, 1e3))
+        Q, q = c * np.eye(m), np.full(m, c)
+    else:
+        q = rng.random(m) + 0.1
+        if kind == "zeros":
+            q[rng.random(m) < 0.5] = 0.0
+        Q = np.diag(q)
+    b = rng.standard_normal(m) if draw(st.booleans()) else np.zeros(m)
+
+    def point():
+        y = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(m)
+        y[rng.random(m) < 0.3] = 0.0
+        return y
+
+    return Q, q, b, [point() for _ in range(3)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(diagonal_quadratics())
+def test_diagonal_q_is_the_matrix_form_bit_for_bit(case):
+    """the elementwise forms of a diagonal Q give f, f', f* (with its range
+    test) and D_f of the literal matrix forms, with Q and its
+    pseudo-inverse written out, bit for bit; no closure keeps an m x m array"""
+    Q, q, b, (y1, y2, y3) = case
+    m = q.shape[0]
+    spec = fd.make_quadratic_box(Q=Q, b=b, n=m)
+    M = np.diag(q)
+    keep = q > 1e-12 * max(1.0, float(np.abs(q).max()))
+    pinv = np.diag(np.where(keep, 1.0 / np.where(keep, q, 1.0), 0.0))
+
+    def conj(u):
+        d = u - b
+        resid = d - M @ (pinv @ d)
+        if not keep.all() and float(np.linalg.norm(resid)) > 1e-9 * (
+                1.0 + float(np.linalg.norm(d))):
+            return math.inf
+        return 0.5 * float(d @ pinv @ d)
+
+    def bits(value):
+        return np.asarray(value, dtype=float).tobytes()
+
+    for y in (y1, y2):
+        assert bits(spec.f_val(y)) == bits(0.5 * float(y @ M @ y) + float(b @ y))
+        assert bits(spec.f_grad(y)) == bits(M @ y + b)
+        # u in b + range(Q), and u anywhere: off the range when Q has zeros
+        for u in (M @ y + b, y3):
+            assert bits(spec.f_conj_val(u)) == bits(conj(u))
+        d = y - y2
+        assert bits(spec.breg_f(y, y2)) == bits(max(0.5 * float(d @ M @ d), 0.0))
+    for name in ("f_val", "f_grad", "f_conj_val", "breg_f"):
+        for cell in getattr(spec, name).__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                assert value.ndim == 1 and value.base is None, name
+
+
 class TestEntropyLse:
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(fd.softmax(np.zeros(2)), [0.5, 0.5], atol=0)
@@ -124,11 +193,17 @@ class TestEntropyLse:
 
     @pytest.mark.parametrize("f_kind", ["quadratic", "lse"])
     def test_h_conjugate_side_is_the_lse_f_part(self, f_kind):
+        """each part's D_f is the same function with a memo of its own, so
+        hybrid's two sides of the lse spec do not evict each other's base"""
         spec = fd.make_entropy_lse(3, f_kind=f_kind)
         lse = problems._lse_f_oracles()
         assert spec.h_conj_val is lse["f_val"]
         assert spec.h_conj_grad is lse["f_grad"]
-        assert spec.breg_hconj is lse["breg_f"]
+        assert spec.breg_hconj.__code__ is lse["breg_f"].__code__
+        assert spec.breg_hconj is not lse["breg_f"]
+        if f_kind == "lse":
+            assert spec.breg_f.__code__ is spec.breg_hconj.__code__
+            assert spec.breg_f is not spec.breg_hconj
 
     def test_rejects_unknown_f_kind(self):
         with pytest.raises(fd.ConstructionError):

@@ -1,12 +1,14 @@
 """The shipped oracles against literal copies written with numpy's function
 forms (``np.sum``, ``np.max``, ``np.min``, ``np.all``, ``np.argmax``): the
 same bits on random inputs of dimension 1, 2, 3 and 50, Python lists
-accepted wherever arrays are, and the lowest-index tie break of every LMO."""
+accepted wherever arrays are, the lowest-index tie break of every LMO, and
+the log-sum-exp Bregman distance's base memo invisible in its values."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fenchelduo as fd
 from fenchelduo import problems
@@ -94,7 +96,25 @@ def test_scalar_building_blocks(n):
         same(problems._log_sum_exp, ref_log_sum_exp, x)
         same(fd.softmax, ref_softmax, x)
         same(problems._neg_entropy, ref_neg_entropy, np.abs(x))
-        same(problems._lse_bregman, ref_lse_bregman, x, rng.standard_normal(n))
+        same(problems._lse_bregman(), ref_lse_bregman, x, rng.standard_normal(n))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=12))
+@example(3, 0, [(0, False), (0, True)])  # the base changed in place, between two calls
+def test_lse_bregman_memo_gives_the_memo_free_kl(n, seed, calls):
+    """one D_lse, called with bases that take turns and that change in place
+    between calls (the same array, new values), gives the literal memo-free
+    KL bit for bit at every call"""
+    rng = np.random.default_rng(seed)
+    bases = [3.0 * rng.standard_normal(n) for _ in range(3)]
+    breg = problems._lse_bregman()
+    for i, change in calls:
+        if change:
+            bases[i] += rng.standard_normal(n)
+        v2 = bases[(i + 1) % 3] if rng.random() < 0.3 else rng.standard_normal(n)
+        assert bits(breg(v2, bases[i])) == bits(ref_lse_bregman(v2, bases[i]))
 
 
 @pytest.mark.parametrize("n", DIMS)
