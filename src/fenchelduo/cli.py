@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import NamedTuple, Optional
@@ -79,7 +80,7 @@ def _reject_unknown(d: dict, allowed: set, where: str):
 
 def _is_number(value) -> bool:
     return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and bool(np.isfinite(value)))
+            or isinstance(value, float) and math.isfinite(value))
 
 
 def _number(value, where: str, integer: bool = False):

@@ -23,8 +23,10 @@ the chosen step size is the next iterate, evaluated once.  A step reads its
 base's A(x), f(Ax) and h(x) off the step before and f'(Ax) off its oracle
 output, so a probe reads f at its own point alone; a probe at step size 0,
 whose point is the base, is answered with 0 unevaluated, and a call at the
-step size evaluated last reuses it.  The values, step sizes and traces are
-those of an uncached evaluation.  Every run records a
+step size evaluated last reuses it.  A step at step size 0 that leaves its
+points as they were, byte for byte, is repeated bit for bit by the next,
+whose probes read the values they returned there.  The values, step sizes
+and traces are those of an uncached evaluation.  Every run records a
 :class:`Trace` with its iterates (the oracle outputs are functions of them),
 both gap-bound variants, the true gap of the certificate pair, and a
 streaming residual of the certificate identity: the run's Fenchel-Young check
@@ -182,6 +184,9 @@ class _Segment:
         value -= _guarded(spec, alpha, self.h_target, "target")
         return self.d, value
 
+    def moved(self) -> bool:  # the last call's point is not the base, byte for byte
+        return self.point.tobytes() != self.base.tobytes()
+
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
          epsilon: Optional[float], mode: str) -> Trace:
@@ -194,7 +199,11 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     per step, shared by every line-search probe and the increment at the
     chosen step size, which hands over the new iterate once evaluated: x,
     A(x), f(A x) and h(x), and hybrid's -u, -A*(u), h*(-A*u) and f*(u).  A
-    dual value is the objective of ``dualize(spec)`` at (-u, -A*(u)).  gcs
+    dual value is the objective of ``dualize(spec)`` at (-u, -A*(u)).  The
+    probes' values are kept by step size while the steps repeat: a step at
+    alpha = 0 whose points equal their bases byte for byte hands the next
+    the same bases, targets and carried values, on which oracles, functions
+    of their arguments, return the same; any other step clears them.  gcs
     certifies its dual side by a point of the u_k instead of its iterate: at
     each k, the one of lower dual value (the average on a tie) of their
     lambda-weighted average and the first u_k of least dual value.  By weak
@@ -220,10 +229,15 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
         d = dual_seg.increment(a, sharp)
         return (p[0] + d[0], p[1] + d[1]) if sharp else p + d
 
+    memo = {}  # probe values by step size, kept while the next step repeats this one
+
     def probe(a):
         if a == 0.0:  # comb is the base, bit for bit: D and h's Jensen slack are 0
             return 0.0
-        return increment(a, True)[1] if sharp_mode else increment(a, False)
+        value = memo.get(a)
+        if value is None:
+            value = memo[a] = increment(a, True)[1] if sharp_mode else increment(a, False)
+        return value
 
     start = time.perf_counter()
     try:
@@ -252,6 +266,9 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 sharp = (1.0 - alpha) * sharp + d_sharp
             # each segment's last increment was at alpha: its point is the next iterate
             x, y = primal_seg.point, primal_seg.image
+            # an unmoved step leaves every input of the next one as it was, bit for bit
+            if alpha != 0.0 or primal_seg.moved() or hybrid and dual_seg.moved():
+                memo.clear()
             p_val, f_y, h_x = _objective(spec, x, y, primal_seg.h, primal_seg.f)
             # the identity behind the residual: avg + (moving sides' values) = sharp
             if hybrid:

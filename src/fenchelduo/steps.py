@@ -169,7 +169,8 @@ def _minimize_step_surrogate(gap: float, d_fun: Callable[[float], float]) -> flo
         v = _parabola_vertex(a, fa, b, fb, c, fc)
         if v is None or not (a <= v <= c):
             break
-        fv = phi(v)
+        # a vertex at a bracket point takes the value in hand: phi is deterministic
+        fv = fa if v == a else fb if v == b else fc if v == c else phi(v)
         if math.isfinite(fv) and fv < para_f:
             para_a, para_f = v, fv
         if abs(v - b) <= _POLISH_TOL:

@@ -290,6 +290,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must be")
 
+    @pytest.mark.parametrize("value, number", [
+        (3, True), (-7, True), (BIG, True), (True, False), (False, False), (0.25, True),
+        (-1e308, True), (float("nan"), False), (float("inf"), False), (float("-inf"), False),
+        ("1.5", False), (None, False),
+    ], ids=["int", "negative-int", "10**400", "True", "False", "float", "-1e308", "NaN",
+            "Infinity", "-Infinity", "str", "None"])
+    def test_is_number_table(self, value, number):
+        # a finite JSON number: an int of any size but not a bool, or a finite float
+        assert cli._is_number(value) is number
+
 
     @pytest.mark.parametrize("key, overrides", TOO_LARGE, ids=[k for k, _ in TOO_LARGE])
     def test_number_numpy_cannot_take_is_config_error(self, tmp_path, capsys, key, overrides):

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 import fenchelduo as fd
 from fenchelduo.engine import _Segment
 from fenchelduo.oracles import _oracle_point
-from reference_drivers import bregman_hconj, step_divergence_dual, step_divergence_primal
-from test_reference_drivers import FAMILIES, bits, build, start
+from fenchelduo.steps import _GOLDEN
+from reference_drivers import (bregman_hconj, ref_run_gcs, ref_run_gmd, ref_run_hybrid,
+                               step_divergence_dual, step_divergence_primal)
+from test_reference_drivers import FAMILIES, assert_same_run, bits, build, start
 
 
 @dataclass(frozen=True)
@@ -661,26 +663,40 @@ class CallBudget(fd.StepRule):
         return alpha
 
 
-def _new_points(alphas):
-    """The probes among one step's ``alphas`` that evaluate a point: those
-    with alpha > 0 whose step size is not the one evaluated just before."""
-    new = []
-    for a in alphas:
-        if a > 0.0 and a != (new[-1] if new else None):
-            new.append(a)
+def _repeats(trace, k):
+    """Whether step k repeats step k - 1 bit for bit: that step took alpha = 0
+    and left every iterate the run moves as it was, byte for byte."""
+    moving = [h for h in (trace.xs, trace.us, trace.vs) if h]
+    return trace.alphas[k - 1] == 0.0 and all(bits(h[k]) == bits(h[k - 1]) for h in moving)
+
+
+def _new_points(trace, probes):
+    """Per step k >= 1, the step sizes among ``probes[k]`` that evaluate a
+    point: those with alpha > 0, each once, that the run's probe memo does
+    not hold.  The memo starts empty on every step but one that repeats the
+    step before (``_repeats``), which keeps what its stretch evaluated."""
+    memo, new = set(), {}
+    for k in range(1, trace.k):
+        if not _repeats(trace, k):
+            memo = set()
+        new[k] = [a for a in dict.fromkeys(probes.get(k, ())) if a > 0.0 and a not in memo]
+        memo.update(new[k])
     return new
 
 
 def _step_budgets(spec, algo):
     """Each line-search step's probes and calls in a 6-step sharp run, checked
     against the budget.  The probe at 0 is the base, answered with 0 and no
-    call.  Each probe that evaluates a point (``_new_points``) makes one A
-    and one h, and h at the target is read once per step, at the first of
-    them (A and h at the base come with the iterate from the step before);
-    hybrid's dual segment likewise, one A* and one f* per such probe plus f*
-    at the target.  Without a closed-form Bregman distance such a probe reads
-    f (h* on hybrid's dual side) at its point alone, and no gradient: f' at
-    the base is the step's oracle output."""
+    call, and a step size probed before in the step, or in a step that this
+    one repeats, is answered from the run's memo: a step repeating an
+    unmoved alpha = 0 step makes no call while it searches.  Each probe that
+    evaluates a point (``_new_points``) makes one A and one h, and h at the
+    target is read once per step, at the first of them (A and h at the base
+    come with the iterate from the step before); hybrid's dual segment
+    likewise, one A* and one f* per such probe plus f* at the target.
+    Without a closed-form Bregman distance such a probe reads f (h* on
+    hybrid's dual side) at its point alone, and no gradient: f' at the base
+    is the step's oracle output."""
     counted, counts = _counting(spec, ("h_val", "f_conj_val", "f_val", "f_grad", "h_conj_val",
                                        "h_conj_grad"))
     log = []
@@ -691,18 +707,20 @@ def _step_budgets(spec, algo):
         trace = fd.run_hybrid(counted, x0, spec.f_grad(spec.linmap.apply(x0)),
                               CallBudget(counts, log), 6, mode="sharp")
     assert trace.error is None and len(log) == 5
-    for probes, calls in log:
+    new = _new_points(trace, {k: probes for k, (probes, _) in enumerate(log, 1)})
+    for k, (probes, calls) in enumerate(log, 1):
         assert probes.count(0.0) == 1
-        moved = len(_new_points(probes))
-        assert calls["apply"] == moved
-        assert calls["h_val"] == moved + 1
+        points = len(new[k])
+        assert points == 0 or not _repeats(trace, k)
+        assert calls["apply"] == points
+        assert calls["h_val"] == points + (points > 0)
         if algo == "gcs":
             assert calls["adjoint"] == 0 and calls["f_conj_val"] == 0
         else:
-            assert calls["adjoint"] == moved
-            assert calls["f_conj_val"] == moved + 1
-        assert calls["f_val"] == (0 if spec.breg_f else moved)
-        assert calls["h_conj_val"] == (moved if algo == "hybrid" and not spec.breg_hconj else 0)
+            assert calls["adjoint"] == points
+            assert calls["f_conj_val"] == points + (points > 0)
+        assert calls["f_val"] == (0 if spec.breg_f else points)
+        assert calls["h_conj_val"] == (points if algo == "hybrid" and not spec.breg_hconj else 0)
         assert calls["f_grad"] == calls["h_conj_grad"] == 0
     return [len(probes) for probes, _ in log]
 
@@ -771,13 +789,14 @@ _SIDES = {"gcs": [("f_val", "f_grad", "breg_f")],
 @pytest.mark.parametrize("family", ["holder", "quadratic-box"])
 def test_each_point_reads_f_and_its_gradient_once(family, algo, rule):
     """a side without a closed-form Bregman distance reads f once per probe
-    with alpha > 0 and once per row, at the point's image, plus f(A x_0)
-    once on the first row, and f' once per row, the step's oracle output,
-    which serves every probe as f' at the base: at K = 50 on Hölder gcs, 51
-    f_val and 50 f_grad calls on the 2/(k+2) schedule; a closed-form side
-    reads f once per row, for the objective, and its closed form once per
-    probe with alpha > 0 and per row.  A probe or row at the step size
-    evaluated just before reuses that evaluation: no f, and no closed form"""
+    that evaluates a point (``_new_points``) and once per row, at the
+    point's image, plus f(A x_0) once on the first row, and f' once per row,
+    the step's oracle output, which serves every probe as f' at the base: at
+    K = 50 on Hölder gcs, 51 f_val and 50 f_grad calls on the 2/(k+2)
+    schedule; a closed-form side reads f once per row, for the objective,
+    and its closed form once per such probe and per row.  A row at the step
+    size its step evaluated last reuses that evaluation: no f, and no closed
+    form"""
     rng = np.random.default_rng(5)
     a = fd.random_linear_map(4, 3, rng)
     spec = (fd.make_holder_power_simplex(1.5, 3, a=a) if family == "holder"
@@ -796,15 +815,119 @@ def test_each_point_reads_f_and_its_gradient_once(family, algo, rule):
         trace = fd.run_hybrid(counted, x0, spec.f_grad(spec.linmap.apply(x0)), recording, k_max)
     assert trace.error is None and trace.k == k_max
     assert (len(probes) == 0) == isinstance(rule, fd.FixedHarmonic)
-    p = 0
-    for k in range(1, k_max):
-        new = _new_points([a for step, a, _ in probes if step == k])
-        p += len(new) - (bool(new) and trace.alphas[k] == new[-1])
+    by_step = {}
+    for step, a, _ in probes:
+        by_step.setdefault(step, []).append(a)
+    p = sum(len(new) - (bool(new) and trace.alphas[k] == new[-1])
+            for k, new in _new_points(trace, by_step).items())
     for value, grad, closed in _SIDES[algo]:
         if getattr(spec, closed) is None:
             assert (counts[value], counts[grad]) == (p + k_max + 1, k_max)
         else:
             assert (counts[value], counts[grad], counts[closed]) == (k_max, k_max, p + k_max)
+
+
+def test_polish_probes_no_step_size_twice_in_a_row():
+    """the parabolic polish takes the value in hand for a vertex at a bracket
+    point: on a Hölder run whose step 32 once probed one vertex twice in a
+    row, no step probes a step size twice in a row, and the step sizes still
+    match the reference loop's"""
+    rng = np.random.default_rng(5)
+    spec = fd.make_holder_power_simplex(1.5, 3, a=fd.random_linear_map(4, 3, rng))
+    x0 = spec.h_conj_grad(np.zeros(3))
+    log = []
+    trace = fd.run_gcs(spec, x0, RecordingRule(fd.ExactLineSearch(), log), 50)
+    assert trace.error is None and trace.k == 50
+    assert all((k, a) != (k2, a2) for (k, a, _), (k2, a2, _) in zip(log, log[1:]))
+    assert bits(trace.alphas) == bits(ref_run_gcs(spec, x0, fd.ExactLineSearch(), 50).alphas)
+
+
+def _frozen_run(algo, spec, rule, mode, gmd=fd.run_gmd, hybrid=fd.run_hybrid):
+    """A 30-step run of ``algo`` on ``spec`` with ``rule``, by the package's
+    drivers or by those given."""
+    x0, u0, v0 = start(spec)
+    if algo == "gmd":
+        return gmd(spec, v0, rule, 30, mode=mode)
+    return hybrid(spec, x0, u0, rule, 30, mode=mode)
+
+
+def _reference(algo, spec, mode):
+    return _frozen_run(algo, spec, fd.ExactLineSearch(), mode, ref_run_gmd, ref_run_hybrid)
+
+
+def _first_repeat(trace):
+    """The first step that repeats the step before; every later one does too."""
+    first = next(k for k in range(1, trace.k) if _repeats(trace, k))
+    assert first < trace.k - 10
+    assert all(_repeats(trace, k) for k in range(first, trace.k))
+    return first
+
+
+@pytest.mark.parametrize("mode", ["plain", "sharp"])
+@pytest.mark.parametrize("algo", ["gmd", "hybrid"])
+def test_frozen_search_makes_no_oracle_call(algo, mode):
+    """exact_ls on a random-A quadratic-simplex freezes: once a step takes
+    alpha = 0 and leaves its iterates as they were, byte for byte, every
+    later step repeats it and still searches, but each probe is answered
+    from the run's memo, with no oracle or map call; the run equals the
+    reference loop's bit for bit"""
+    spec = build("quadratic-simplex", True)
+    names = tuple(n for n in ("f_val", "f_grad", "f_conj_val", "h_val", "h_conj_val",
+                              "h_conj_grad", "breg_f", "breg_hconj") if getattr(spec, n))
+    counted, counts = _counting(spec, names)
+    log = []
+    trace = _frozen_run(algo, counted, CallBudget(counts, log), mode)
+    assert_same_run(trace, _reference(algo, spec, mode))
+    first = _first_repeat(trace)
+    for k, (probes, calls) in enumerate(log, 1):
+        assert len(probes) > 2
+        assert any(calls.values()) == (k < first), (k, calls)
+
+
+@pytest.mark.parametrize("mode", ["plain", "sharp"])
+@pytest.mark.parametrize("algo", ["gmd", "hybrid"])
+def test_inf_at_a_frozen_probe_is_evaluated_at_every_repeat(algo, mode):
+    """h* returns +inf at the image of one probed point, the search's third,
+    at 1 - G (G the golden ratio), in the first unmoved alpha = 0 step of a
+    frozen run: the memo keeps no value for a probe that raised, so every
+    step from there on evaluates that point again, and the run still equals
+    the reference loop's bit for bit"""
+    spec = build("quadratic-simplex", True)
+    trace = _frozen_run(algo, spec, fd.ExactLineSearch(), mode)
+    unmoved = _first_repeat(trace) - 1
+    probing, images = [False], []
+
+    def h_conj_val(w):
+        if probing[0]:
+            images.append(np.array(w, dtype=float))
+        return spec.h_conj_val(w)
+
+    @dataclass(frozen=True)
+    class Mark(fd.StepRule):
+        def select(self, k, gap, d_fun):
+            def probe(a):
+                probing[0] = k == unmoved and a == 1.0 - _GOLDEN
+                try:
+                    return d_fun(a)
+                finally:
+                    probing[0] = False
+            return fd.ExactLineSearch().select(k, gap, probe)
+
+    assert_same_run(_frozen_run(algo, replace(spec, h_conj_val=h_conj_val), Mark(), mode), trace)
+    assert len(images) == 1
+    trigger, hits = images[0].tobytes(), []
+
+    def h_conj_val_inf(w):
+        if np.asarray(w, dtype=float).tobytes() == trigger:
+            hits.append(w)
+            return math.inf
+        return spec.h_conj_val(w)
+
+    bad = replace(spec, h_conj_val=h_conj_val_inf)
+    got = _frozen_run(algo, bad, fd.ExactLineSearch(), mode)
+    assert len(hits) == got.k - unmoved
+    assert _first_repeat(got) == unmoved + 1
+    assert_same_run(got, _reference(algo, bad, mode))
 
 
 @st.composite

@@ -26,7 +26,13 @@ the reference loops with the exact line search, whose plain runs make such
 steps; a segment marks its step size evaluated before D is computed, killed
 by a closed form that is +inf once; the log-sum-exp Bregman memo is keyed by
 the base array's id, killed by a base changed in place; and a diagonal Q
-drops b, killed by the diagonal Q's check against the literal matrix forms."""
+drops b, killed by the diagonal Q's check against the literal matrix forms.
+One keeps the probe memo across a step that moved, killed by the reference
+loops with the exact line search, which probes 1 and the two golden points
+at every step.
+
+``EQUIVALENT`` lists the mutations no test can kill, each with its reason;
+each must still apply to the source, and survive the tests named with it."""
 
 import os
 import shutil
@@ -48,6 +54,7 @@ REFERENCE_LS = ("tests/test_reference_drivers.py::test_drivers_match_reference_l
 RAISED = "tests/test_engine.py::test_segment_evaluates_again_after_a_call_that_raised"
 LSE_MEMO = "tests/test_reduction_forms.py::test_lse_bregman_memo_gives_the_memo_free_kl"
 DIAGONAL = "tests/test_problems.py::test_diagonal_q_is_the_matrix_form_bit_for_bit"
+FROZEN = "tests/test_engine.py::test_frozen_search_makes_no_oracle_call"
 # the modules of tests/ that a killer's file imports
 HELPERS = {"tests/test_reference_drivers.py": ["tests/reference_drivers.py"],
            "tests/test_engine.py": ["tests/reference_drivers.py",
@@ -126,11 +133,29 @@ MUTATIONS = {
         "Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()",
         "Q, pinv, b = np.diag(Q).copy(), np.diag(pinv).copy(), 0.0 * b",
         DIAGONAL),
+    "repeat-memo-never-cleared": (
+        "engine.py",
+        "                memo.clear()",
+        "                pass",
+        REFERENCE_LS),
+}
+
+# name -> (file of the package, its line, the mutation, a test it survives, why
+# no test can kill it)
+EQUIVALENT = {
+    "repeat-memo-primal-only": (
+        "engine.py",
+        " or hybrid and dual_seg.moved():",
+        ":",
+        FROZEN,
+        "at alpha = 0 a point is 1.0 * base + 0.0 * target, which differs from the "
+        "base only where a base entry is -0.0 and turns +0.0; every later probe "
+        "point then differs from the memo's at most in the sign of a zero, which "
+        "no oracle that is a function of the real value of its argument can see"),
 }
 
 
-def assert_killed(tmp_path, name):
-    module, original, mutated, killer = MUTATIONS[name]
+def run_mutant(tmp_path, module, original, mutated, killer):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "pyproject.toml", tmp_path)
@@ -143,9 +168,13 @@ def assert_killed(tmp_path, name):
     assert source.count(original) == 1
     path.write_text(source.replace(original, mutated))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=line", killer],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+
+
+def assert_killed(tmp_path, name):
+    result = run_mutant(tmp_path, *MUTATIONS[name])
     # exit code 1: the test ran and failed, on a comparison, not on a crash
     assert result.returncode == 1, result.stdout + result.stderr
     assert "AssertionError" in result.stdout and "1 failed" in result.stdout, result.stdout
@@ -184,6 +213,14 @@ def test_curvature_base_gradient_mutation_is_killed(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["reuse-skips-h-read", "alpha-marked-before-d",
-                                  "lse-memo-keyed-by-id", "diagonal-q-drops-b"])
+                                  "lse-memo-keyed-by-id", "diagonal-q-drops-b",
+                                  "repeat-memo-never-cleared"])
 def test_evaluation_reuse_mutation_is_killed(tmp_path, name):
     assert_killed(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENT))
+def test_equivalent_mutation_survives(tmp_path, name):
+    module, original, mutated, survived, _ = EQUIVALENT[name]
+    result = run_mutant(tmp_path, module, original, mutated, survived)
+    assert result.returncode == 0, result.stdout + result.stderr
