@@ -18,7 +18,8 @@ recursion (every sum the identities need is ``s_k = (1 - alpha_k) s_{k-1} +
 t_k``, as ``mu^k_i = (1 - alpha_k) mu^{k-1}_i`` and the new term weighs 1),
 independently of the streaming bookkeeping of the engine's kernel, and hold
 whichever point the kernel certifies with.  Each replay raises
-:class:`StateError` on the trace of another driver.  A mirror-descent trace
+:class:`StateError` on the trace of another driver, or on one run with
+``history=False``, which keeps no iterates.  A mirror-descent trace
 replays as a conditional-subgradient trace of the dual spec.  From uncached
 oracle calls at each recorded iterate x_k, the replay evaluates A x_k, h(x_k),
 u_k = f'(A x_k) (hybrid records u_k), A* u_k and the target s_k; u_k is f' at
@@ -126,10 +127,23 @@ def _relative(avg, div, current) -> np.ndarray:
     return np.abs(avg - div + current) / (1.0 + np.abs(avg) + np.abs(div) + np.abs(current))
 
 
+# the iterate histories a driver's trace keeps, as Trace lists them
+_HISTORIES = {"gcs": ("xs",), "gmd": ("vs",), "hybrid": ("xs", "us")}
+
+
+def _require_history(trace, reader: str):
+    # a run with history=False keeps no iterates, and a replay has no rows without them
+    missing = [name for name in _HISTORIES[trace.algo] if not getattr(trace, name)]
+    if missing:
+        raise StateError(f"{reader} needs the iterate history ({', '.join(missing)}) of the "
+                         f"{trace.algo} trace, which has none: run it with history=True")
+
+
 def _require_algo(trace, algo: str, replay: str):
     # another driver's histories are missing or stand in another identity
     if trace.algo != algo:
         raise StateError(f"{replay} needs a {algo} trace, got {trace.algo!r}")
+    _require_history(trace, replay)
 
 
 def _recorded(spec: ProblemSpec, role: str, point) -> float:

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .certificates import _require_history
 from .oracles import (
     FenchelDuoError,
     FitError,
@@ -127,10 +128,13 @@ def curvature_along_trace(trace, spec: ProblemSpec, gamma: float):
     side is the primal side of ``dualize(spec)``.  A step reads y = A x,
     z = f'(y), u (z, or hybrid's recorded u), w = -A* u and s = (h*)'(w) once;
     its line runs from x toward s, and hybrid's dual line from -u toward -z.
+    A trace run with ``history=False`` has no step lines: it raises
+    :class:`StateError`.
     """
     _check_exponent(gamma)
     if trace.algo not in ("gcs", "gmd", "hybrid"):
         raise RangeError(f"unknown trace algo {trace.algo!r}")
+    _require_history(trace, "curvature_along_trace")
     hybrid, dual = trace.algo == "hybrid", dualize(spec)
     side, xs = (dual, trace.vs) if trace.algo == "gmd" else (spec, trace.xs)
     c = c_dual = 0.0

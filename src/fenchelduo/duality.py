@@ -32,9 +32,10 @@ def _require_schedule(rule: StepRule):
 
 
 def _deviation(*pairings) -> float:
-    # worst |a + sign * b| over paired iterate histories; sign = +-1.0 keeps it exact
-    return max(float(np.abs(np.asarray(firsts) + sign * np.asarray(seconds)).max())
-               for firsts, seconds, sign in pairings)
+    # worst |a + sign * b| over paired iterate histories, row by row so that no history is
+    # stacked; sign = +-1.0 keeps it exact, and np.max keeps a NaN where max() would drop it
+    return float(np.max([np.abs(a + sign * b).max() for firsts, seconds, sign in pairings
+                         for a, b in zip(firsts, seconds, strict=True)]))
 
 
 def check_bach_equivalence(spec: ProblemSpec, x0, rule: StepRule, k_max: int) -> float:

@@ -27,12 +27,14 @@ step size evaluated last reuses it.  A step at step size 0 that leaves its
 points as they were, byte for byte, is repeated bit for bit by the next,
 whose probes read the values they returned there.  The values, step sizes
 and traces are those of an uncached evaluation.  Every run records a
-:class:`Trace` with its iterates (the oracle outputs are functions of them),
-both gap-bound variants, the true gap of the certificate pair, and a
-streaming residual of the certificate identity: the run's Fenchel-Young check
-of its oracle pairs.  Every oracle call is checked: an oracle that raises,
-returns NaN, or returns an infinite value where the run needs a finite one
-ends the run, and ``trace.error`` names the oracle of the user's spec.
+:class:`Trace` with both gap-bound variants, the true gap of the certificate
+pair, a streaming residual of the certificate identity (the run's
+Fenchel-Young check of its oracle pairs) and, unless the driver is called
+with ``history=False``, the iterates the offline replays read (the oracle
+outputs are functions of them).  Every oracle call is checked: an oracle
+that raises, returns NaN, or returns an infinite value where the run needs a
+finite one ends the run, and ``trace.error`` names the oracle of the user's
+spec.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class Trace:
     of the exact identity behind the certificate, and ``t_ms`` wall-clock
     milliseconds since the run started.  The histories keep the iterates
     alone, K + 1 each (index 0 is the start point): ``xs`` for gcs, ``vs``
-    for gmd, ``xs`` and ``us`` for hybrid, and no entry in the others.
+    for gmd, ``xs`` and ``us`` for hybrid, and no entry in the others.  A
+    run with ``history=False`` keeps none: its histories are empty, and
+    every other field is what the run with histories records.
     """
 
     algo: str
@@ -103,7 +107,7 @@ class Trace:
         return np.asarray(self.gap_sharp if self.mode == "sharp" else self.gap_plain)
 
 
-def _check_args(k_max: int, epsilon: Optional[float], mode: str):
+def _check_args(k_max: int, epsilon: Optional[float], mode: str, history: bool):
     # a bool is an int to Python, but True would run one step (and as epsilon, stop at 1)
     if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
         raise RangeError(f"k_max must be an integer, got {k_max!r}")
@@ -114,6 +118,8 @@ def _check_args(k_max: int, epsilon: Optional[float], mode: str):
         raise RangeError(f"epsilon must be a number or None, got {epsilon!r}")
     if mode not in ("plain", "sharp"):
         raise RangeError(f"mode must be 'plain' or 'sharp', got {mode!r}")
+    if not isinstance(history, (bool, np.bool_)):  # "False" would keep the histories
+        raise RangeError(f"history must be True or False, got {history!r}")
 
 
 def _objective(spec: ProblemSpec, x, y, h=None, f=None):
@@ -189,7 +195,7 @@ class _Segment:
 
 
 def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
-         epsilon: Optional[float], mode: str) -> Trace:
+         epsilon: Optional[float], mode: str, history: bool) -> Trace:
     """The joint-step kernel: gcs moves x (u := z), hybrid moves both with
     one step size.  gmd is this kernel's gcs path on ``dualize(spec)``.
 
@@ -213,9 +219,10 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     dual = dualize(spec)
     sharp_mode = mode == "sharp"
     trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode)
-    trace.xs.append(x.copy())
-    if hybrid:
-        trace.us.append(u.copy())
+    if history:
+        trace.xs.append(x.copy())
+        if hybrid:
+            trace.us.append(u.copy())
     # gcs: the lambda-average of the u_k, the first u_k of least dual value and
     # that value, and the one of the two that certifies the last recorded row
     cert, best_u, best, point = None, None, INF, None
@@ -276,7 +283,8 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 u_val, hc_w, f_conj_u = _objective(dual, dual_seg.point, w, dual_seg.h,
                                                    dual_seg.f)
                 current = p_val + u_val
-                trace.us.append(u.copy())
+                if history:
+                    trace.us.append(u.copy())
             else:
                 avg = (1.0 - alpha) * avg + alpha * step_value
                 cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
@@ -286,7 +294,8 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                     best, best_u = step_value, u.copy()
                 point, u_val = (best_u, best) if best < u_val else (cert, u_val)
             trace.alphas.append(alpha)
-            trace.xs.append(x.copy())
+            if history:
+                trace.xs.append(x.copy())
             trace.primal.append(p_val)
             trace.dual.append(-u_val)
             trace.gap_plain.append(plain)
@@ -304,7 +313,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
 
 
 def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
-            epsilon: Optional[float] = None, mode: str = "plain") -> Trace:
+            epsilon: Optional[float] = None, mode: str = "plain", history: bool = True) -> Trace:
     """Conditional-subgradient run from ``x0`` in dom(f' o A).
 
     Each step reads u_k = f'(Ax_k), targets s_k = (h*)'(-A*u_k) and moves
@@ -313,15 +322,16 @@ def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
     value, whichever has the lower dual value.
     ``mode`` picks the bound: ``gap_sharp`` if ``"sharp"``, else ``gap_plain``;
     with ``epsilon`` the run stops after the first row whose bound is strictly
-    below it.
+    below it.  ``history=False`` keeps no iterates, for a caller that reads
+    the scalar columns alone; the replays need them.
     """
-    _check_args(k_max, epsilon, mode)
+    _check_args(k_max, epsilon, mode, history)
     x = as_point(x0, spec.dim_x, "x0")
-    return _run(False, spec, x, None, rule, k_max, epsilon, mode)
+    return _run(False, spec, x, None, rule, k_max, epsilon, mode, history)
 
 
 def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
-            epsilon: Optional[float] = None, mode: str = "plain") -> Trace:
+            epsilon: Optional[float] = None, mode: str = "plain", history: bool = True) -> Trace:
     """Mirror-descent run from a dual point ``v0`` in dom((h*)' o A*): the
     conditional-subgradient run (x', u', s') of ``dualize(spec)`` from v0,
     read through the sign map (v, y, z) = (x', u', -s') (Bach's equivalence).
@@ -334,18 +344,20 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     the oracle of ``spec``, as ``dualize`` records it.
     ``mode`` picks the bound: ``gap_sharp`` if ``"sharp"``, else ``gap_plain``;
     with ``epsilon`` the run stops after the first row whose bound is strictly
-    below it.
+    below it.  ``history=False`` keeps no iterates, for a caller that reads
+    the scalar columns alone; the replays need them.
     """
-    _check_args(k_max, epsilon, mode)
+    _check_args(k_max, epsilon, mode, history)
     v = as_point(v0, spec.dim_y, "v0")
-    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, mode)
+    trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, mode, history)
     trace.algo, trace.vs, trace.xs = "gmd", trace.xs, []
     trace.primal, trace.dual = [-d for d in trace.dual], [-p for p in trace.primal]
     return trace
 
 
 def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
-               epsilon: Optional[float] = None, mode: str = "plain") -> Trace:
+               epsilon: Optional[float] = None, mode: str = "plain",
+               history: bool = True) -> Trace:
     """Symmetric primal-dual run from admissible ``(x0, u0)``.
 
     Both coordinates move toward the joint oracle output
@@ -354,9 +366,10 @@ def run_hybrid(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int, *,
     iterates are their own certificate.
     ``mode`` picks the bound: ``gap_sharp`` if ``"sharp"``, else ``gap_plain``;
     with ``epsilon`` the run stops after the first row whose bound is strictly
-    below it.
+    below it.  ``history=False`` keeps no iterates, for a caller that reads
+    the scalar columns alone; the replays need them.
     """
-    _check_args(k_max, epsilon, mode)
+    _check_args(k_max, epsilon, mode, history)
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
-    return _run(True, spec, x, u, rule, k_max, epsilon, mode)
+    return _run(True, spec, x, u, rule, k_max, epsilon, mode, history)

@@ -267,6 +267,24 @@ def test_replay_takes_only_its_drivers_trace(replay, algo):
         REPLAYS[replay](trace, spec)
 
 
+@pytest.mark.parametrize("algo, missing", [("gcs", "xs"), ("gmd", "vs"), ("hybrid", "xs, us")])
+def test_trace_without_history_is_a_state_error(algo, missing):
+    """a run with history=False keeps no iterates: its replay and
+    curvature_along_trace raise a StateError naming the missing history"""
+    spec, x0 = fd.make_quadratic_simplex(n=2), [1.0, 0.0]
+    trace = {"gcs": lambda: fd.run_gcs(spec, x0, fd.FixedHarmonic(), 3, history=False),
+             "gmd": lambda: fd.run_gmd(spec, np.zeros(2), fd.FixedHarmonic(), 3, history=False),
+             "hybrid": lambda: fd.run_hybrid(spec, x0, x0, fd.FixedHarmonic(), 3,
+                                             history=False)}[algo]()
+    assert trace.k == 3 and trace.error is None
+    for reader, call in ((REPLAYS[algo].__name__, lambda: REPLAYS[algo](trace, spec)),
+                         ("curvature_along_trace",
+                          lambda: fd.curvature_along_trace(trace, spec, 2.0))):
+        with pytest.raises(fd.StateError, match=rf"^{reader} needs the iterate history "
+                                                rf"\({missing}\) of the {algo} trace, "):
+            call()
+
+
 class TestIdentityResiduals:
     def test_first_iteration_hand_value(self):
         # lambda*(f*(u0) + h*(-u0)) - mu*divergence + primal(x1) = 1/2 - 1 + 1/2

@@ -2,10 +2,13 @@
 and the five subcommands."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +391,56 @@ class TestVerify:
             monkeypatch.setattr(cli, name, spy(name))
         assert main(["verify", "--kmax", "20"]) == 0
         assert calls == list(names) * len(cli._DEFAULT_VERIFY)
+
+    def test_each_trace_is_released_before_the_next_run(self, monkeypatch, capsys):
+        """verify holds one driver's trace at a time: when gmd, hybrid and the
+        equivalence checks start, the trace of the driver before them is gone"""
+        last, released = [], []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                if name != "run_gcs":  # the driver before ran in this config
+                    gc.collect()
+                    released.append((name, last[-1]() is None))
+                result = real(*args, **kwargs)
+                if name.startswith("run_"):
+                    last.append(weakref.ref(result))
+                return result
+            return call
+
+        names = ("run_gcs", "run_gmd", "run_hybrid", "check_bach_equivalence")
+        for name in names:
+            monkeypatch.setattr(cli, name, spy(name))
+        assert main(["verify", "--kmax", "20"]) == 0
+        assert released == [(name, True) for name in names[1:]] * len(cli._DEFAULT_VERIFY)
+
+    def test_peak_memory_is_one_run_and_its_replay(self, capsys):
+        """under tracemalloc the default suite at --kmax 600 peaks within 1.1x of
+        the largest peak of one of its driver runs and that run's replay; the
+        command line is parsed outside the measure, as its parser (about 50 kB)
+        is the same whatever the runs hold"""
+        def peak(fn):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(["verify", "--kmax", "20"]) == 0  # one-off first-call allocations
+        setups = [cli.resolve({**config, "k_max": 600}) for config in cli._DEFAULT_VERIFY]
+        single = max(peak(lambda: replay(cli._drive(setup, algo), setup.spec))
+                     for setup in setups
+                     for algo, replay in (("gcs", fd.cg_identity_residuals),
+                                          ("gmd", fd.md_identity_residuals),
+                                          ("hybrid", fd.hybrid_identity_residuals)))
+        args = cli.build_parser().parse_args(["verify", "--kmax", "600"])
+        whole = peak(lambda: args.fn(args))
+        assert "OK: 60 passed" in capsys.readouterr().out
+        assert whole <= 1.1 * single, (whole, single)
 
     def test_config_k_max_is_the_budget(self, tmp_path, monkeypatch, capsys):
         budgets = []

@@ -1,11 +1,13 @@
 """Dual-spec construction and the two run-equivalence checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fenchelduo as fd
+from fenchelduo.duality import _deviation
 
 
 def quad_simplex():
@@ -185,3 +187,28 @@ def test_weak_duality_across_paired_runs():
         u = -y
         dual_vals.append(-(spec.f_conj_val(u) + spec.h_conj_val(-At(u))))
     assert max(dual_vals) <= min(primal_vals) + 1e-9
+
+
+def test_deviation_is_the_max_over_stacked_histories():
+    """row by row, the deviation is the max of |a + sign * b| over the stacked
+    (K + 1) x n histories, bit for bit"""
+    here = fd.run_hybrid(general_a_problem(), [1.0, 0.0, 0.0], np.full(5, 0.1),
+                         fd.FixedHarmonic(), 40)
+    there = fd.run_hybrid(general_a_problem(3), [0.0, 1.0, 0.0], np.full(5, -0.2),
+                          fd.FixedHarmonic(), 40)
+    pairings = ((there.xs, here.xs, 1.0), (there.us, here.us, -1.0))
+    stacked = max(float(np.abs(np.asarray(a) + sign * np.asarray(b)).max())
+                  for a, b, sign in pairings)
+    assert _deviation(*pairings) == stacked > 0.0
+
+
+@pytest.mark.parametrize("pairing", [0, 1])
+def test_deviation_keeps_a_nan(pairing):
+    """a NaN in a late row of either pairing is the deviation, which fails
+    every tolerance; a Python max over the pairings would drop one that
+    follows a number"""
+    rows = [np.array([0.5, -0.5]), np.array([0.25, 0.0]), np.array([0.0, 1.0])]
+    pairings = [(rows, rows, -1.0), (rows, rows, -1.0)]
+    pairings[pairing] = (rows[:2] + [np.array([np.nan, 1.0])], rows, -1.0)
+    deviation = _deviation(*pairings)
+    assert math.isnan(deviation), deviation

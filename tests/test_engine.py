@@ -14,7 +14,7 @@ from fenchelduo.oracles import _oracle_point
 from fenchelduo.steps import _GOLDEN
 from reference_drivers import (bregman_hconj, ref_run_gcs, ref_run_gmd, ref_run_hybrid,
                                step_divergence_dual, step_divergence_primal)
-from test_reference_drivers import FAMILIES, assert_same_run, bits, build, start
+from test_reference_drivers import FAMILIES, RULES, assert_same_run, bits, build, start
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,15 @@ class TestRunHygiene:
             fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 0)
         with pytest.raises(fd.RangeError):
             fd.run_gcs(spec, [1.0, 0.0], fd.FixedHarmonic(), 5, mode="fuzzy")
+
+    @pytest.mark.parametrize("history", ["False", 0, None])
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_rejects_non_bool_history(self, algo, history):
+        spec = fd.make_quadratic_simplex(n=2)
+        with pytest.raises(fd.RangeError, match="^history must be True or False, got "):
+            _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(), history=history)
+        assert _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(),
+                      history=np.False_).xs == []
 
     @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
     def test_rejects_nan_epsilon(self, algo):
@@ -928,6 +937,58 @@ def test_inf_at_a_frozen_probe_is_evaluated_at_every_repeat(algo, mode):
     assert len(hits) == got.k - unmoved
     assert _first_repeat(got) == unmoved + 1
     assert_same_run(got, _reference(algo, bad, mode))
+
+
+# ---------------------------------------------------------------------------
+# history=False: the same run, with no iterates kept
+# ---------------------------------------------------------------------------
+
+def _assert_same_without_history(algo, spec, rule, mode):
+    """the run with history=False is the run with histories, bit for bit, every
+    column but t_ms, the certificate and the error included, with no iterate kept"""
+    kept = _drive(algo, spec, start(spec)[:2], rule, mode=mode)
+    bare = _drive(algo, spec, start(spec)[:2], rule, mode=mode, history=False)
+    assert (bare.xs, bare.us, bare.vs) == ([], [], [])
+    assert_same_run(bare, replace(kept, xs=[], us=[], vs=[]))
+    return kept
+
+
+@pytest.mark.parametrize("mode", ["plain", "sharp"])
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("family", ["quadratic-simplex", "entropy-lse", "holder-power-simplex"])
+def test_run_without_history_is_the_same_run(family, rule, algo, mode):
+    kept = _assert_same_without_history(algo, build(family, True), RULES[rule], mode)
+    assert kept.error is None and kept.k == 30
+    if (family, rule) == ("quadratic-simplex", "exact_ls") and algo != "gcs":
+        _first_repeat(kept)  # the frozen steps read their probes from the memo
+
+
+@pytest.mark.parametrize("mode", ["plain", "sharp"])
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+def test_run_without_history_fails_at_the_same_row(algo, mode):
+    """(h*)' raises at one point, the argument of its 15th call in a healthy
+    run: with or without histories the run ends at the same row, with the
+    same message"""
+    spec = build("entropy-lse", True)
+    seen = []
+
+    def recording(w):
+        seen.append(np.array(w, dtype=float).tobytes())
+        return spec.h_conj_grad(w)
+
+    _drive(algo, replace(spec, h_conj_grad=recording), start(spec)[:2], fd.ExactLineSearch(),
+           mode=mode)
+    trigger = seen[14]
+
+    def failing(w):
+        if np.asarray(w, dtype=float).tobytes() == trigger:
+            raise ValueError("injected failure")
+        return spec.h_conj_grad(w)
+
+    kept = _assert_same_without_history(algo, replace(spec, h_conj_grad=failing),
+                                        fd.ExactLineSearch(), mode)
+    assert "injected failure" in kept.error and 0 < kept.k < 30
 
 
 @st.composite

@@ -29,7 +29,9 @@ the base array's id, killed by a base changed in place; and a diagonal Q
 drops b, killed by the diagonal Q's check against the literal matrix forms.
 One keeps the probe memo across a step that moved, killed by the reference
 loops with the exact line search, which probes 1 and the two golden points
-at every step.
+at every step.  One takes the equivalence checks' deviation as a Python
+``max`` over the row maxima, which drops a NaN that follows a number,
+killed by a NaN in a late row of the second pairing.
 
 ``EQUIVALENT`` lists the mutations no test can kill, each with its reason;
 each must still apply to the source, and survive the tests named with it."""
@@ -55,6 +57,7 @@ RAISED = "tests/test_engine.py::test_segment_evaluates_again_after_a_call_that_r
 LSE_MEMO = "tests/test_reduction_forms.py::test_lse_bregman_memo_gives_the_memo_free_kl"
 DIAGONAL = "tests/test_problems.py::test_diagonal_q_is_the_matrix_form_bit_for_bit"
 FROZEN = "tests/test_engine.py::test_frozen_search_makes_no_oracle_call"
+DEVIATION_NAN = "tests/test_duality.py::test_deviation_keeps_a_nan[1]"
 # the modules of tests/ that a killer's file imports
 HELPERS = {"tests/test_reference_drivers.py": ["tests/reference_drivers.py"],
            "tests/test_engine.py": ["tests/reference_drivers.py",
@@ -138,6 +141,11 @@ MUTATIONS = {
         "                memo.clear()",
         "                pass",
         REFERENCE_LS),
+    "deviation-drops-nan": (
+        "duality.py",
+        "return float(np.max([",
+        "return float(max([",
+        DEVIATION_NAN),
 }
 
 # name -> (file of the package, its line, the mutation, a test it survives, why
@@ -217,6 +225,10 @@ def test_curvature_base_gradient_mutation_is_killed(tmp_path, name):
                                   "repeat-memo-never-cleared"])
 def test_evaluation_reuse_mutation_is_killed(tmp_path, name):
     assert_killed(tmp_path, name)
+
+
+def test_deviation_nan_mutation_is_killed(tmp_path):
+    assert_killed(tmp_path, "deviation-drops-nan")
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENT))

@@ -55,9 +55,9 @@ def test_settable_surface_is_pinned():
     keywords = {fn.__name__: [p.name for p in inspect.signature(fn).parameters.values()
                               if p.kind is inspect.Parameter.KEYWORD_ONLY]
                 for fn in (fd.run_gcs, fd.run_gmd, fd.run_hybrid)}
-    assert keywords == {"run_gcs": ["epsilon", "mode"],
-                        "run_gmd": ["epsilon", "mode"],
-                        "run_hybrid": ["epsilon", "mode"]}
+    assert keywords == {"run_gcs": ["epsilon", "mode", "history"],
+                        "run_gmd": ["epsilon", "mode", "history"],
+                        "run_hybrid": ["epsilon", "mode", "history"]}
     sources = sorted(Path(fd.__file__).parent.glob("*.py"))
     assert sources and not [p.name for p in sources if "environ" in p.read_text()]
 
