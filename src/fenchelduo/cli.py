@@ -1,23 +1,23 @@
-"""Command-line harness: run experiments, verify certificate identities,
-probe curvature, fit the rate of a trace file, and compare configurations.
+"""Command-line harness: run experiments, verify certificate identities and
+probe curvature.
 
-Subcommands: run, verify, probe, rate, compare; each takes only the flags it
-reads (``_SUBCOMMANDS``), and rate none.  Experiments are described by a JSON
-config.  A flag sets the config key of the same name (``--kmax`` sets
-``k_max``); the rule, its parameter and the mode come from the config alone.
-``resolve`` checks every key once, unknown keys and types included, before
-any oracle is built.  Traces are written as CSV with a fixed column set at 17
-significant digits so files round-trip 64-bit floats; summaries are JSON with
-sorted keys.  Exit codes: 1 for failed verification, 2 for config and usage
-errors, 3 for oracle/domain errors (a partial trace is still written), 141
-when the reader closes stdout early.
+Subcommands: run, verify, probe; each takes only the flags it reads
+(``_SUBCOMMANDS``).  Experiments are described by a JSON config.  A flag sets
+the config key of the same name (``--kmax`` sets ``k_max``); the rule, its
+parameter and the mode come from the config alone.  ``resolve`` checks every
+key once, unknown keys and types included, before any oracle is built.
+Traces are written as CSV with a fixed column set at 17 significant digits so
+files round-trip 64-bit floats; summaries are JSON with sorted keys, the fit
+of the gap's decay rate among them.  Exit codes: 1 for failed verification,
+2 for config and usage errors, 3 for oracle/domain errors (a partial trace is
+still written), 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -278,7 +278,7 @@ def _drive(setup: Setup, algo: str, **kwargs) -> Trace:
 
 def execute(config: dict) -> Trace:
     """Run the experiment a config describes and return its trace.  ``run``
-    and ``compare`` read its scalar columns alone, so it keeps no iterates."""
+    reads its scalar columns alone, so it keeps no iterates."""
     setup = resolve(config)
     return _drive(setup, setup.algo, epsilon=setup.epsilon, mode=setup.mode, history=False)
 
@@ -303,6 +303,10 @@ def write_trace_csv(trace: Trace, path: str):
 
 def summarize(trace: Trace, config: dict) -> dict:
     done = trace.k
+    try:
+        exponent, r2 = fit_rate(trace)
+    except FitError:  # fewer than 10 usable points
+        exponent = r2 = None
     return {
         "problem": config["problem"],
         "algorithm": config.get("algorithm", "gcs"),
@@ -315,6 +319,8 @@ def summarize(trace: Trace, config: dict) -> dict:
         "final_gap_bound": float(trace.gap_bound[-1]) if done else None,
         "final_true_gap": trace.true_gap[-1] if done else None,
         "max_identity_residual": max(trace.residual) if done else None,
+        "rate_exponent": exponent,
+        "rate_r_squared": r2,
         "error": trace.error,
     }
 
@@ -323,17 +329,6 @@ def write_summary(summary: dict, path: str):
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-@contextlib.contextmanager
-def _writing_to(outdir: str):
-    """Make ``outdir``; an OSError there or in the block, or a name the
-    system takes for no path (a NUL byte), is a config error."""
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        yield
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot write to out {outdir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +340,12 @@ def cmd_run(args) -> int:
     trace = execute(config)
     outdir = config.get("out", ".")
     summary = summarize(trace, config)
-    with _writing_to(outdir):
+    try:  # an OSError, or a name the system takes for no path (a NUL byte)
+        os.makedirs(outdir, exist_ok=True)
         write_trace_csv(trace, os.path.join(outdir, "trace.csv"))
         write_summary(summary, os.path.join(outdir, "summary.json"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write to out {outdir}: {exc}") from exc
     for key in ("iterations", "final_primal", "final_dual", "final_gap_bound",
                 "final_true_gap"):
         print(f"{key}: {summary[key]}")
@@ -443,85 +441,6 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _read_trace_gaps(path: str) -> np.ndarray:
-    col = CSV_HEADER.split(",").index("gap_bound")
-    try:
-        with open(path) as fh:
-            if fh.readline().strip() != CSV_HEADER:
-                raise ConfigError(f"{path} is not a trace file (header mismatch)")
-            rows = [(i, line.split(",")) for i, line in enumerate(fh, start=2) if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    gaps = []
-    for i, fields in rows:
-        try:
-            gaps.append(float(fields[col]))
-        except (IndexError, ValueError):
-            raise ConfigError(f"{path} line {i}: gap_bound is not a number") from None
-    return np.array(gaps)
-
-
-def cmd_rate(args) -> int:
-    try:
-        exponent, r2 = fit_rate(_read_trace_gaps(args.trace))
-    except FitError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(f"source: {args.trace}")
-    print(f"exponent: {_fmt(exponent)}")
-    print(f"r_squared: {_fmt(r2)}")
-    return 0
-
-
-def _problem_of(config: dict):
-    """What fixes the problem a config runs: its problem object, and the
-    seed when that object draws a random map."""
-    problem = config.get("problem")
-    random_map = isinstance(problem, dict) and isinstance(problem.get("a"), dict)
-    return problem, config.get("seed", 0) if random_map else None
-
-
-def cmd_compare(args) -> int:
-    if len(args.configs) < 2:
-        raise ConfigError("compare needs at least two configs")
-    configs = [_with_flags(load_config(p), args) for p in args.configs]
-    labels = [os.path.splitext(os.path.basename(p))[0] for p in args.configs]
-    for i, label in enumerate(labels):  # a label names a column of the table and of compare.csv
-        if label in labels[:i]:
-            raise ConfigError(f"configs {args.configs[labels.index(label)]} and "
-                              f"{args.configs[i]} get the same label {label!r}")
-    for path, config in zip(args.configs[1:], configs[1:]):
-        if _problem_of(config) != _problem_of(configs[0]):
-            raise ConfigError(f"config {path} runs a different problem than {args.configs[0]}")
-    traces = [execute(config) for config in configs]
-    for path, trace in zip(args.configs, traces):
-        if trace.error:
-            print(f"error in {path}: {trace.error}", file=sys.stderr)
-            return 3
-
-    kmax = min(trace.k for trace in traces)
-    gaps = [t.gap_bound for t in traces]
-    marks = [k for k in (1, 2, 3, 5, 10, 20, 50, 100, 200, 500, 1000) if k <= kmax]
-    width = max(12, max(len(lab) for lab in labels) + 2)
-    print("k".rjust(6) + "".join(lab.rjust(width) for lab in labels))
-    for k in marks:
-        print(f"{k:6d}" + "".join(f"{g[k - 1]:{width}.4e}" for g in gaps))
-    print("rate exponents (log-log slope of the certified gap):")
-    for lab, trace in zip(labels, traces):
-        try:
-            exponent, r2 = fit_rate(trace)
-        except FitError:
-            exponent = r2 = float("nan")
-        print(f"  {lab}: {exponent:.4f} (r^2 {r2:.4f})")
-    if args.out:
-        path = os.path.join(args.out, "compare.csv")
-        with _writing_to(args.out), open(path, "w") as fh:
-            fh.write("k," + ",".join(labels) + "\n")
-            for k in range(1, kmax + 1):
-                fh.write(str(k) + "," + ",".join(_fmt(g[k - 1]) for g in gaps) + "\n")
-        print(f"wrote {path}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -542,9 +461,6 @@ _SUBCOMMANDS = {
                ("--config", "--kmax", "--seed")),
     "probe": (cmd_probe, "estimate a relative curvature constant",
               ("--config", "--gamma", "--seed")),
-    "rate": (cmd_rate, "fit the gap decay exponent of a trace file", ()),
-    "compare": (cmd_compare, "aligned gap table for several configs",
-                ("--out", "--kmax", "--seed")),
 }
 
 
@@ -557,10 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == "rate":
-            p.add_argument("trace", help="a trace.csv that run wrote")
-        if name == "compare":
-            p.add_argument("configs", nargs="+", help="two or more config files")
         for flag in flags:
             p.add_argument(flag, required=flag == "--config" and name in ("run", "probe"),
                            **_FLAGS[flag])
@@ -570,6 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the parser's subparsers and actions sit in reference cycles; a young-generation
+    # pass frees them (about 25 kB) before the subcommand allocates, where a full
+    # collection would cost several milliseconds
+    gc.collect(1)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit

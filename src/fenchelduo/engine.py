@@ -72,10 +72,11 @@ class Trace:
 
     Row k (1-based) is recorded after the k-th update: ``alphas[k-1]`` is the
     step size used, ``primal[k-1]``/``dual[k-1]`` the objective values of the
-    current certificate pair, ``true_gap`` their sum, ``gap_plain``/
-    ``gap_sharp`` the two certified bounds, ``residual`` the streaming defect
-    of the exact identity behind the certificate, and ``t_ms`` wall-clock
-    milliseconds since the run started.  The histories keep the iterates
+    current certificate pair, ``true_gap`` their difference (read off those
+    two, not stored), ``gap_plain``/``gap_sharp`` the two certified bounds,
+    ``residual`` the streaming defect of the exact identity behind the
+    certificate, and ``t_ms`` wall-clock milliseconds since the run
+    started.  The histories keep the iterates
     alone, K + 1 each (index 0 is the start point): ``xs`` for gcs, ``vs``
     for gmd, ``xs`` and ``us`` for hybrid, and no entry in the others.  A
     run with ``history=False`` keeps none: its histories are empty, and
@@ -89,7 +90,6 @@ class Trace:
     dual: List[float] = field(default_factory=list)
     gap_plain: List[float] = field(default_factory=list)
     gap_sharp: List[float] = field(default_factory=list)
-    true_gap: List[float] = field(default_factory=list)
     residual: List[float] = field(default_factory=list)
     t_ms: List[float] = field(default_factory=list)
     xs: List[np.ndarray] = field(default_factory=list)
@@ -105,6 +105,10 @@ class Trace:
     @property
     def gap_bound(self) -> np.ndarray:
         return np.asarray(self.gap_sharp if self.mode == "sharp" else self.gap_plain)
+
+    @property
+    def true_gap(self) -> List[float]:
+        return [p - d for p, d in zip(self.primal, self.dual)]
 
 
 def _check_args(k_max: int, epsilon: Optional[float], mode: str, history: bool):
@@ -300,7 +304,6 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
             trace.dual.append(-u_val)
             trace.gap_plain.append(plain)
             trace.gap_sharp.append(sharp)
-            trace.true_gap.append(p_val + u_val)
             trace.residual.append(abs(avg - sharp + current))
             trace.t_ms.append((time.perf_counter() - start) * 1e3)
             if epsilon is not None and (sharp if sharp_mode else plain) < epsilon:

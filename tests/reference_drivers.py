@@ -213,7 +213,6 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, mode="plain"):
             trace.dual.append(-cert_dual)
             trace.gap_plain.append(plain)
             trace.gap_sharp.append(sharp)
-            trace.true_gap.append(primal + cert_dual)
             trace.residual.append(abs(dual_avg - sharp + primal))
             trace.t_ms.append((time.perf_counter() - start) * 1e3)
             if epsilon is not None and (sharp if mode == "sharp" else plain) < epsilon:
@@ -273,7 +272,6 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, mode="plain"):
             trace.dual.append(-dual_obj)
             trace.gap_plain.append(plain)
             trace.gap_sharp.append(sharp)
-            trace.true_gap.append(cert_primal + dual_obj)
             trace.residual.append(abs(primal_avg - sharp + dual_obj))
             trace.t_ms.append((time.perf_counter() - start) * 1e3)
             if epsilon is not None and (sharp if mode == "sharp" else plain) < epsilon:
@@ -337,7 +335,6 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, mode="plain"):
             trace.dual.append(-dual_obj)
             trace.gap_plain.append(plain)
             trace.gap_sharp.append(sharp)
-            trace.true_gap.append(primal + dual_obj)
             trace.residual.append(abs(primal + dual_obj - sharp))
             trace.t_ms.append((time.perf_counter() - start) * 1e3)
             if epsilon is not None and (sharp if mode == "sharp" else plain) < epsilon:

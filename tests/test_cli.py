@@ -1,5 +1,5 @@
 """Command-line harness: config validation, artifact layout, determinism,
-and the five subcommands."""
+and the three subcommands."""
 
 import dataclasses
 import gc
@@ -37,6 +37,10 @@ def read_rows(path):
     assert lines[0] == CSV_HEADER
     return [line.split(",") for line in lines[1:]]
 
+
+SUMMARY_KEYS = {"problem", "algorithm", "rule", "mode", "seed", "iterations", "final_primal",
+                "final_dual", "final_gap_bound", "final_true_gap", "max_identity_residual",
+                "rate_exponent", "rate_r_squared", "error"}
 
 PROBLEMS = ["quadratic-simplex", "quadratic-box", "quadratic-l1", "entropy-lse",
             "holder-power-simplex"]
@@ -122,6 +126,95 @@ class TestRun:
         assert summary["rule"] == {"name": "open_loop", "gamma": 3.0}
         assert summary["mode"] == "sharp"
         assert "policy" not in summary
+
+    def test_summary_keys_are_pinned(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert set(json.loads((out / "summary.json").read_text())) == SUMMARY_KEYS
+
+    @pytest.mark.parametrize("mode", ["plain", "sharp"])
+    @pytest.mark.parametrize("rule", ["fixed_harmonic", "exact_ls"])
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_summary_rate_is_the_fit_of_the_run(self, tmp_path, algorithm, rule, mode):
+        """summary.json holds the rate fit of the run's own gap column, bit for
+        bit: JSON writes each float at the digits that round-trip it"""
+        cfg = write_config(tmp_path / "cfg.json", k_max=40, algorithm=algorithm,
+                           rule={"name": rule}, mode=mode,
+                           problem={"name": "quadratic-simplex", "n": 3, "b": [0.3, -0.2, 0.1]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        exponent, r2 = fd.fit_rate(cli.execute(json.loads(cfg.read_text())))
+        assert (summary["rate_exponent"], summary["rate_r_squared"]) == (exponent, r2)
+
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_summary_rate_of_a_short_run_is_null(self, tmp_path, algorithm):
+        """k = 10, 11, 12 are 3 usable points, under the fit's 10: no rate, and no error"""
+        cfg = write_config(tmp_path / "cfg.json", k_max=12, algorithm=algorithm)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rate_exponent"] is None and summary["rate_r_squared"] is None
+        assert summary["iterations"] == 12 and summary["error"] is None
+
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_summary_rate_of_a_zero_gap_is_null(self, tmp_path, algorithm):
+        """on the one-point simplex every certified bound is exactly 0, and a
+        bound of 0 is no point of a log-log fit"""
+        cfg = write_config(tmp_path / "cfg.json", algorithm=algorithm,
+                           problem={"name": "quadratic-simplex", "n": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert {row[4] for row in read_rows(out / "trace.csv")} == {"0"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rate_exponent"] is None and summary["rate_r_squared"] is None
+
+    def test_summary_rate_of_a_run_stopped_at_epsilon(self, tmp_path):
+        """the fit reads the rows the run made, as trace.csv holds them"""
+        cfg = write_config(tmp_path / "cfg.json", k_max=400, epsilon=0.01,
+                           problem={"name": "quadratic-simplex", "n": 3, "b": [0.3, -0.2, 0.1]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        gaps = [float(row[4]) for row in read_rows(out / "trace.csv")]
+        summary = json.loads((out / "summary.json").read_text())
+        assert 10 < summary["iterations"] == len(gaps) < 400
+        assert (summary["rate_exponent"], summary["rate_r_squared"]) == fd.fit_rate(gaps)
+
+    def test_summary_rate_of_an_aborted_run(self, tmp_path, monkeypatch, capsys):
+        """a run an oracle ends still fits its partial trace"""
+        def aborted(spec, x0, rule, k_max, **kwargs):
+            trace = fd.run_gcs(spec, x0, rule, 25, **kwargs)
+            trace.error = "oracle f_grad failed: injected"
+            return trace
+
+        monkeypatch.setattr(cli, "run_gcs", aborted)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        gaps = [float(row[4]) for row in read_rows(out / "trace.csv")]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iterations"] == len(gaps) == 25 and "injected" in summary["error"]
+        assert (summary["rate_exponent"], summary["rate_r_squared"]) == fd.fit_rate(gaps)
+
+    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
+    def test_summary_repeats_the_last_row(self, tmp_path, capsys, algorithm):
+        """summary.json and the printed lines give trace.csv's last row and
+        largest residual, bit for bit"""
+        cfg = write_config(tmp_path / "cfg.json", algorithm=algorithm, mode="sharp",
+                           rule={"name": "exact_ls"},
+                           problem={"name": "entropy-lse", "n": 3, "b": [0.3, -0.2, 0.1]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [[float(v) for v in row] for row in read_rows(out / "trace.csv")]
+        summary = json.loads((out / "summary.json").read_text())
+        last = dict(zip(CSV_HEADER.split(","), rows[-1]))
+        assert [summary[f"final_{key}"] for key in ("primal", "dual", "gap_bound", "true_gap")] == [
+            last[key] for key in ("primal", "dual", "gap_bound", "true_gap")]
+        assert summary["max_identity_residual"] == max(row[6] for row in rows)
+        assert capsys.readouterr().out == "".join(
+            f"{key}: {summary[key]}\n" for key in ("iterations", "final_primal", "final_dual",
+                                                   "final_gap_bound", "final_true_gap"))
 
 
 # (key named in the error, config overrides): wrong JSON types
@@ -419,8 +512,8 @@ class TestVerify:
     def test_peak_memory_is_one_run_and_its_replay(self, capsys):
         """under tracemalloc the default suite at --kmax 600 peaks within 1.1x of
         the largest peak of one of its driver runs and that run's replay; the
-        command line is parsed outside the measure, as its parser (about 50 kB)
-        is the same whatever the runs hold"""
+        measure takes in the whole command, parsing included, so a parser left
+        alive into the runs counts against the bound"""
         def peak(fn):
             gc.collect()
             tracemalloc.start()
@@ -437,8 +530,7 @@ class TestVerify:
                      for algo, replay in (("gcs", fd.cg_identity_residuals),
                                           ("gmd", fd.md_identity_residuals),
                                           ("hybrid", fd.hybrid_identity_residuals)))
-        args = cli.build_parser().parse_args(["verify", "--kmax", "600"])
-        whole = peak(lambda: args.fn(args))
+        whole = peak(lambda: main(["verify", "--kmax", "600"]))
         assert "OK: 60 passed" in capsys.readouterr().out
         assert whole <= 1.1 * single, (whole, single)
 
@@ -507,7 +599,7 @@ class TestVerify:
         assert "PASS quadratic-simplex gmd identity residual" in out
 
 
-class TestProbeRateCompare:
+class TestProbe:
     def test_probe_reports_constant(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["probe", "--config", str(cfg), "--gamma", "2.0"]) == 0
@@ -522,95 +614,6 @@ class TestProbeRateCompare:
         assert main(["probe", "--config", str(cfg), "--gamma", gamma]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "--gamma" in err
-
-    @pytest.mark.parametrize("mode", ["plain", "sharp"])
-    @pytest.mark.parametrize("rule", ["fixed_harmonic", "exact_ls"])
-    @pytest.mark.parametrize("algorithm", ["gcs", "gmd", "hybrid"])
-    def test_rate_of_a_run_trace_is_the_fit_of_the_run(self, tmp_path, capsys, algorithm,
-                                                       rule, mode):
-        """trace.csv holds 17 significant digits, so rate on the file that
-        run wrote prints the fit of the run's own gap column, bit for bit"""
-        cfg = write_config(tmp_path / "cfg.json", k_max=40, algorithm=algorithm,
-                           rule={"name": rule}, mode=mode,
-                           problem={"name": "quadratic-simplex", "n": 3, "b": [0.3, -0.2, 0.1]})
-        path = tmp_path / "out" / "trace.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        capsys.readouterr()
-        exponent, r2 = fd.fit_rate(cli.execute(json.loads(cfg.read_text())))
-        assert fd.fit_rate(cli._read_trace_gaps(str(path))) == (exponent, r2)
-        assert main(["rate", str(path)]) == 0
-        assert capsys.readouterr().out == (f"source: {path}\nexponent: {exponent:.17g}\n"
-                                           f"r_squared: {r2:.17g}\n")
-
-    def test_rate_needs_exactly_one_source(self, tmp_path, capsys):
-        """rate reads one trace file; --config is no flag of it"""
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out)])
-        for argv in (["rate"], ["rate", str(out / "trace.csv"), "--config", str(cfg)],
-                     ["rate", "--config", str(cfg)]):
-            assert exit_code(argv) == 2
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
-
-    def test_rate_missing_trace_file_is_config_error(self, tmp_path, capsys):
-        assert main(["rate", str(tmp_path / "nothere.csv")]) == 2
-        assert "nothere.csv" in capsys.readouterr().err
-
-    def test_rate_non_numeric_gap_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "trace.csv"
-        rows = [f"{k},0.5,1,0,{1.0 / k},0.1,0,0" for k in range(1, 20)]
-        rows[4] = "5,0.5,1,0,abc,0.1,0,0"
-        path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-        assert main(["rate", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "line 6" in err
-
-    def test_compare_table_and_exponents(self, tmp_path, capsys):
-        c1 = write_config(tmp_path / "fixed.json", k_max=300)
-        c2 = write_config(tmp_path / "ls.json", k_max=300, rule={"name": "exact_ls"})
-        c3 = write_config(tmp_path / "hyb.json", k_max=300, algorithm="hybrid")
-        out = tmp_path / "cmp"
-        assert main(["compare", str(c1), str(c2), str(c3), "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "rate exponents" in text
-        header = (out / "compare.csv").read_text().splitlines()[0]
-        assert header == "k,fixed,ls,hyb"
-
-    def test_compare_needs_two(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        assert main(["compare", str(cfg)]) == 2
-
-    def test_compare_rejects_two_configs_of_one_label(self, tmp_path, monkeypatch, capsys):
-        """a label is the file's base name: two cfg.json would name two
-        columns cfg; the clash is a config error before any run"""
-        (tmp_path / "d1").mkdir()
-        (tmp_path / "d2").mkdir()
-        c1 = write_config(tmp_path / "d1" / "cfg.json")
-        c2 = write_config(tmp_path / "d2" / "cfg.json", rule={"name": "exact_ls"})
-        monkeypatch.setattr(cli, "execute", lambda config: pytest.fail("a run started"))
-        assert main(["compare", str(c1), str(c2), "--out", str(tmp_path / "cmp")]) == 2
-        assert capsys.readouterr().err == (f"config error: configs {c1} and {c2} get the same "
-                                           "label 'cfg'\n")
-        assert not (tmp_path / "cmp").exists()
-
-    @pytest.mark.parametrize("first, second", [
-        ({"name": "quadratic-simplex", "n": 2}, {"name": "quadratic-simplex", "n": 3}),
-        ({"name": "quadratic-simplex", "n": 3, "b": [0, 0, 0]},
-         {"name": "quadratic-simplex", "n": 3, "b": [5, -5, 9]}),
-        ({"name": "holder-power-simplex", "n": 3, "p": 1.2},
-         {"name": "holder-power-simplex", "n": 3, "p": 2.0}),
-    ], ids=["dimension", "b", "p"])
-    def test_compare_rejects_mismatched_problems(self, tmp_path, first, second):
-        c1 = write_config(tmp_path / "a.json", problem=first)
-        c2 = write_config(tmp_path / "b.json", problem=second)
-        assert main(["compare", str(c1), str(c2)]) == 2
-
-    def test_compare_random_map_needs_same_seed(self, tmp_path):
-        problem = {"name": "quadratic-simplex", "n": 3, "a": {"random": [4, 3]}}
-        c1 = write_config(tmp_path / "a.json", problem=problem, seed=0)
-        c2 = write_config(tmp_path / "b.json", problem=problem, seed=1)
-        assert main(["compare", str(c1), str(c2)]) == 2
-        assert main(["compare", str(c1), str(c2), "--seed", "4"]) == 0
 
     def test_probe_without_problem_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -632,8 +635,6 @@ class TestFlags:
         "run": {"--config", "--out", "--kmax", "--seed"},
         "verify": {"--config", "--kmax", "--seed"},
         "probe": {"--config", "--gamma", "--seed"},
-        "rate": set(),
-        "compare": {"--out", "--kmax", "--seed"},
     }
 
     @staticmethod
@@ -645,36 +646,45 @@ class TestFlags:
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_each_subcommand_takes_only_the_flags_it_reads(self, command):
         flags = self.parser_flags()
+        assert flags.keys() == self.FLAGS.keys()
         assert flags[command] == self.FLAGS[command]
-        assert sum(len(f) for f in flags.values()) == 13
+        assert sum(len(f) for f in flags.values()) == 10
+
+    def test_help_lists_the_three_subcommands(self, capsys):
+        assert exit_code(["--help"]) == 0
+        assert "{run,verify,probe}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["rate", "compare"])
+    def test_retired_subcommand_exits_two(self, tmp_path, capsys, command):
+        """rate and compare are gone: run's summary.json holds the rate fit,
+        and one run per config gives each gap column"""
+        cfg = write_config(tmp_path / "cfg.json")
+        assert exit_code([command, str(cfg)]) == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_flag_a_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out)])
         assert exit_code(["verify", "--mode", "sharp"]) == 2
         assert exit_code(["probe", "--config", str(cfg), "--kmax", "3"]) == 2
-        assert exit_code(["rate", str(out / "trace.csv"), "--kmax", "5"]) == 2
         # the rule, its gamma and the mode are set in the config alone
-        other = write_config(tmp_path / "other.json", rule={"name": "exact_ls"})
-        o2 = str(tmp_path / "o2")
+        out = str(tmp_path / "out")
         for flag in (["--rule", "exact_ls"], ["--gamma", "3"], ["--mode", "sharp"]):
-            for argv in (["run", "--config", str(cfg), "--out", o2],
-                         ["compare", str(cfg), str(other)]):
-                capsys.readouterr()
-                assert exit_code(argv + flag) == 2
-                assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-        assert not (tmp_path / "o2").exists()
+            capsys.readouterr()
+            assert exit_code(["run", "--config", str(cfg), "--out", out] + flag) == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
-def test_closed_stdout_exits_without_traceback(tmp_path):
-    """`fenchel-duo compare ... | head` when the reader is gone first"""
-    c1 = write_config(tmp_path / "a.json", k_max=300)
-    c2 = write_config(tmp_path / "b.json", k_max=300, rule={"name": "exact_ls"})
+@pytest.mark.parametrize("command", ["verify", "run", "probe"])
+def test_closed_stdout_exits_without_traceback(tmp_path, command):
+    """`fenchel-duo verify ... | head` when the reader is gone first"""
+    cfg = write_config(tmp_path / "cfg.json")
+    argv = {"verify": ["--kmax", "20"], "run": ["--config", str(cfg), "--out", str(tmp_path)],
+            "probe": ["--config", str(cfg)]}[command]
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "fenchelduo", "compare", str(c1), str(c2)],
+    proc = subprocess.Popen([sys.executable, "-m", "fenchelduo", command] + argv,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     with proc.stderr:
@@ -700,6 +710,7 @@ def test_oracle_error_exits_three(tmp_path, monkeypatch, capsys):
     assert (out / "trace.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert "injected" in summary["error"]
+    assert set(summary) == SUMMARY_KEYS
 
 
 
@@ -780,45 +791,6 @@ def test_json_root_not_an_object_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config root must be an object\n"
 
 
-def test_rate_on_a_file_with_a_wrong_header_is_config_error(tmp_path, capsys):
-    path = tmp_path / "trace.csv"
-    path.write_text("k,gap\n1,0.5\n")
-    assert main(["rate", str(path)]) == 2
-    assert "header mismatch" in capsys.readouterr().err
-
-
-def test_rate_from_a_short_run_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", k_max=12)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
-    assert main(["rate", str(tmp_path / "out" / "trace.csv")]) == 2
-    assert "usable points for the rate fit" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["compare"])
-def test_oracle_error_in_rate_and_compare_exits_three(tmp_path, monkeypatch, capsys, command):
-    c1 = write_config(tmp_path / "a.json")
-    c2 = write_config(tmp_path / "b.json", rule={"name": "exact_ls"})
-    real_execute = cli.execute
-
-    def sabotage(config):
-        trace = real_execute(config)
-        trace.error = "oracle f_grad failed: injected"
-        return trace
-
-    monkeypatch.setattr(cli, "execute", sabotage)
-    assert main([command, str(c1), str(c2)]) == 3
-    assert "oracle f_grad failed: injected" in capsys.readouterr().err
-
-
-def test_compare_prints_nan_exponent_for_a_short_trace(tmp_path, capsys):
-    c1 = write_config(tmp_path / "a.json", k_max=5)
-    c2 = write_config(tmp_path / "b.json", k_max=5, rule={"name": "exact_ls"})
-    assert main(["compare", str(c1), str(c2)]) == 0
-    out = capsys.readouterr().out
-    assert "  a: nan (r^2 nan)" in out and "  b: nan (r^2 nan)" in out
-
-
 def test_verify_reports_an_aborted_run(tmp_path, monkeypatch, capsys):
     def aborted(spec, x0, rule, k_max, **kwargs):
         trace = fd.run_gcs(spec, x0, rule, 3, **kwargs)
@@ -845,20 +817,16 @@ def test_seed_flag_overrides_the_config_seed(tmp_path, capsys, command):
     assert outputs["flag"] == outputs["config"] != outputs["plain"]
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+def test_unwritable_out_is_config_error(tmp_path, capsys):
     """an out path that names a file cannot become a directory: exit 2 with
     a config error; a config error before the run makes no directory"""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    c1 = write_config(tmp_path / "a.json", k_max=5)
-    c2 = write_config(tmp_path / "b.json", k_max=5, rule={"name": "exact_ls"})
-    argv = (["run", "--config", str(c1)] if command == "run" else ["compare", str(c1), str(c2)])
-    assert main(argv + ["--out", str(blocker)]) == 2
+    cfg = write_config(tmp_path / "cfg.json", k_max=5)
+    assert main(["run", "--config", str(cfg), "--out", str(blocker)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write to out {blocker}: ")
     bad = write_config(tmp_path / "bad.json", k_max=0)
-    argv = (["run", "--config", str(bad)] if command == "run" else ["compare", str(c1), str(bad)])
-    assert main(argv + ["--out", str(tmp_path / "fresh")]) == 2
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "fresh")]) == 2
     assert not (tmp_path / "fresh").exists()
 
 

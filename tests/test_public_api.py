@@ -63,9 +63,14 @@ def test_settable_surface_is_pinned():
 
 
 def test_trace_fields_are_pinned():
+    """true_gap is read off primal and dual, as gap_bound off the bounds: no field"""
     assert [f.name for f in dataclasses.fields(fd.Trace)] == [
-        "algo", "mode", "alphas", "primal", "dual", "gap_plain", "gap_sharp", "true_gap",
+        "algo", "mode", "alphas", "primal", "dual", "gap_plain", "gap_sharp",
         "residual", "t_ms", "xs", "us", "vs", "certificate", "error"]
+    trace = fd.Trace(algo="gcs", primal=[3.0, 0.5], dual=[1.0, -0.25])
+    assert trace.true_gap == [2.0, 0.75] and isinstance(trace.true_gap, list)
+    with pytest.raises(AttributeError):
+        trace.true_gap = []
 
 
 @pytest.mark.parametrize("algo, filled", [("gcs", ("xs",)), ("gmd", ("vs",)),
