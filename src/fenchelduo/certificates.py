@@ -127,13 +127,13 @@ def _relative(avg, div, current) -> np.ndarray:
     return np.abs(avg - div + current) / (1.0 + np.abs(avg) + np.abs(div) + np.abs(current))
 
 
-# the iterate histories a driver's trace keeps, as Trace lists them
+# the iterate histories a driver's trace keeps, as Trace names them
 _HISTORIES = {"gcs": ("xs",), "gmd": ("vs",), "hybrid": ("xs", "us")}
 
 
 def _require_history(trace, reader: str):
     # a run with history=False keeps no iterates, and a replay has no rows without them
-    missing = [name for name in _HISTORIES[trace.algo] if not getattr(trace, name)]
+    missing = [name for name in _HISTORIES[trace.algo] if len(getattr(trace, name)) == 0]
     if missing:
         raise StateError(f"{reader} needs the iterate history ({', '.join(missing)}) of the "
                          f"{trace.algo} trace, which has none: run it with history=True")

@@ -291,6 +291,9 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+_CSV_ROW = "%d" + ",%.17g" * 7 + "\n"  # k, then the columns of CSV_HEADER after it, as _fmt
+
+
 def write_trace_csv(trace: Trace, path: str):
     # the columns of CSV_HEADER after k, in its order
     columns = (trace.alphas, trace.primal, trace.dual, trace.gap_bound, trace.true_gap,
@@ -298,7 +301,7 @@ def write_trace_csv(trace: Trace, path: str):
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for k, row in enumerate(zip(*columns), 1):
-            fh.write(",".join([str(k)] + [_fmt(v) for v in row]) + "\n")
+            fh.write(_CSV_ROW % (k, *row))
 
 
 def summarize(trace: Trace, config: dict) -> dict:
@@ -314,11 +317,11 @@ def summarize(trace: Trace, config: dict) -> dict:
         "mode": trace.mode,
         "seed": config.get("seed", 0),
         "iterations": done,
-        "final_primal": trace.primal[-1] if done else None,
-        "final_dual": trace.dual[-1] if done else None,
+        "final_primal": float(trace.primal[-1]) if done else None,
+        "final_dual": float(trace.dual[-1]) if done else None,
         "final_gap_bound": float(trace.gap_bound[-1]) if done else None,
-        "final_true_gap": trace.true_gap[-1] if done else None,
-        "max_identity_residual": max(trace.residual) if done else None,
+        "final_true_gap": float(trace.primal[-1] - trace.dual[-1]) if done else None,
+        "max_identity_residual": float(max(trace.residual)) if done else None,
         "rate_exponent": exponent,
         "rate_r_squared": r2,
         "error": trace.error,
@@ -389,10 +392,10 @@ def _verify_one(config: dict, report: list) -> bool:
         lam, _ = weight_rows(trace.alphas)
         ok &= check(f"{algo} weight-sum defect", abs(float(np.sum(lam)) - 1.0), 1e-12)
         ok &= check(f"{algo} negative weight", float(max(0.0, -np.min(lam))), 0.0)
-        tg = np.asarray(trace.true_gap)
+        tg = trace.true_gap
         ok &= check(f"{algo} weak duality defect", float(max(0.0, -np.min(tg))), 1e-9)
         ok &= check(f"{algo} sandwich defect", float(np.max(tg - trace.gap_bound)), 1e-8)
-        sharp_excess = float(np.max(np.asarray(trace.gap_sharp) - np.asarray(trace.gap_plain)))
+        sharp_excess = float(np.max(trace.gap_sharp - trace.gap_plain))
         ok &= check(f"{algo} sharpened-vs-plain excess", max(0.0, sharp_excess), 1e-12)
         return ok
 

@@ -32,8 +32,9 @@ def _require_schedule(rule: StepRule):
 
 
 def _deviation(*pairings) -> float:
-    # worst |a + sign * b| over paired iterate histories, row by row so that no history is
-    # stacked; sign = +-1.0 keeps it exact, and np.max keeps a NaN where max() would drop it
+    # worst |a + sign * b| over paired iterate histories, row by row so that no temporary of
+    # a history's size is made; sign = +-1.0 keeps it exact, and np.max keeps a NaN where
+    # max() would drop it
     return float(np.max([np.abs(a + sign * b).max() for firsts, seconds, sign in pairings
                          for a, b in zip(firsts, seconds, strict=True)]))
 

@@ -31,7 +31,10 @@ and traces are those of an uncached evaluation.  Every run records a
 pair, a streaming residual of the certificate identity (the run's
 Fenchel-Young check of its oracle pairs) and, unless the driver is called
 with ``history=False``, the iterates the offline replays read (the oracle
-outputs are functions of them).  Every oracle call is checked: an oracle
+outputs are functions of them).  The kernel appends each recorded value, 8
+bytes, to an ``array("d")`` buffer, and the finished run (or one that an
+oracle ended) hands each buffer over as a float64 numpy array on its memory,
+with no copy.  Every oracle call is checked: an oracle
 that raises, returns NaN, or returns an infinite value where the run needs a
 finite one ends the run, and ``trace.error`` names the oracle of the user's
 spec.
@@ -42,8 +45,9 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +69,17 @@ from .steps import StepRule
 
 __all__ = ["Trace", "run_gcs", "run_gmd", "run_hybrid"]
 
+# the scalar columns of a trace, one value per row
+_COLUMNS = ("alphas", "primal", "dual", "gap_plain", "gap_sharp", "residual", "t_ms")
+
+
+def _no_values() -> np.ndarray:
+    return np.empty(0)
+
+
+def _no_rows() -> np.ndarray:
+    return np.empty((0, 0))
+
 
 @dataclass
 class Trace:
@@ -76,25 +91,26 @@ class Trace:
     two, not stored), ``gap_plain``/``gap_sharp`` the two certified bounds,
     ``residual`` the streaming defect of the exact identity behind the
     certificate, and ``t_ms`` wall-clock milliseconds since the run
-    started.  The histories keep the iterates
-    alone, K + 1 each (index 0 is the start point): ``xs`` for gcs, ``vs``
-    for gmd, ``xs`` and ``us`` for hybrid, and no entry in the others.  A
-    run with ``history=False`` keeps none: its histories are empty, and
-    every other field is what the run with histories records.
+    started.  Each column is a 1-D float64 array of length ``k``.  The
+    histories keep the iterates alone, each one (K + 1, dim) float64 array
+    whose row 0 is the start point: ``xs`` for gcs, ``vs`` for gmd, ``xs``
+    and ``us`` for hybrid; the others are empty.  A run with
+    ``history=False`` keeps none: its histories are empty, and every other
+    field is what the run with histories records.
     """
 
     algo: str
     mode: str = "plain"
-    alphas: List[float] = field(default_factory=list)
-    primal: List[float] = field(default_factory=list)
-    dual: List[float] = field(default_factory=list)
-    gap_plain: List[float] = field(default_factory=list)
-    gap_sharp: List[float] = field(default_factory=list)
-    residual: List[float] = field(default_factory=list)
-    t_ms: List[float] = field(default_factory=list)
-    xs: List[np.ndarray] = field(default_factory=list)
-    us: List[np.ndarray] = field(default_factory=list)
-    vs: List[np.ndarray] = field(default_factory=list)
+    alphas: np.ndarray = field(default_factory=_no_values)
+    primal: np.ndarray = field(default_factory=_no_values)
+    dual: np.ndarray = field(default_factory=_no_values)
+    gap_plain: np.ndarray = field(default_factory=_no_values)
+    gap_sharp: np.ndarray = field(default_factory=_no_values)
+    residual: np.ndarray = field(default_factory=_no_values)
+    t_ms: np.ndarray = field(default_factory=_no_values)
+    xs: np.ndarray = field(default_factory=_no_rows)
+    us: np.ndarray = field(default_factory=_no_rows)
+    vs: np.ndarray = field(default_factory=_no_rows)
     certificate: Optional[np.ndarray] = None
     error: Optional[str] = None
 
@@ -107,8 +123,23 @@ class Trace:
         return np.asarray(self.gap_sharp if self.mode == "sharp" else self.gap_plain)
 
     @property
-    def true_gap(self) -> List[float]:
-        return [p - d for p, d in zip(self.primal, self.dual)]
+    def true_gap(self) -> np.ndarray:
+        return np.subtract(self.primal, self.dual)
+
+
+def _recording(algo: str, mode: str, histories: dict) -> Trace:
+    # a trace whose columns and histories (name -> dim) are array("d") buffers while a run
+    # appends to them
+    return Trace(algo, mode, **{name: array("d") for name in (*_COLUMNS, *histories)})
+
+
+def _handed_over(trace: Trace, histories: dict) -> Trace:
+    # each buffer as a float64 array on its memory: a column 1-D, a history (rows, dim)
+    for name in _COLUMNS:
+        setattr(trace, name, np.frombuffer(getattr(trace, name)))
+    for name, dim in histories.items():
+        setattr(trace, name, np.frombuffer(getattr(trace, name)).reshape(-1, dim))
+    return trace
 
 
 def _check_args(k_max: int, epsilon: Optional[float], mode: str, history: bool):
@@ -222,11 +253,12 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
     A, At = spec.linmap.apply, spec.linmap.adjoint
     dual = dualize(spec)
     sharp_mode = mode == "sharp"
-    trace = Trace(algo="hybrid" if hybrid else "gcs", mode=mode)
+    histories = {"xs": len(x), "us": len(u)} if hybrid else {"xs": len(x)}
+    trace = _recording("hybrid" if hybrid else "gcs", mode, histories)
     if history:
-        trace.xs.append(x.copy())
+        trace.xs.frombytes(x.tobytes())
         if hybrid:
-            trace.us.append(u.copy())
+            trace.us.frombytes(u.tobytes())
     # gcs: the lambda-average of the u_k, the first u_k of least dual value and
     # that value, and the one of the two that certifies the last recorded row
     cert, best_u, best, point = None, None, INF, None
@@ -288,7 +320,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                                                    dual_seg.f)
                 current = p_val + u_val
                 if history:
-                    trace.us.append(u.copy())
+                    trace.us.frombytes(u.tobytes())
             else:
                 avg = (1.0 - alpha) * avg + alpha * step_value
                 cert = u.copy() if k == 0 else (1.0 - alpha) * cert + alpha * u
@@ -299,7 +331,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
                 point, u_val = (best_u, best) if best < u_val else (cert, u_val)
             trace.alphas.append(alpha)
             if history:
-                trace.xs.append(x.copy())
+                trace.xs.frombytes(x.tobytes())
             trace.primal.append(p_val)
             trace.dual.append(-u_val)
             trace.gap_plain.append(plain)
@@ -312,7 +344,7 @@ def _run(hybrid: bool, spec: ProblemSpec, x, u, rule: StepRule, k_max: int,
         trace.error = str(exc)
     point = u if hybrid else point
     trace.certificate = None if point is None else point.copy()
-    return trace
+    return _handed_over(trace, histories)
 
 
 def run_gcs(spec: ProblemSpec, x0, rule: StepRule, k_max: int, *,
@@ -353,8 +385,8 @@ def run_gmd(spec: ProblemSpec, v0, rule: StepRule, k_max: int, *,
     _check_args(k_max, epsilon, mode, history)
     v = as_point(v0, spec.dim_y, "v0")
     trace = _run(False, dualize(spec), v, None, rule, k_max, epsilon, mode, history)
-    trace.algo, trace.vs, trace.xs = "gmd", trace.xs, []
-    trace.primal, trace.dual = [-d for d in trace.dual], [-p for p in trace.primal]
+    trace.algo, trace.vs, trace.xs = "gmd", trace.xs, _no_rows()
+    trace.primal, trace.dual = -trace.dual, -trace.primal
     return trace
 
 

@@ -7,8 +7,10 @@ can be tested to tight tolerances.  Each part of a spec (a feasible region,
 or a smooth f) comes from a private function that returns its oracles as a dict.
 The entropy spec's h part is the log-sum-exp f part with its roles swapped:
 h is that part's f*, h* its f, (h*)' its f' and D_{h*} its D_f.  A diagonal
-Q (the default I too) acts elementwise, with no m x m array kept, and each
-log-sum-exp D_f keeps its base point's log probabilities, bit for bit.
+Q acts elementwise, with no m x m array kept, and the default I is built as
+its diagonal alone; each log-sum-exp D_f keeps its base point's log
+probabilities, bit for bit.  A region's sampler builds the one vertex it
+draws, not the vertex table.
 """
 
 from __future__ import annotations
@@ -114,8 +116,10 @@ class SimplexRegion:
         return np.eye(self.n)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        if rng.random() < 0.5:
-            return self.vertices()[rng.integers(self.n)].copy()
+        if rng.random() < 0.5:  # a vertex, built alone: row i of vertices()
+            out = np.zeros(self.n)
+            out[rng.integers(self.n)] = 1.0
+            return out
         return rng.dirichlet(np.ones(self.n))
 
 
@@ -201,9 +205,11 @@ class L1BallRegion:
         return np.vstack([eye, -eye])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        if rng.random() < 0.5:
-            v = self.vertices()
-            return v[rng.integers(len(v))].copy()
+        if rng.random() < 0.5:  # a vertex, built alone: row i of vertices(), -0.0 entries too
+            negative, i = divmod(int(rng.integers(2 * self.n)), self.n)
+            out = np.zeros(self.n)
+            out[i] = self.radius
+            return -out if negative else out
         w = rng.dirichlet(np.ones(self.n)) * rng.random() * self.radius
         return w * rng.choice([-1.0, 1.0], size=self.n)
 
@@ -218,27 +224,33 @@ def _quadratic_oracles(Q, b, m: int) -> dict:
     The conjugate is 1/2 (u-b)'Q^+(u-b) on b + range(Q) and +inf outside,
     which covers the singular and the zero-matrix cases.
     """
-    Q = np.eye(m) if Q is None else np.asarray(Q, dtype=float)
+    identity = Q is None  # the diagonal of ones, with no m x m array and no eigh
+    Q = np.ones(m) if identity else np.asarray(Q, dtype=float)
     b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
-    if Q.shape != (m, m):
+    if not identity and Q.shape != (m, m):
         raise ConstructionError(f"Q must be {m}x{m}, got {Q.shape}")
     if b.shape != (m,):
         raise ConstructionError(f"b must have length {m}, got {b.shape}")
     for name, part in (("Q", Q), ("b", b)):
         if not np.all(np.isfinite(part)):
             raise ConstructionError(f"{name} has non-finite entries")
-    if not np.array_equal(Q, Q.T):
-        raise ConstructionError("Q must be exactly symmetric")
-    w, V = np.linalg.eigh(Q)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if float(np.min(w)) < -1e-12 * scale:
-        raise ConstructionError("Q must be positive semidefinite")
-    w = np.where(w > 1e-12 * scale, w, 0.0)
-    pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
-    positive_definite = bool(np.all(w > 0.0))
-    if np.array_equal(Q, np.diag(np.diag(Q))):
+    if identity:  # eigh(I) gives ones, and so a pseudo-inverse of exact ones
+        pinv, positive_definite, diagonal = np.ones(m), True, True
+    else:
+        if not np.array_equal(Q, Q.T):
+            raise ConstructionError("Q must be exactly symmetric")
+        w, V = np.linalg.eigh(Q)
+        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+        if float(np.min(w)) < -1e-12 * scale:
+            raise ConstructionError("Q must be positive semidefinite")
+        w = np.where(w > 1e-12 * scale, w, 0.0)
+        pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
+        positive_definite = bool(np.all(w > 0.0))
+        diagonal = np.array_equal(Q, np.diag(np.diag(Q)))
+        if diagonal:
+            Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()
+    if diagonal:
         # elementwise, bit for bit: each entry of a product is one term plus exact zeros
-        Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()
         times, form = np.multiply, lambda d, M: float((d * M) @ d)
     else:
         times, form = np.matmul, lambda d, M: float(d @ M @ d)

@@ -23,7 +23,9 @@ kernel computes in ``engine._Segment.increment``, and the replay in
 ``certificates._divergence`` at the recorded end point of the step), and
 the dual-side ``bregman_hconj`` and ``step_divergence_dual``, which the
 package computes as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
-symmetric loops use these copies, never ``dualize``.
+symmetric loops use these copies, never ``dualize``.  Each loop appends its
+rows to Python lists and hands the finished trace over as the package does:
+float64 columns, and each history one (rows, dim) array.
 """
 
 import math
@@ -123,6 +125,23 @@ class CertificateAggregate:
         return self.average, average_value
 
 
+_RECORDED = ("alphas", "primal", "dual", "gap_plain", "gap_sharp", "residual", "t_ms",
+             "xs", "us", "vs")
+
+
+def _listed(algo, mode):
+    """A trace whose columns and histories are lists, for a loop to append to."""
+    return Trace(algo=algo, mode=mode, **{name: [] for name in _RECORDED})
+
+
+def _handed_over(trace):
+    """The finished trace with each list as a float64 array: a column 1-D, a
+    history (rows, dim), and an unfilled history empty."""
+    for name in _RECORDED:
+        setattr(trace, name, np.array(getattr(trace, name), dtype=float))
+    return trace
+
+
 def _check_args(k_max, mode):
     if k_max < 1:
         raise RangeError(f"k_max must be >= 1, got {k_max}")
@@ -169,7 +188,7 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, mode="plain"):
     _check_args(k_max, mode)
     x = as_point(x0, spec.dim_x, "x0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gcs", mode=mode)
+    trace = _listed("gcs", mode)
     trace.xs.append(x.copy())
     plain = sharp = None
     agg, cert = CertificateAggregate(), None
@@ -220,14 +239,14 @@ def ref_run_gcs(spec, x0, rule, k_max, *, epsilon=None, mode="plain"):
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
     trace.certificate = None if cert is None else cert.copy()
-    return trace
+    return _handed_over(trace)
 
 
 def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, mode="plain"):
     _check_args(k_max, mode)
     v = as_point(v0, spec.dim_y, "v0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="gmd", mode=mode)
+    trace = _listed("gmd", mode)
     trace.vs.append(v.copy())
     plain = sharp = None
     agg, cert = CertificateAggregate(), None
@@ -279,7 +298,7 @@ def ref_run_gmd(spec, v0, rule, k_max, *, epsilon=None, mode="plain"):
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
     trace.certificate = None if cert is None else cert.copy()
-    return trace
+    return _handed_over(trace)
 
 
 def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, mode="plain"):
@@ -287,7 +306,7 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, mode="plain"):
     x = as_point(x0, spec.dim_x, "x0")
     u = as_point(u0, spec.dim_y, "u0")
     A, At = spec.linmap.apply, spec.linmap.adjoint
-    trace = Trace(algo="hybrid", mode=mode)
+    trace = _listed("hybrid", mode)
     trace.xs.append(x.copy())
     trace.us.append(u.copy())
     plain = sharp = None
@@ -342,4 +361,4 @@ def ref_run_hybrid(spec, x0, u0, rule, k_max, *, epsilon=None, mode="plain"):
     except (DomainError, InfiniteValue) as exc:
         trace.error = str(exc)
     trace.certificate = u.copy()
-    return trace
+    return _handed_over(trace)

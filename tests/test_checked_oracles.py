@@ -57,7 +57,7 @@ COLUMNS = ("alphas", "primal", "dual", "gap_plain", "gap_sharp", "true_gap", "re
 def assert_prefix(broken, healthy):
     assert 0 < broken.k < healthy.k
     for c in COLUMNS:
-        assert getattr(broken, c) == getattr(healthy, c)[:broken.k]
+        assert np.array_equal(getattr(broken, c), getattr(healthy, c)[:broken.k])
 
 
 RULES = [fd.FixedHarmonic(), fd.ExactLineSearch()]
@@ -104,7 +104,7 @@ def test_infinite_closed_form_bregman_shrinks_the_line_search_bracket():
     raised = run("gcs", capped(raise_infinite), fd.ExactLineSearch())
     assert infinite.error is None and raised.error is None and infinite.k == 20
     for c in COLUMNS:
-        assert getattr(infinite, c) == getattr(raised, c)
+        assert np.array_equal(getattr(infinite, c), getattr(raised, c))
     assert max(infinite.alphas[1:]) < 1.0
 
 
@@ -116,7 +116,7 @@ def test_nan_closed_form_hconj_bregman_names_the_users_oracle(algo, rule):
     assert broken.error == "oracle breg_hconj returned NaN"
     assert broken.k < healthy.k
     for c in COLUMNS:
-        assert getattr(broken, c) == getattr(healthy, c)[:broken.k]
+        assert np.array_equal(getattr(broken, c), getattr(healthy, c)[:broken.k])
 
 
 @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)

@@ -510,10 +510,11 @@ class TestVerify:
         assert released == [(name, True) for name in names[1:]] * len(cli._DEFAULT_VERIFY)
 
     def test_peak_memory_is_one_run_and_its_replay(self, capsys):
-        """under tracemalloc the default suite at --kmax 600 peaks within 1.1x of
-        the largest peak of one of its driver runs and that run's replay; the
-        measure takes in the whole command, parsing included, so a parser left
-        alive into the runs counts against the bound"""
+        """under tracemalloc the default suite at --kmax 600 peaks at most 39,600
+        bytes above the largest peak of one of its driver runs and that run's
+        replay; the excess is the command's fixed cost (the report, the setups,
+        what outlives parsing), so a parser or a trace left alive into the runs
+        counts against the bound whatever a run's own peak"""
         def peak(fn):
             gc.collect()
             tracemalloc.start()
@@ -532,7 +533,7 @@ class TestVerify:
                                           ("hybrid", fd.hybrid_identity_residuals)))
         whole = peak(lambda: main(["verify", "--kmax", "600"]))
         assert "OK: 60 passed" in capsys.readouterr().out
-        assert whole <= 1.1 * single, (whole, single)
+        assert whole - single <= 39_600, (whole, single)
 
     def test_config_k_max_is_the_budget(self, tmp_path, monkeypatch, capsys):
         budgets = []

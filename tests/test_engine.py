@@ -1,7 +1,9 @@
 """Engine behavior: exact hand-traced iterates, update-rule equivalences,
-stopping, aborts, and the certified-gap sandwich."""
+stopping, aborts, the certified-gap sandwich, and a trace's float64 storage."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,8 +209,8 @@ class TestRunHygiene:
         spec = fd.make_quadratic_simplex(n=2)
         with pytest.raises(fd.RangeError, match="^history must be True or False, got "):
             _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(), history=history)
-        assert _drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(),
-                      history=np.False_).xs == []
+        assert len(_drive(algo, spec, ([1.0, 0.0], [1.0, 0.0]), fd.FixedHarmonic(),
+                          history=np.False_).xs) == 0
 
     @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
     def test_rejects_nan_epsilon(self, algo):
@@ -238,7 +240,8 @@ class TestRunHygiene:
                 if float(same) != epsilon:
                     continue
                 got = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=200, epsilon=same)
-                assert got.error is None and (got.k, got.gap_plain) == (want.k, want.gap_plain)
+                assert got.error is None and got.k == want.k
+                assert np.array_equal(got.gap_plain, want.gap_plain)
 
     @pytest.mark.parametrize("mode", ["plain", "sharp"])
     @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
@@ -253,7 +256,8 @@ class TestRunHygiene:
         tr = _drive(algo, spec, start, fd.FixedHarmonic(), k_max=40, mode=mode, epsilon=epsilon)
         bound = tr.gap_sharp if mode == "sharp" else tr.gap_plain
         assert tr.error is None and tr.k == first > 10
-        assert bound == list(tr.gap_bound) == list(full.gap_bound[:first])
+        assert np.array_equal(bound, tr.gap_bound)
+        assert np.array_equal(tr.gap_bound, full.gap_bound[:first])
 
     def test_no_driver_takes_policy(self):
         # no driver has a policy keyword: gcs and gmd certify by the better of
@@ -294,8 +298,8 @@ class TestRunHygiene:
         spec = fd.make_quadratic_simplex(n=3)
         a = fd.run_gcs(spec, [1.0, 0.0, 0.0], fd.ExactLineSearch(), 40)
         b = fd.run_gcs(spec, [1.0, 0.0, 0.0], fd.ExactLineSearch(), 40)
-        assert a.alphas == b.alphas
-        assert a.true_gap == b.true_gap
+        assert np.array_equal(a.alphas, b.alphas)
+        assert np.array_equal(a.true_gap, b.true_gap)
 
 
 @pytest.mark.parametrize("mode", ["plain", "sharp"])
@@ -431,7 +435,7 @@ def test_failing_oracle_leaves_consistent_prefix(family, rule, algo, oracle, fai
             for got, want in zip(history, getattr(healthy, name)):
                 assert got.tobytes() == want.tobytes()
         for c in _COLUMNS:
-            assert getattr(broken, c) == getattr(healthy, c)[:k]
+            assert np.array_equal(getattr(broken, c), getattr(healthy, c)[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +679,7 @@ class CallBudget(fd.StepRule):
 def _repeats(trace, k):
     """Whether step k repeats step k - 1 bit for bit: that step took alpha = 0
     and left every iterate the run moves as it was, byte for byte."""
-    moving = [h for h in (trace.xs, trace.us, trace.vs) if h]
+    moving = [h for h in (trace.xs, trace.us, trace.vs) if len(h)]
     return trace.alphas[k - 1] == 0.0 and all(bits(h[k]) == bits(h[k - 1]) for h in moving)
 
 
@@ -948,7 +952,7 @@ def _assert_same_without_history(algo, spec, rule, mode):
     column but t_ms, the certificate and the error included, with no iterate kept"""
     kept = _drive(algo, spec, start(spec)[:2], rule, mode=mode)
     bare = _drive(algo, spec, start(spec)[:2], rule, mode=mode, history=False)
-    assert (bare.xs, bare.us, bare.vs) == ([], [], [])
+    assert [len(h) for h in (bare.xs, bare.us, bare.vs)] == [0, 0, 0]
     assert_same_run(bare, replace(kept, xs=[], us=[], vs=[]))
     return kept
 
@@ -989,6 +993,61 @@ def test_run_without_history_fails_at_the_same_row(algo, mode):
     kept = _assert_same_without_history(algo, replace(spec, h_conj_grad=failing),
                                         fd.ExactLineSearch(), mode)
     assert "injected failure" in kept.error and 0 < kept.k < 30
+
+
+# ---------------------------------------------------------------------------
+# trace storage: float64 arrays, 8 bytes a recorded value
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("history", [True, False])
+@pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+def test_trace_columns_and_histories_are_float64_arrays(algo, history):
+    """every column is a 1-D float64 array of length k; each history the driver
+    fills is one (k + 1, dim) float64 array, empty without histories, and the
+    others are empty; a run an oracle ended hands over its rows alike"""
+    spec = build("quadratic-simplex", True)
+    dims = {"xs": spec.dim_x, "us": spec.dim_y, "vs": spec.dim_y}
+    healthy = _drive(algo, spec, start(spec)[:2], fd.FixedHarmonic(), history=history)
+    aborted = _drive(algo, _wrapped(spec, "f_grad", 6, "nan")[0], start(spec)[:2],
+                     fd.FixedHarmonic(), history=history)
+    assert healthy.error is None and healthy.k == 30
+    assert aborted.error is not None and 0 < aborted.k < 30
+    for trace in (healthy, aborted):
+        for name in _COLUMNS + ("t_ms",):
+            column = getattr(trace, name)
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64, name
+            assert column.shape == (trace.k,), name
+        for name, dim in dims.items():
+            rows = getattr(trace, name)
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.float64, name
+            if history and name in _HISTORIES[algo]:
+                assert rows.shape == (trace.k + 1, dim), name
+            else:
+                assert len(rows) == 0, name
+
+
+def test_a_finished_trace_keeps_about_8_bytes_a_value():
+    """under tracemalloc a finished run_hybrid trace at K = 2000, n = 3 holds at
+    most 12 bytes per recorded value (seven columns of K and two histories of
+    K + 1 rows of 3); a Python float per column entry takes 32 bytes, and an
+    ndarray per iterate more than 100 for its 24 bytes of values"""
+    spec = fd.make_quadratic_simplex(n=3, b=np.array([0.3, -0.2, 0.1]))
+    x0 = np.eye(3)[0]
+
+    def run():
+        return fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.FixedHarmonic(), 2000)
+
+    run()  # one-off first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert trace.error is None and trace.k == 2000
+    values = 7 * 2000 + 2 * 2001 * 3
+    assert kept <= 12 * values, kept / values
 
 
 @st.composite

@@ -31,7 +31,11 @@ One keeps the probe memo across a step that moved, killed by the reference
 loops with the exact line search, which probes 1 and the two golden points
 at every step.  One takes the equivalence checks' deviation as a Python
 ``max`` over the row maxima, which drops a NaN that follows a number,
-killed by a NaN in a late row of the second pairing.
+killed by a NaN in a late row of the second pairing.  Two bring back the
+memory defects ``verify`` was mended of: a trace kept alive into the next
+driver's run, killed by the test that each trace is gone when the next run
+starts, and a parser left to the cyclic collector after parsing, killed by
+the bound on the command's peak above one run and its replay.
 
 ``EQUIVALENT`` lists the mutations no test can kill, each with its reason;
 each must still apply to the source, and survive the tests named with it."""
@@ -58,6 +62,8 @@ LSE_MEMO = "tests/test_reduction_forms.py::test_lse_bregman_memo_gives_the_memo_
 DIAGONAL = "tests/test_problems.py::test_diagonal_q_is_the_matrix_form_bit_for_bit"
 FROZEN = "tests/test_engine.py::test_frozen_search_makes_no_oracle_call"
 DEVIATION_NAN = "tests/test_duality.py::test_deviation_keeps_a_nan[1]"
+RELEASED = "tests/test_cli.py::TestVerify::test_each_trace_is_released_before_the_next_run"
+VERIFY_PEAK = "tests/test_cli.py::TestVerify::test_peak_memory_is_one_run_and_its_replay"
 # the modules of tests/ that a killer's file imports
 HELPERS = {"tests/test_reference_drivers.py": ["tests/reference_drivers.py"],
            "tests/test_engine.py": ["tests/reference_drivers.py",
@@ -146,6 +152,16 @@ MUTATIONS = {
         "return float(np.max([",
         "return float(max([",
         DEVIATION_NAN),
+    "verify-keeps-the-last-trace": (
+        "cli.py",
+        "        trace = _drive(setup, algo)\n",
+        "        trace = check.kept = _drive(setup, algo)\n",
+        RELEASED),
+    "parser-left-to-the-collector": (
+        "cli.py",
+        "    gc.collect(1)\n",
+        "    pass\n",
+        VERIFY_PEAK),
 }
 
 # name -> (file of the package, its line, the mutation, a test it survives, why
@@ -229,6 +245,11 @@ def test_evaluation_reuse_mutation_is_killed(tmp_path, name):
 
 def test_deviation_nan_mutation_is_killed(tmp_path):
     assert_killed(tmp_path, "deviation-drops-nan")
+
+
+@pytest.mark.parametrize("name", ["verify-keeps-the-last-trace", "parser-left-to-the-collector"])
+def test_verify_memory_mutation_is_killed(tmp_path, name):
+    assert_killed(tmp_path, name)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENT))

@@ -1,7 +1,8 @@
 """Problem library: closed-form conjugates, LMO optimality by enumeration,
-and construction-time validation."""
+samplers that draw one vertex alone, and construction-time validation."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -347,6 +348,79 @@ def test_samplers_stay_feasible():
                    fd.L1BallRegion(4, 1.5)):
         for _ in range(100):
             assert region.contains(region.sample(rng))
+
+
+def _table_sample(region, rng):
+    """``region.sample`` as a row of the whole vertex table: the reference the
+    samplers, which build the one vertex drawn, must reproduce"""
+    if rng.random() < 0.5:
+        v = region.vertices()
+        return v[rng.integers(len(v))].copy()
+    if isinstance(region, fd.SimplexRegion):
+        return rng.dirichlet(np.ones(region.n))
+    w = rng.dirichlet(np.ones(region.n)) * rng.random() * region.radius
+    return w * rng.choice([-1.0, 1.0], size=region.n)
+
+
+@pytest.mark.parametrize("region", [fd.SimplexRegion(1), fd.SimplexRegion(5),
+                                    fd.L1BallRegion(1, 2.0), fd.L1BallRegion(4, 0.3)],
+                         ids=["simplex-1", "simplex-5", "l1-1", "l1-4"])
+def test_sampled_vertex_is_its_table_row(region):
+    """a sampled vertex is the vertex table's row bit for bit, the ℓ1 ball's
+    -0.0 entries included, from the same draws of the generator"""
+    ours, table = np.random.default_rng(4), np.random.default_rng(4)
+    signed_zeros = 0
+    for _ in range(200):
+        got, want = region.sample(ours), _table_sample(region, table)
+        assert got.tobytes() == want.tobytes()
+        signed_zeros += int(np.sum(np.signbit(got) & (got == 0.0)))
+    assert ours.bit_generator.state == table.bit_generator.state
+    assert (signed_zeros > 0) == (isinstance(region, fd.L1BallRegion) and region.n > 1)
+
+
+@pytest.mark.parametrize("region", [fd.SimplexRegion(1000), fd.L1BallRegion(1000, 1.0)],
+                         ids=["simplex", "l1"])
+def test_sampling_builds_no_vertex_table(region):
+    """drawing a point allocates a few length-n vectors, not the n x n table"""
+    rng = np.random.default_rng(0)
+    region.sample(rng)
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            region.sample(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 8 * region.n, peak
+
+
+def test_identity_q_builds_no_m_by_m_array():
+    """Q=None builds its oracles from length-m vectors alone: no m x m array
+    (2 MB at m = 500) and no eigendecomposition"""
+    m = 500
+    b = np.ones(m)
+    tracemalloc.start()
+    try:
+        fd.make_quadratic_box(b=b, n=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m / 20, peak
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 60, 500])
+def test_identity_q_is_the_unit_matrix_bit_for_bit(m):
+    """Q=None gives the oracles of Q = np.eye(m) bit for bit"""
+    rng = np.random.default_rng(m)
+    b = rng.standard_normal(m)
+    implicit = fd.make_quadratic_box(b=b, n=m)
+    explicit = fd.make_quadratic_box(Q=np.eye(m), b=b, n=m)
+    for _ in range(5):
+        y1, y2 = rng.standard_normal((2, m))
+        for name, args in (("f_val", (y1,)), ("f_grad", (y1,)), ("f_conj_val", (y2,)),
+                           ("breg_f", (y1, y2))):
+            got, want = getattr(implicit, name)(*args), getattr(explicit, name)(*args)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 @pytest.mark.parametrize("factory", [

@@ -67,10 +67,16 @@ def test_trace_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(fd.Trace)] == [
         "algo", "mode", "alphas", "primal", "dual", "gap_plain", "gap_sharp",
         "residual", "t_ms", "xs", "us", "vs", "certificate", "error"]
-    trace = fd.Trace(algo="gcs", primal=[3.0, 0.5], dual=[1.0, -0.25])
-    assert trace.true_gap == [2.0, 0.75] and isinstance(trace.true_gap, list)
+    trace = fd.Trace(algo="gcs", primal=np.array([3.0, 0.5]), dual=np.array([1.0, -0.25]))
+    assert np.array_equal(trace.true_gap, [2.0, 0.75]) and trace.true_gap.dtype == np.float64
     with pytest.raises(AttributeError):
-        trace.true_gap = []
+        trace.true_gap = np.empty(0)
+    empty = fd.Trace(algo="gcs")
+    for name in ("alphas", "primal", "dual", "gap_plain", "gap_sharp", "residual", "t_ms",
+                 "xs", "us", "vs"):
+        value = getattr(empty, name)
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64 and len(value) == 0
+    assert empty.true_gap.shape == (0,) and empty.k == 0
 
 
 @pytest.mark.parametrize("algo, filled", [("gcs", ("xs",)), ("gmd", ("vs",)),
