@@ -109,8 +109,7 @@ def _array(value, where: str, ndim: int) -> np.ndarray:
     return _floats(value, where)
 
 
-def _build_map(aconf, n: int, seed: int, square: bool) -> Optional[LinearMap]:
-    # with ``square`` f builds an m x m matrix Q, also checked before A is drawn
+def _build_map(aconf, n: int, seed: int) -> Optional[LinearMap]:
     if aconf is None:
         return None
     if isinstance(aconf, dict):
@@ -118,9 +117,9 @@ def _build_map(aconf, n: int, seed: int, square: bool) -> Optional[LinearMap]:
         shape = aconf.get("random")
         if (not isinstance(shape, (list, tuple)) or len(shape) != 2
                 or not all(type(v) is int and v > 0 for v in shape)
-                or shape[0] * max(shape[1], shape[0] if square else 0) > _MAX_ENTRIES):
+                or shape[0] * shape[1] > _MAX_ENTRIES):
             raise ConfigError("problem.a.random must be [m, n], positive integers with m * n "
-                              f"(and m * m for a quadratic f) at most {_MAX_ENTRIES}")
+                              f"at most {_MAX_ENTRIES}")
         if shape[1] != n:
             raise ConfigError(f"problem.a.random second entry must equal n = {n}")
         return random_linear_map(shape[0], shape[1], np.random.default_rng(seed))
@@ -145,13 +144,10 @@ def build_problem(pconf: dict, seed: int) -> ProblemSpec:
     n = _number(pconf.get("n", 2), "problem.n", integer=True)
     if not 1 <= n <= _MAX_ENTRIES:
         raise ConfigError(f"problem.n must be an integer in [1, {_MAX_ENTRIES}]")
-    square = name != "holder-power-simplex" and pconf.get("f") != "lse"  # f builds Q
     try:
-        linmap = _build_map(pconf.get("a"), n, seed, square)
+        linmap = _build_map(pconf.get("a"), n, seed)
         m = linmap.dim_out if linmap is not None else n
-        if square and m * m > _MAX_ENTRIES:
-            raise ConfigError(f"problem {name!r} would build an m x m matrix Q, m = {m}: too large")
-        q = _scaled(pconf.get("q"), "problem.q", 2, lambda: np.eye(m))
+        q = _scaled(pconf.get("q"), "problem.q", 2, lambda: np.ones(m))  # a number: Q's diagonal
         b = _scaled(pconf.get("b"), "problem.b", 1, lambda: np.ones(m))
         if b is not None and b.shape != (m,):
             raise ConfigError(f"problem.b must have length {m}")
@@ -377,9 +373,9 @@ def _verify_one(config: dict, report: list) -> bool:
         return good
 
     def verify_driver(algo: str, replay) -> bool:
-        # one driver in plain mode without a target, run, replayed and checked; its trace
-        # is this call's alone, so it is released before the next driver runs
-        trace = _drive(setup, algo)
+        # one driver in the config's mode without a target, run, replayed and checked; its
+        # trace is this call's alone, so it is released before the next driver runs
+        trace = _drive(setup, algo, mode=setup.mode)
         if trace.error:
             report.append(f"FAIL {label} {algo} aborted: {trace.error}")
             return False
@@ -403,6 +399,8 @@ def _verify_one(config: dict, report: list) -> bool:
     for algo, replay in (("gcs", cg_identity_residuals), ("gmd", md_identity_residuals),
                          ("hybrid", hybrid_identity_residuals)):
         ok &= verify_driver(algo, replay)
+    # the two equivalence lines check dualize's sign map, which no rule changes, so they
+    # keep the 2/(k+2) schedule: under a line search they would cost several times as much
     for name, run_check, starts, k in (
             ("run-equivalence deviation", check_bach_equivalence, (x0,), 50),
             ("symmetry deviation", check_hybrid_symmetry, (x0, u0), 30)):

@@ -17,18 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import run_gcs, run_gmd, run_hybrid
-from .oracles import ConstructionError, ProblemSpec, RangeError, dualize
+from .oracles import ConstructionError, ProblemSpec, dualize
 from .steps import StepRule
 
 __all__ = ["dualize", "check_bach_equivalence", "check_hybrid_symmetry"]
-
-
-def _require_schedule(rule: StepRule):
-    if not rule.is_schedule:
-        raise RangeError(
-            "equivalence checks need a deterministic step schedule; "
-            f"got trajectory-dependent rule {type(rule).__name__}"
-        )
 
 
 def _deviation(*pairings) -> float:
@@ -50,8 +42,11 @@ def check_bach_equivalence(spec: ProblemSpec, x0, rule: StepRule, k_max: int) ->
     conditional-subgradient run of the dual spec, so this checks that
     ``dualize`` applied twice gives back the primal run; the comparison with
     a literal mirror-descent loop is in the test suite.
+
+    Any rule serves, a line search too: both runs present it the same
+    ``(k, gap, d_fun)`` up to sign.  A rule with state would need a fresh
+    state for each of the two runs.
     """
-    _require_schedule(rule)
     primal = run_gcs(spec, x0, rule, k_max)
     if primal.error:
         raise ConstructionError(f"primal run aborted: {primal.error}")
@@ -66,9 +61,10 @@ def check_hybrid_symmetry(spec: ProblemSpec, x0, u0, rule: StepRule, k_max: int)
     dual started from (-u0, x0).
 
     The pairings are (x'_k, u'_k) = (-u_k, x_k), of which (s'_k, z'_k) =
-    (-z_k, s_k) are functions.
+    (-z_k, s_k) are functions.  Any rule serves, as in
+    :func:`check_bach_equivalence`; a rule with state would need a fresh
+    state for each of the two runs.
     """
-    _require_schedule(rule)
     here = run_hybrid(spec, x0, u0, rule, k_max)
     if here.error:
         raise ConstructionError(f"primal run aborted: {here.error}")

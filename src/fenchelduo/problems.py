@@ -7,9 +7,10 @@ can be tested to tight tolerances.  Each part of a spec (a feasible region,
 or a smooth f) comes from a private function that returns its oracles as a dict.
 The entropy spec's h part is the log-sum-exp f part with its roles swapped:
 h is that part's f*, h* its f, (h*)' its f' and D_{h*} its D_f.  A diagonal
-Q acts elementwise, with no m x m array kept, and the default I is built as
-its diagonal alone; each log-sum-exp D_f keeps its base point's log
-probabilities, bit for bit.  A region's sampler builds the one vertex it
+Q, whether None (the identity), a length-m vector or an exactly diagonal
+matrix, is kept as one length-m vector and acts elementwise, with no m x m
+array and no eigendecomposition; each log-sum-exp D_f keeps its base point's
+log probabilities, bit for bit.  A region's sampler builds the one vertex it
 draws, not the vertex table.
 """
 
@@ -219,40 +220,40 @@ class L1BallRegion:
 # ---------------------------------------------------------------------------
 
 def _quadratic_oracles(Q, b, m: int) -> dict:
-    """f(y) = 1/2 y'Qy + b'y with symmetric positive semidefinite Q.
+    """f(y) = 1/2 y'Qy + b'y with symmetric positive semidefinite Q, given as
+    None (the identity), a length-m vector (its diagonal) or an m x m matrix.
 
     The conjugate is 1/2 (u-b)'Q^+(u-b) on b + range(Q) and +inf outside,
-    which covers the singular and the zero-matrix cases.
+    which covers the singular and the zero-matrix cases.  An exactly diagonal
+    matrix is cut to its diagonal first, so every diagonal Q takes one path,
+    with its entries as its eigenvalues; eigh runs only for any other Q.
     """
-    identity = Q is None  # the diagonal of ones, with no m x m array and no eigh
-    Q = np.ones(m) if identity else np.asarray(Q, dtype=float)
+    Q = np.ones(m) if Q is None else np.asarray(Q, dtype=float)
     b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
-    if not identity and Q.shape != (m, m):
-        raise ConstructionError(f"Q must be {m}x{m}, got {Q.shape}")
+    if Q.shape not in ((m,), (m, m)):
+        raise ConstructionError(f"Q must be a length-{m} diagonal or {m}x{m}, got {Q.shape}")
     if b.shape != (m,):
         raise ConstructionError(f"b must have length {m}, got {b.shape}")
     for name, part in (("Q", Q), ("b", b)):
-        if not np.all(np.isfinite(part)):
+        if not np.isfinite(part).all():
             raise ConstructionError(f"{name} has non-finite entries")
-    if identity:  # eigh(I) gives ones, and so a pseudo-inverse of exact ones
-        pinv, positive_definite, diagonal = np.ones(m), True, True
-    else:
-        if not np.array_equal(Q, Q.T):
-            raise ConstructionError("Q must be exactly symmetric")
-        w, V = np.linalg.eigh(Q)
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-        if float(np.min(w)) < -1e-12 * scale:
-            raise ConstructionError("Q must be positive semidefinite")
-        w = np.where(w > 1e-12 * scale, w, 0.0)
-        pinv = (V * np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)) @ V.T
-        positive_definite = bool(np.all(w > 0.0))
-        diagonal = np.array_equal(Q, np.diag(np.diag(Q)))
-        if diagonal:
-            Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()
-    if diagonal:
+    if Q.ndim == 2 and np.array_equal(Q, np.diag(np.diag(Q))):
+        Q = np.diag(Q).copy()
+    if Q.ndim == 2 and not np.array_equal(Q, Q.T):
+        raise ConstructionError("Q must be exactly symmetric")
+    w, V = (Q, None) if Q.ndim == 1 else np.linalg.eigh(Q)  # a diagonal's eigenvalues: its entries
+    lo, hi = float(w.min()), float(w.max())
+    tol = 1e-12 * max(1.0, -lo, hi)  # relative to the largest |eigenvalue|
+    if lo < -tol:
+        raise ConstructionError("Q must be positive semidefinite")
+    # the pseudo-inverse keeps 1/w for each eigenvalue w above tol and 0 for the rest
+    positive_definite = lo > tol
+    pinv = 1.0 / w if positive_definite else np.divide(1.0, w, out=np.zeros_like(w), where=w > tol)
+    if V is None:
         # elementwise, bit for bit: each entry of a product is one term plus exact zeros
         times, form = np.multiply, lambda d, M: float((d * M) @ d)
     else:
+        pinv = (V * pinv) @ V.T
         times, form = np.matmul, lambda d, M: float(d @ M @ d)
 
     def f_val(y) -> float:
@@ -344,7 +345,8 @@ def _indicator_spec(region, fpart_oracles, linmap, name) -> ProblemSpec:
 
 
 def make_quadratic_simplex(Q=None, b=None, n: int = 2, a=None) -> ProblemSpec:
-    """min 1/2 (Ax)'Q(Ax) + b'(Ax) over the probability simplex."""
+    """min 1/2 (Ax)'Q(Ax) + b'(Ax) over the probability simplex; ``Q`` is None
+    (the identity), a length-m vector holding its diagonal, or m x m."""
     linmap = _resolve_map(n, a)
     fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = SimplexRegion(n)
@@ -360,8 +362,8 @@ def _box_bound(value, default: float, n: int, name: str) -> np.ndarray:
 
 
 def make_quadratic_box(Q=None, b=None, lower=None, upper=None, n: int = 2, a=None) -> ProblemSpec:
-    """Quadratic objective over the box [lower, upper]^n (default [-1, 1]^n);
-    each bound is a scalar or a length-n vector."""
+    """Quadratic objective (``Q`` as in make_quadratic_simplex) over the box
+    [lower, upper]^n (default [-1, 1]^n); each bound is a scalar or length n."""
     linmap = _resolve_map(n, a)
     lower, upper = (_box_bound(v, default, n, name)
                     for v, default, name in ((lower, -1.0, "lower"), (upper, 1.0, "upper")))
@@ -371,7 +373,8 @@ def make_quadratic_box(Q=None, b=None, lower=None, upper=None, n: int = 2, a=Non
 
 
 def make_quadratic_l1_ball(Q=None, b=None, radius: float = 1.0, n: int = 2, a=None) -> ProblemSpec:
-    """Quadratic objective over the l1 ball of the given radius."""
+    """Quadratic objective (``Q`` as in make_quadratic_simplex) over the l1
+    ball of the given radius."""
     linmap = _resolve_map(n, a)
     fpart = _quadratic_oracles(Q, b, linmap.dim_out)
     region = L1BallRegion(n, radius)
@@ -380,8 +383,9 @@ def make_quadratic_l1_ball(Q=None, b=None, radius: float = 1.0, n: int = 2, a=No
 
 def make_entropy_lse(n: int, a=None, f_kind: str = "quadratic", Q=None, b=None) -> ProblemSpec:
     """Negative entropy on the simplex as h, so h* = log-sum-exp and the
-    conjugate-subgradient oracle is softmax.  f is quadratic (``Q``, ``b``)
-    by default or log-sum-exp, which takes neither, when ``f_kind="lse"``."""
+    conjugate-subgradient oracle is softmax.  f is quadratic (``Q``, ``b``, as
+    in make_quadratic_simplex) by default or log-sum-exp, which takes neither,
+    when ``f_kind="lse"``."""
     if n < 2:
         raise ConstructionError(f"entropy problem needs n >= 2, got {n}")
     linmap = _resolve_map(n, a)

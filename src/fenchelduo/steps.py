@@ -201,11 +201,7 @@ class StepRule:
 
     ``select`` receives the iteration index, the current certified gap, and a
     callable ``d_fun(alpha)`` evaluating the surrogate's divergence term.
-    ``is_schedule`` marks rules whose output depends on k alone, which the
-    run-equivalence checks require.
     """
-
-    is_schedule = False
 
     def select(self, k: int, gap: float, d_fun) -> float:  # pragma: no cover
         raise NotImplementedError
@@ -213,8 +209,6 @@ class StepRule:
 
 @dataclass(frozen=True)
 class FixedHarmonic(StepRule):
-    is_schedule = True
-
     def select(self, k, gap, d_fun):
         """The 2/(k+2) schedule; equals 1 at k = 0."""
         return 2.0 / (k + 2.0)
@@ -223,7 +217,6 @@ class FixedHarmonic(StepRule):
 @dataclass(frozen=True)
 class OpenLoop(StepRule):
     gamma: float = 2.0
-    is_schedule = True
 
     def __post_init__(self):
         if not 0.0 < self.gamma < INF:

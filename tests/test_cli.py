@@ -535,6 +535,31 @@ class TestVerify:
         assert "OK: 60 passed" in capsys.readouterr().out
         assert whole - single <= 39_600, (whole, single)
 
+    @pytest.mark.parametrize("algo", ["gcs", "gmd", "hybrid"])
+    def test_replays_the_run_the_config_describes(self, tmp_path, monkeypatch, capsys, algo):
+        """verify runs each driver in the config's mode: for a sharp exact_ls
+        config, verify's run of the configured driver takes the step sizes of
+        run's trace.csv bit for bit, which a plain run does not, and passes"""
+        cfg = write_config(tmp_path / "cfg.json", algorithm=algo, rule="exact_ls",
+                           mode="sharp", problem={"name": "entropy-lse", "n": 6, "f": "lse",
+                                                  "a": {"random": [6, 6]}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        recorded = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",", skiprows=1)[:, 1]
+        real, seen = getattr(cli, f"run_{algo}"), []
+
+        def driver(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            seen.append(trace.alphas)
+            return trace
+
+        monkeypatch.setattr(cli, f"run_{algo}", driver)
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.endswith("OK: 20 passed, 0 failed\n")
+        [alphas] = seen
+        assert alphas.tobytes() == recorded.tobytes()
+        plain = json.loads(cfg.read_text()) | {"mode": "plain"}
+        assert cli.execute(plain).alphas.tobytes() != recorded.tobytes()
+
     def test_config_k_max_is_the_budget(self, tmp_path, monkeypatch, capsys):
         budgets = []
 
@@ -720,21 +745,17 @@ def test_oracle_error_exits_three(tmp_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("problem, match", [
-    ({"name": "quadratic-simplex", "n": 2 ** 32}, "matrix Q, m = 4294967296"),
     # the largest n is the most float64 entries of one array, 2^60 - 1
     ({"name": "quadratic-box", "n": 2 ** 60}, "problem.n must be an integer in [1, 1152921504606846975]"),
-    ({"name": "entropy-lse", "n": 2 ** 32}, "matrix Q, m = 4294967296"),
-    ({"name": "quadratic-l1", "n": 2, "a": {"random": [2 ** 31, 2]}, "b": 1},
-     "and m * m for a quadratic f"),
+    ({"name": "quadratic-l1", "n": 2, "a": {"random": [2 ** 60, 2]}, "b": 1},
+     "problem.a.random must be"),
     ({"name": "holder-power-simplex", "n": 2 ** 31, "a": {"random": [2 ** 33, 2 ** 31]}},
      "problem.a.random must be"),
-], ids=["simplex", "box", "entropy", "l1-random-A", "holder-random-A"])
+], ids=["box", "l1-random-A", "holder-random-A"])
 def test_dense_array_numpy_cannot_hold_is_config_error(tmp_path, monkeypatch, capsys, problem,
                                                       match):
     # the config check refuses each size before anything is built; without
-    # it, numpy would refuse each array before allocating it, except the
-    # random 2^31 x 2 map of l1, which must not be drawn: its m x m Q is
-    # checked first
+    # it, numpy would refuse each array before allocating it; no map is drawn
     monkeypatch.setattr(cli, "random_linear_map", lambda *args: pytest.fail("map drawn"))
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -754,19 +775,24 @@ def test_memory_error_while_building_is_config_error(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == "config error: Unable to allocate 48.0 GiB for an array\n"
 
 
-@pytest.mark.parametrize("problem", [
-    {"name": "holder-power-simplex", "n": 2 ** 59},
-    {"name": "entropy-lse", "n": 2 ** 59, "f": "lse"},
-], ids=["holder", "entropy-lse"])
-def test_start_points_too_large_are_config_error(tmp_path, capsys, problem):
-    # neither family builds a dense matrix, so n passes the config checks; the
+START_POINTS = "problem.n = 576460752303423488: the start points do not fit in memory ("
+
+
+@pytest.mark.parametrize("problem, where", [
+    ({"name": "holder-power-simplex", "n": 2 ** 59}, START_POINTS),
+    ({"name": "entropy-lse", "n": 2 ** 59, "f": "lse"}, START_POINTS),
+    ({"name": "quadratic-simplex", "n": 2 ** 59}, ""),
+    ({"name": "entropy-lse", "n": 2 ** 59}, ""),
+], ids=["holder", "entropy-lse", "simplex", "entropy"])
+def test_start_points_too_large_are_config_error(tmp_path, capsys, problem, where):
+    # no family builds a dense matrix, so n passes the config checks; the
     # first length-n vector, 4 EiB, lies beyond any address space, so numpy
-    # refuses it without allocating
+    # refuses it without allocating: a start point, or a quadratic f's
+    # diagonal of Q while the problem is built
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: problem.n = 576460752303423488: the start points "
-                          "do not fit in memory (Unable to allocate")
+    assert err.startswith(f"config error: {where}Unable to allocate 4.00 EiB")
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import fenchelduo as fd
 from fenchelduo.duality import _deviation
+from test_reference_drivers import FAMILIES, build, start
 
 
 def quad_simplex():
@@ -114,10 +115,6 @@ class TestBachEquivalence:
         dual = fd.run_gmd(fd.dualize(spec), [-1.0, 0.0], fd.FixedHarmonic(), 1)
         np.testing.assert_array_equal(dual.vs[1], -primal.xs[1])
 
-    def test_refuses_line_search(self):
-        with pytest.raises(fd.RangeError, match="trajectory-dependent rule ExactLineSearch$"):
-            fd.check_bach_equivalence(quad_simplex(), [1.0, 0.0], fd.ExactLineSearch(), 5)
-
     def test_open_loop_is_accepted(self):
         assert fd.check_bach_equivalence(quad_simplex(), [1.0, 0.0],
                                          fd.OpenLoop(3.0), 25) <= 1e-12
@@ -148,10 +145,18 @@ class TestHybridSymmetry:
         np.testing.assert_array_equal(there.xs[1], -here.us[1])
         np.testing.assert_array_equal(there.us[1], here.xs[1])
 
-    def test_refuses_line_search(self):
-        with pytest.raises(fd.RangeError):
-            fd.check_hybrid_symmetry(quad_simplex(), [1.0, 0.0], [1.0, 0.0],
-                                     fd.ExactLineSearch(), 5)
+
+@pytest.mark.parametrize("rule", [fd.ExactLineSearch(), fd.OpenLoop(3.0)],
+                         ids=["exact_ls", "open_loop_3"])
+@pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_equivalences_hold_under_any_rule(family, general, rule):
+    """no rule is refused: each check's two runs present a line search the
+    same (k, gap, d_fun) up to sign, so both deviations stay at rounding"""
+    spec = build(family, general)
+    x0, u0, _ = start(spec)
+    assert fd.check_bach_equivalence(spec, x0, rule, 40) <= 1e-12
+    assert fd.check_hybrid_symmetry(spec, x0, u0, rule, 40) <= 1e-12
 
 
 def failing_gradient(spec):

@@ -23,8 +23,6 @@ from test_reference_drivers import FAMILIES, RULES, assert_same_run, bits, build
 class FreezeAfterFirst(fd.StepRule):
     """Full first step, then alpha = 0 forever."""
 
-    is_schedule = True
-
     def select(self, k, gap, d_fun):
         return 1.0 if k == 0 else 0.0
 

@@ -67,7 +67,9 @@ VERIFY_PEAK = "tests/test_cli.py::TestVerify::test_peak_memory_is_one_run_and_it
 # the modules of tests/ that a killer's file imports
 HELPERS = {"tests/test_reference_drivers.py": ["tests/reference_drivers.py"],
            "tests/test_engine.py": ["tests/reference_drivers.py",
-                                    "tests/test_reference_drivers.py"]}
+                                    "tests/test_reference_drivers.py"],
+           "tests/test_duality.py": ["tests/reference_drivers.py",
+                                     "tests/test_reference_drivers.py"]}
 
 # name -> (file of the package, its line, the mutation, the test that kills it)
 MUTATIONS = {
@@ -139,8 +141,8 @@ MUTATIONS = {
         LSE_MEMO),
     "diagonal-q-drops-b": (
         "problems.py",
-        "Q, pinv = np.diag(Q).copy(), np.diag(pinv).copy()",
-        "Q, pinv, b = np.diag(Q).copy(), np.diag(pinv).copy(), 0.0 * b",
+        "Q = np.diag(Q).copy()",
+        "Q, b = np.diag(Q).copy(), 0.0 * b",
         DIAGONAL),
     "repeat-memo-never-cleared": (
         "engine.py",
@@ -154,8 +156,8 @@ MUTATIONS = {
         DEVIATION_NAN),
     "verify-keeps-the-last-trace": (
         "cli.py",
-        "        trace = _drive(setup, algo)\n",
-        "        trace = check.kept = _drive(setup, algo)\n",
+        "        trace = _drive(setup, algo, mode=setup.mode)\n",
+        "        trace = check.kept = _drive(setup, algo, mode=setup.mode)\n",
         RELEASED),
     "parser-left-to-the-collector": (
         "cli.py",

@@ -2,6 +2,7 @@
 samplers that draw one vertex alone, and construction-time validation."""
 
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
 import fenchelduo as fd
-from fenchelduo import problems
+from fenchelduo import cli, problems
 
 mpmath.mp.dps = 50
 
@@ -50,11 +51,19 @@ class TestQuadratic:
         with pytest.raises(fd.ConstructionError):
             fd.make_quadratic_simplex(Q=np.diag([1.0, -1.0]), n=2)
 
-    @pytest.mark.parametrize("Q", [np.eye(3), np.eye(2)[:1], np.ones(2)],
-                             ids=["3x3", "1x2", "1-D"])
-    def test_wrong_shape_Q_rejected(self, Q):
-        with pytest.raises(fd.ConstructionError, match=r"Q must be 2x2, got"):
-            fd.make_quadratic_simplex(Q=Q, n=2)
+    @pytest.mark.parametrize("Q, rejected", [
+        (np.eye(3), True), (np.eye(2)[:1], True), (np.ones(3), True),
+        (np.eye(2), False), (np.ones(2), False),
+    ], ids=["3x3", "1x2", "length-3", "2x2", "length-2"])
+    def test_wrong_shape_Q_rejected(self, Q, rejected):
+        """Q is m x m or a length-m vector holding its diagonal, and nothing else"""
+        if rejected:
+            with pytest.raises(fd.ConstructionError,
+                               match=r"^Q must be a length-2 diagonal or 2x2, got \("):
+                fd.make_quadratic_simplex(Q=Q, n=2)
+        else:
+            spec = fd.make_quadratic_simplex(Q=Q, n=2)
+            np.testing.assert_array_equal(spec.f_grad(np.array([1.0, 0.0])), [1.0, 0.0])
 
     def test_wrong_length_b_rejected(self):
         with pytest.raises(fd.ConstructionError, match="b must have length 2"):
@@ -109,10 +118,12 @@ def diagonal_quadratics(draw):
 def test_diagonal_q_is_the_matrix_form_bit_for_bit(case):
     """the elementwise forms of a diagonal Q give f, f', f* (with its range
     test) and D_f of the literal matrix forms, with Q and its
-    pseudo-inverse written out, bit for bit; no closure keeps an m x m array"""
+    pseudo-inverse written out, bit for bit; Q given as its diagonal vector
+    gives the same values as its 2-D form; no closure keeps an m x m array"""
     Q, q, b, (y1, y2, y3) = case
     m = q.shape[0]
     spec = fd.make_quadratic_box(Q=Q, b=b, n=m)
+    from_vector = fd.make_quadratic_box(Q=q.copy(), b=b, n=m)
     M = np.diag(q)
     keep = q > 1e-12 * max(1.0, float(np.abs(q).max()))
     pinv = np.diag(np.where(keep, 1.0 / np.where(keep, q, 1.0), 0.0))
@@ -129,18 +140,20 @@ def test_diagonal_q_is_the_matrix_form_bit_for_bit(case):
         return np.asarray(value, dtype=float).tobytes()
 
     for y in (y1, y2):
-        assert bits(spec.f_val(y)) == bits(0.5 * float(y @ M @ y) + float(b @ y))
-        assert bits(spec.f_grad(y)) == bits(M @ y + b)
-        # u in b + range(Q), and u anywhere: off the range when Q has zeros
-        for u in (M @ y + b, y3):
-            assert bits(spec.f_conj_val(u)) == bits(conj(u))
-        d = y - y2
-        assert bits(spec.breg_f(y, y2)) == bits(max(0.5 * float(d @ M @ d), 0.0))
-    for name in ("f_val", "f_grad", "f_conj_val", "breg_f"):
-        for cell in getattr(spec, name).__closure__ or ():
-            value = cell.cell_contents
-            if isinstance(value, np.ndarray):
-                assert value.ndim == 1 and value.base is None, name
+        for s in (spec, from_vector):
+            assert bits(s.f_val(y)) == bits(0.5 * float(y @ M @ y) + float(b @ y))
+            assert bits(s.f_grad(y)) == bits(M @ y + b)
+            # u in b + range(Q), and u anywhere: off the range when Q has zeros
+            for u in (M @ y + b, y3):
+                assert bits(s.f_conj_val(u)) == bits(conj(u))
+            d = y - y2
+            assert bits(s.breg_f(y, y2)) == bits(max(0.5 * float(d @ M @ d), 0.0))
+    for s in (spec, from_vector):
+        for name in ("f_val", "f_grad", "f_conj_val", "breg_f"):
+            for cell in getattr(s, name).__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    assert value.ndim == 1 and value.base is None, name
 
 
 class TestEntropyLse:
@@ -394,18 +407,39 @@ def test_sampling_builds_no_vertex_table(region):
     assert peak < 100 * 8 * region.n, peak
 
 
-def test_identity_q_builds_no_m_by_m_array():
-    """Q=None builds its oracles from length-m vectors alone: no m x m array
-    (2 MB at m = 500) and no eigendecomposition"""
+@pytest.mark.parametrize("build", [
+    lambda m: fd.make_quadratic_box(b=np.ones(m), n=m),
+    lambda m: fd.make_quadratic_box(Q=np.full(m, 2.0), b=np.ones(m), n=m),
+    lambda m: cli.build_problem({"name": "quadratic-box", "n": m, "q": 2.0, "b": 1.0}, 0),
+], ids=["None", "vector", "cli-scalar-q"])
+def test_identity_q_builds_no_m_by_m_array(build):
+    """Q=None, Q given as its diagonal, and the CLI's scalar q build their
+    oracles from length-m vectors alone: no m x m array (2 MB at m = 500)
+    and no eigendecomposition"""
     m = 500
-    b = np.ones(m)
     tracemalloc.start()
     try:
-        fd.make_quadratic_box(b=b, n=m)
+        build(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * m * m / 20, peak
+
+
+def test_scalar_q_builds_at_scale():
+    """the CLI's scalar q is Q's diagonal: quadratic-simplex at n = 10^5
+    builds in under 1 s and peaks at a few length-n vectors (0.8 MB each),
+    where an n x n Q would take 80 GB"""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        spec = cli.build_problem({"name": "quadratic-simplex", "n": 10 ** 5, "q": 2.0}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 8e6, peak
+    assert spec.f_val(np.ones(10 ** 5)) == 10.0 ** 5
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 60, 500])

@@ -4,8 +4,8 @@ hand-mirrored dual side, the helpers folded into their one caller and the
 adaptive-exponent rule stay gone; the settable surface of the step rules and
 the drivers stays pinned, and README lists exactly the rules there are; a
 trace's fields and the iterate histories each driver fills stay pinned; no
-message spells out an oracle's name; and no oracle is called outside the
-checked layer."""
+message spells out an oracle's name; no oracle is called outside the
+checked layer; and np.eye builds nothing but a region's vertex table."""
 
 import ast
 import dataclasses
@@ -60,6 +60,28 @@ def test_settable_surface_is_pinned():
                         "run_hybrid": ["epsilon", "mode", "history"]}
     sources = sorted(Path(fd.__file__).parent.glob("*.py"))
     assert sources and not [p.name for p in sources if "environ" in p.read_text()]
+
+
+def _eye_calls(node, where):
+    """(module, enclosing classes and functions) of each np.eye call below ``node``"""
+    for child in ast.iter_child_nodes(node):
+        scope = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        inner = where + (child.name,) if scope else where
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "np.eye":
+            yield inner
+        yield from _eye_calls(child, inner)
+
+
+def test_identity_matrix_only_in_vertex_tables():
+    """np.eye is called only by a region's vertices(), which asks for the n x n
+    table; no problem, oracle or config builds an m x m array on its way to a
+    run, and the text holds no other np.eye( either"""
+    sources = sorted(Path(fd.__file__).parent.glob("*.py"))
+    calls = sorted(call for path in sources
+                   for call in _eye_calls(ast.parse(path.read_text()), (path.stem,)))
+    assert calls == [("problems", "L1BallRegion", "vertices"),
+                     ("problems", "SimplexRegion", "vertices")]
+    assert sum(path.read_text().count("np.eye(") for path in sources) == len(calls)
 
 
 def test_trace_fields_are_pinned():
