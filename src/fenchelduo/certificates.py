@@ -5,11 +5,6 @@
   gets ``lambda = alpha_k``, ``mu = 1`` and all older entries are scaled by
   ``(1 - alpha_k)``.  With ``alpha_0 = 1`` the lambda row is a probability
   vector for every k.
-* :func:`step_divergence_primal` -- the one-step increment of the
-  recursive gap bound: the Bregman term of the smooth part (the plain bound)
-  plus the Jensen slack of the nonsmooth part (the sharpened bound, never
-  larger than plain).  The dual side's increment is the same function on
-  :func:`~fenchelduo.oracles.dualize` of the spec, from v toward -z.
 
 The ``*_identity_residuals`` functions replay a finished trace against the
 exact algebraic identities the certificates are built on; they weight the
@@ -41,11 +36,10 @@ import math
 import numpy as np
 
 from .oracles import (InfiniteValue, ProblemSpec, StateError, _bregman, _oracle_name,
-                      _oracle_point, _oracle_value, bregman_f, dualize)
+                      _oracle_point, _oracle_value, dualize)
 
 __all__ = [
     "weight_rows",
-    "step_divergence_primal",
     "cg_identity_residuals",
     "md_identity_residuals",
     "hybrid_identity_residuals",
@@ -77,32 +71,6 @@ def _guarded(spec: ProblemSpec, coeff: float, value: float, where: str) -> float
         raise InfiniteValue(f"oracle {_oracle_name(spec, 'h_val')} returned +inf at the "
                             f"{where} point of a step")
     return coeff * value
-
-
-def _divergence(spec: ProblemSpec, d: float, h, h_end: float, target, alpha: float) -> float:
-    # step_divergence_primal toward target from a point of h value h, read at the end point
-    # of the step (finite h value h_end), from the Bregman term d across the step
-    value = d + h_end
-    value -= _guarded(spec, 1.0 - alpha, h, "base")
-    value -= _guarded(spec, alpha, _oracle_value(spec, "h_val", target), "target")
-    return value
-
-
-def step_divergence_primal(x: np.ndarray, s: np.ndarray, alpha: float, spec: ProblemSpec) -> float:
-    """One-step certificate increment on the primal side.
-
-    Bregman distance of f(A .) across the step from x toward s, plus the
-    Jensen slack of h at the same interpolation.  Never exceeds the Bregman
-    term alone (convexity of h), which is what makes the sharpened gap
-    recursion at least as tight as the plain one.  On ``dualize(spec)``,
-    from v toward -z, it is the dual side's increment: D_{h*} along A* plus
-    the Jensen slack of w -> f*(-w).
-    """
-    A = spec.linmap.apply
-    comb = (1.0 - alpha) * x + alpha * s
-    h_comb = _guarded(spec, 1.0, _oracle_value(spec, "h_val", comb), "interpolated")
-    h = _oracle_value(spec, "h_val", x)
-    return _divergence(spec, bregman_f(A(comb), A(x), spec), h, h_comb, s, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +131,11 @@ def _step(spec: ProblemSpec, k: int, base, y, f, g, h, target, alpha: float, end
                              f"before toward its oracle target (defect {float(defect.max()):.3e})")
     y_end, h_end = spec.linmap.apply(end), _recorded(spec, "h_val", end)
     d, f_end, _, _ = _bregman(spec, y_end, y, f, g)
-    return y_end, f_end, h_end, _divergence(spec, d, h, h_end, target, alpha)
+    # the sharpened increment: D plus the Jensen slack of h across the step
+    d += h_end
+    d -= _guarded(spec, 1.0 - alpha, h, "base")
+    d -= _guarded(spec, alpha, _oracle_value(spec, "h_val", target), "target")
+    return y_end, f_end, h_end, d
 
 
 def _value(spec: ProblemSpec, f_end, y_end) -> float:

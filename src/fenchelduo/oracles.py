@@ -37,7 +37,6 @@ __all__ = [
     "ProblemSpec",
     "bregman_f",
     "dualize",
-    "fenchel_young_residual",
 ]
 
 INF = math.inf
@@ -114,17 +113,6 @@ class LinearMap:
             dim_out=mat.shape[0],
             matrix=mat,
         )
-
-    def adjoint_residual(self, rng: np.random.Generator, trials: int = 100) -> float:
-        """Worst relative defect of <Ax, u> = <x, A*u> over random probes."""
-        worst = 0.0
-        for _ in range(trials):
-            x = rng.standard_normal(self.dim_in)
-            u = rng.standard_normal(self.dim_out)
-            lhs = float(np.dot(self.apply(x), u))
-            rhs = float(np.dot(x, self.adjoint(u)))
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -294,24 +282,3 @@ def _bregman(spec: ProblemSpec, y, x, fx=None, g=None):
         fx = _oracle_value(spec, "f_val", x, at="the Bregman base point", error=DomainError)
     g = _oracle_point(spec, "f_grad", x) if g is None else g
     return _snap(fy - fx - float(np.dot(g, y - x))), fy, fx, g
-
-
-def fenchel_young_residual(spec: ProblemSpec, y: Optional[np.ndarray] = None,
-                           w: Optional[np.ndarray] = None) -> float:
-    """Relative Fenchel-Young defect at oracle outputs; 0 for exact conjugate pairs.
-
-    With ``y`` given checks  f(y) + f*(f'(y)) = <f'(y), y>;  with ``w`` given
-    checks  h*(w) + h((h*)'(w)) = <w, (h*)'(w)>.  Returns the worst defect.
-    """
-    worst = 0.0
-    if y is not None:
-        g = _oracle_point(spec, "f_grad", y)
-        lhs = _oracle_value(spec, "f_val", y) + _oracle_value(spec, "f_conj_val", g)
-        rhs = float(np.dot(g, y))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    if w is not None:
-        p = _oracle_point(spec, "h_conj_grad", w)
-        lhs = _oracle_value(spec, "h_conj_val", w) + _oracle_value(spec, "h_val", p)
-        rhs = float(np.dot(w, p))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return worst

@@ -20,12 +20,17 @@ The certificate code is spelled out here by hand: ``CertificateAggregate``
 the two, which the package's kernel keeps inline),
 ``step_divergence_primal`` (the sharpened increment, which the package's
 kernel computes in ``engine._Segment.increment``, and the replay in
-``certificates._divergence`` at the recorded end point of the step), and
+``certificates._step`` at the recorded end point of the step), and
 the dual-side ``bregman_hconj`` and ``step_divergence_dual``, which the
 package computes as the primal-side functions of ``dualize(spec)``.  The mirror-descent and
 symmetric loops use these copies, never ``dualize``.  Each loop appends its
 rows to Python lists and hands the finished trace over as the package does:
 float64 columns, and each history one (rows, dim) array.
+
+Two oracle-contract checks are written here from the math, calling a spec's
+callables directly: ``fenchel_young_defect`` (f, f* and f', and h*, h and
+(h*)', are conjugate pairs and subgradients at the oracle outputs) and
+``adjoint_defect`` (A* is the adjoint of A on random probes).
 """
 
 import math
@@ -95,6 +100,28 @@ def step_divergence_dual(v, neg_z, alpha, spec):
     value -= _guarded(1.0 - alpha, float(spec.f_conj_val(-v)), "f* at the base point")
     value -= _guarded(alpha, float(spec.f_conj_val(-neg_z)), "f* at the target point")
     return value
+
+
+def fenchel_young_defect(spec, y, w):
+    """Worst relative Fenchel-Young defect at the oracle outputs, 0 for exact
+    conjugate pairs:  f(y) + f*(f'(y)) = <f'(y), y>  and
+    h*(w) + h((h*)'(w)) = <w, (h*)'(w)>.  NaN or +inf reads as NaN or +inf."""
+    g = np.asarray(spec.f_grad(y), dtype=float)
+    p = np.asarray(spec.h_conj_grad(w), dtype=float)
+    pairs = ((float(spec.f_val(y)) + float(spec.f_conj_val(g)), float(g @ y)),
+             (float(spec.h_conj_val(w)) + float(spec.h_val(p)), float(w @ p)))
+    return float(np.max([abs(lhs - rhs) / (1.0 + abs(rhs)) for lhs, rhs in pairs]))
+
+
+def adjoint_defect(linmap, rng, trials):
+    """Worst relative defect of <A x, u> = <x, A* u> over ``trials`` Gaussian
+    probes (x, u), drawn in that order."""
+    defects = []
+    for _ in range(trials):
+        x, u = rng.standard_normal(linmap.dim_in), rng.standard_normal(linmap.dim_out)
+        lhs, rhs = float(np.dot(linmap.apply(x), u)), float(np.dot(x, linmap.adjoint(u)))
+        defects.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return float(np.max(defects))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fenchelduo as fd
 from fenchelduo.certificates import _decayed_sums
+from reference_drivers import step_divergence_dual, step_divergence_primal
 
 mpmath.mp.dps = 50
 
@@ -75,28 +76,31 @@ class TestWeights:
 
 
 class TestStepDivergencePrimal:
+    """The sharpened increment of the reference loops, which the package's kernel
+    and replay compute inline (each checked against these loops and the identities)"""
+
     def setup_method(self):
         self.spec = fd.make_quadratic_simplex(n=2)
         self.e1 = np.array([1.0, 0.0])
         self.e2 = np.array([0.0, 1.0])
 
     def test_full_step(self):
-        assert fd.step_divergence_primal(self.e1, self.e2, 1.0, self.spec) == 1.0
+        assert step_divergence_primal(self.e1, self.e2, 1.0, self.spec) == 1.0
 
     def test_zero_step(self):
-        assert fd.step_divergence_primal(self.e1, self.e2, 0.0, self.spec) == 0.0
+        assert step_divergence_primal(self.e1, self.e2, 0.0, self.spec) == 0.0
 
     def test_half_step(self):
-        got = fd.step_divergence_primal(self.e1, self.e2, 0.5, self.spec)
+        got = step_divergence_primal(self.e1, self.e2, 0.5, self.spec)
         assert got == pytest.approx(0.25, abs=0)
 
     def test_infinite_h_term(self):
         with pytest.raises(fd.InfiniteValue):
-            fd.step_divergence_primal(np.array([2.0, 0.0]), self.e2, 0.5, self.spec)
+            step_divergence_primal(np.array([2.0, 0.0]), self.e2, 0.5, self.spec)
 
     def test_full_step_skips_base_h(self):
         # alpha = 1 must not evaluate (1-alpha) * h(x) when h(x) = +inf
-        got = fd.step_divergence_primal(np.array([2.0, 0.0]), self.e2, 1.0, self.spec)
+        got = step_divergence_primal(np.array([2.0, 0.0]), self.e2, 1.0, self.spec)
         assert got == pytest.approx(fd.bregman_f(self.e2, np.array([2.0, 0.0]), self.spec))
 
     def test_never_exceeds_bregman_term(self):
@@ -106,21 +110,23 @@ class TestStepDivergencePrimal:
             x = rng.dirichlet(np.ones(3))
             s = fd.softmax(rng.standard_normal(3))
             a = rng.random()
-            div = fd.step_divergence_primal(x, s, a, spec)
+            div = step_divergence_primal(x, s, a, spec)
             breg = fd.bregman_f((1 - a) * x + a * s, x, spec)
             assert div <= breg + 1e-12
 
 
 class TestStepDivergenceDual:
+    """The dual side's increment of the reference loops, from v toward -z"""
+
     def test_all_zero_case(self):
-        dual = fd.dualize(fd.make_entropy_lse(2))
+        spec = fd.make_entropy_lse(2)
         for a in (0.0, 0.3, 1.0):
-            assert fd.step_divergence_primal(np.zeros(2), np.zeros(2), a, dual) == pytest.approx(
+            assert step_divergence_dual(np.zeros(2), np.zeros(2), a, spec) == pytest.approx(
                 0.0, abs=1e-15)
 
     def test_zero_alpha(self):
-        dual = fd.dualize(fd.make_entropy_lse(2))
-        got = fd.step_divergence_primal(np.array([1.0, 0.0]), np.array([0.3, -0.2]), 0.0, dual)
+        spec = fd.make_entropy_lse(2)
+        got = step_divergence_dual(np.array([1.0, 0.0]), np.array([0.3, -0.2]), 0.0, spec)
         assert got == 0.0
 
     def test_lse_quadratic_case_against_high_precision(self):
@@ -128,8 +134,8 @@ class TestStepDivergenceDual:
         # Bregman distance D((0,0), (1,0)) = log 2 - lse(1,0) + e/(1+e).
         # (An approximate decimal elsewhere quotes 0.10651 for this quantity;
         # the exact expression evaluates to 0.110944...)
-        dual = fd.dualize(fd.make_entropy_lse(2))
-        got = fd.step_divergence_primal(np.array([1.0, 0.0]), np.zeros(2), 1.0, dual)
+        spec = fd.make_entropy_lse(2)
+        got = step_divergence_dual(np.array([1.0, 0.0]), np.zeros(2), 1.0, spec)
         e = mpmath.e
         want = float(mpmath.log(2) - mpmath.log(1 + e) + e / (1 + e))
         assert got == pytest.approx(want, rel=1e-12)
@@ -321,6 +327,23 @@ class TestIdentityResiduals:
         recomputed = fd.cg_identity_residuals(trace, spec)
         for k in (1, 7, 33, 60):
             assert recomputed[k - 1] <= 1e-10 and trace.residual[k - 1] <= 1e-10
+
+    @pytest.mark.parametrize("algo", ["gcs", "hybrid"])
+    def test_full_first_step_drops_an_infinite_base_h(self, algo):
+        # h(x_0) = +inf outside the simplex enters with the weight 1 - alpha_0 = 0,
+        # in the kernel's increment and in the replay's
+        spec = fd.make_quadratic_simplex(n=2)
+        x0 = np.array([2.0, 0.0])
+        assert spec.h_val(x0) == math.inf
+        if algo == "gcs":
+            trace = fd.run_gcs(spec, x0, fd.FixedHarmonic(), 30)
+            residuals = fd.cg_identity_residuals(trace, spec)
+        else:
+            trace = fd.run_hybrid(spec, x0, spec.f_grad(x0), fd.ExactLineSearch(), 30,
+                                  mode="sharp")
+            residuals = fd.hybrid_identity_residuals(trace, spec)
+        assert trace.error is None and trace.k == 30
+        assert float(np.max(residuals)) <= 1e-8
 
     def test_md_identity_on_all_kinds(self):
         rng = np.random.default_rng(2)

@@ -80,6 +80,17 @@ def test_infinite_closed_form_bregman_at_the_chosen_step_ends_run():
     assert_prefix(broken, healthy)
 
 
+def test_infinite_h_at_the_interpolated_point_ends_sharp_run():
+    # the 4th h_val call reads h at the interpolated point of step 2, where +inf
+    # (outside dom h) raises InfiniteValue in the kernel's sharp increment
+    x0, _ = start(quadratic())
+    healthy = fd.run_gcs(quadratic(), x0, fd.FixedHarmonic(), 20, mode="sharp")
+    spec = failing(quadratic(), "h_val", float("inf"), from_call=4)
+    broken = fd.run_gcs(spec, x0, fd.FixedHarmonic(), 20, mode="sharp")
+    assert broken.error == "oracle h_val returned +inf at the interpolated point of a step"
+    assert_prefix(broken, healthy)
+
+
 def test_infinite_closed_form_bregman_shrinks_the_line_search_bracket():
     # D_f is +inf on long steps: a probe there must count as an infinite
     # surrogate value, as an InfiniteValue raised by the oracle does

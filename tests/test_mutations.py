@@ -13,14 +13,17 @@ closed-form Bregman distance returns NaN; one moves x toward the previous
 step's target, killed by the default ``verify`` suite, whose replays check
 that each recorded iterate is the step toward its own oracle target, and
 which also kills a replay that keeps f(y_0) as every row's Bregman base
-value instead of carrying f(y) from row to row; one weights the new term
-of the replay's weighted-sum recursion by 1 - alpha_k instead of 1, killed
-by the test of that recursion against the explicit weight rows of every k
-on the 2/(k+2) schedule; two give a hybrid curvature line its covector as
-the base gradient, u for z = f'(A x) on the primal line and x for
-s = (h*)'(-A* u) on the dual line, killed by the bit-for-bit test of
-``curvature_along_trace`` against a literal per-step-size Bregman loop on
-hybrid.  Four break the reuse of evaluations: a line search's final step
+value instead of carrying f(y) from row to row; one weights h at the
+target of the replay's step divergence by 1 - alpha_k instead of alpha_k,
+killed by the gcs replay's increments against the reference loops' on
+entropy-lse (h is zero at every target of an indicator, which hides it);
+one weights the new term of the replay's weighted-sum recursion by
+1 - alpha_k instead of 1, killed by the test of that recursion against the
+explicit weight rows of every k on the 2/(k+2) schedule; two give a hybrid
+curvature line its covector as the base gradient, u for z = f'(A x) on the
+primal line and x for s = (h*)'(-A* u) on the dual line, killed by the
+bit-for-bit test of ``curvature_along_trace`` against a literal
+per-step-size Bregman loop on hybrid.  Four break the reuse of evaluations: a line search's final step
 that reuses a plain probe takes h at the base for h at its point, killed by
 the reference loops with the exact line search, whose plain runs make such
 steps; a segment marks its step size evaluated before D is computed, killed
@@ -64,8 +67,12 @@ FROZEN = "tests/test_engine.py::test_frozen_search_makes_no_oracle_call"
 DEVIATION_NAN = "tests/test_duality.py::test_deviation_keeps_a_nan[1]"
 RELEASED = "tests/test_cli.py::TestVerify::test_each_trace_is_released_before_the_next_run"
 VERIFY_PEAK = "tests/test_cli.py::TestVerify::test_peak_memory_is_one_run_and_its_replay"
+REPLAY_LSE = ("tests/test_reference_drivers.py::"
+              "test_primal_replay_increments_are_the_reference_ones[entropy-lse-identity]")
 # the modules of tests/ that a killer's file imports
 HELPERS = {"tests/test_reference_drivers.py": ["tests/reference_drivers.py"],
+           "tests/test_certificates.py": ["tests/reference_drivers.py"],
+           "tests/test_problems.py": ["tests/reference_drivers.py"],
            "tests/test_engine.py": ["tests/reference_drivers.py",
                                     "tests/test_reference_drivers.py"],
            "tests/test_duality.py": ["tests/reference_drivers.py",
@@ -109,6 +116,11 @@ MUTATIONS = {
         "x, y, f, h = end, y_end, f_end, h_end",
         "x, y, f, h = end, y_end, f if k else _recorded(spec, 'f_val', y), h_end",
         VERIFY),
+    "replay-target-h-misweighted": (
+        "certificates.py",
+        'd -= _guarded(spec, alpha, _oracle_value(spec, "h_val", target), "target")',
+        'd -= _guarded(spec, 1.0 - alpha, _oracle_value(spec, "h_val", target), "target")',
+        REPLAY_LSE),
     "replay-weight-misplaced": (
         "certificates.py",
         "s = row[k] = keep * s + row[k]",
@@ -226,6 +238,10 @@ def test_step_target_mutation_is_killed(tmp_path):
 
 def test_replay_base_value_mutation_is_killed(tmp_path):
     assert_killed(tmp_path, "replay-keeps-first-base-f")
+
+
+def test_replay_target_h_mutation_is_killed(tmp_path):
+    assert_killed(tmp_path, "replay-target-h-misweighted")
 
 
 def test_replay_weight_mutation_is_killed(tmp_path):

@@ -2,12 +2,14 @@
 oracle step, and the duality gap."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 import fenchelduo as fd
+from reference_drivers import adjoint_defect, fenchel_young_defect
 
 mpmath.mp.dps = 50
 
@@ -49,7 +51,14 @@ class TestLinearMap:
         rng = np.random.default_rng(0)
         for shape in [(3, 3), (5, 3), (2, 7)]:
             lm = fd.random_linear_map(*shape, rng)
-            assert lm.adjoint_residual(np.random.default_rng(1), 100) <= 1e-12
+            assert adjoint_defect(lm, np.random.default_rng(1), 100) <= 1e-12
+
+    def test_adjoint_defect_bites(self):
+        # negative control: an adjoint off by 1e-6 in every entry reads above the bound
+        m = np.random.default_rng(0).standard_normal((5, 3))
+        off = fd.LinearMap(apply=lambda x: m @ x, adjoint=lambda u: (m + 1e-6).T @ u,
+                           dim_in=3, dim_out=5)
+        assert adjoint_defect(off, np.random.default_rng(1), 100) > 1e-12
 
     def test_identity_map_is_passthrough(self):
         lm = fd.LinearMap.identity(4)
@@ -234,4 +243,14 @@ class TestFenchelYoung:
             for _ in range(100):
                 y = rng.standard_normal(spec.dim_y)
                 w = rng.standard_normal(spec.dim_x)
-                assert fd.fenchel_young_residual(spec, y=y, w=w) <= 1e-9
+                assert fenchel_young_defect(spec, y, w) <= 1e-9
+
+    def test_defect_bites(self):
+        # negative control: f* off by 1e-6 reads above the bound at every probe
+        rng = np.random.default_rng(9)
+        spec = fd.make_entropy_lse(3)
+        off = replace(spec, f_conj_val=lambda u: spec.f_conj_val(u) + 1e-6)
+        for _ in range(100):
+            y, w = rng.standard_normal(spec.dim_y), rng.standard_normal(spec.dim_x)
+            assert fenchel_young_defect(spec, y, w) <= 1e-9
+            assert fenchel_young_defect(off, y, w) > 1e-9

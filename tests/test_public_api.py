@@ -1,11 +1,12 @@
 """The package namespace: every module's public names resolve on
 ``fenchelduo``, and names removed with the single iteration kernel, the
-hand-mirrored dual side, the helpers folded into their one caller and the
-adaptive-exponent rule stay gone; the settable surface of the step rules and
-the drivers stays pinned, and README lists exactly the rules there are; a
-trace's fields and the iterate histories each driver fills stay pinned; no
-message spells out an oracle's name; no oracle is called outside the
-checked layer; and np.eye builds nothing but a region's vertex table."""
+hand-mirrored dual side, the helpers folded into their one caller, the
+adaptive-exponent rule and the helpers only the tests called stay gone; the
+settable surface of the step rules and the drivers stays pinned, and README
+lists exactly the rules there are; a trace's fields and the iterate
+histories each driver fills stay pinned; no message spells out an oracle's
+name; no oracle is called outside the checked layer; and np.eye builds
+nothing but a region's vertex table."""
 
 import ast
 import dataclasses
@@ -27,7 +28,8 @@ REMOVED = ("GapState", "gap_update", "WeightState", "update_weights", "linesearc
            "step_divergence_dual", "kl_divergence", "duality_gap", "dual_pair_step",
            "CertificateAggregate", "step_fixed_harmonic", "approx_gamma_select",
            "minimize_step_surrogate", "log_sum_exp", "neg_entropy", "QuadraticF",
-           "HolderPowerF", "make_rule", "ApproxGamma")
+           "HolderPowerF", "make_rule", "ApproxGamma", "step_divergence_primal",
+           "fenchel_young_residual")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
@@ -38,13 +40,18 @@ def test_module_exports_resolve_on_package(module):
 
 def test_public_name_count():
     names = {name for module in MODULES for name in module.__all__}
-    assert len(names) == 42
+    assert len(names) == 40
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert not hasattr(fd, name)
     assert all(not hasattr(module, name) for module in MODULES)
+
+
+def test_linear_map_has_no_adjoint_residual():
+    """the adjoint check is the tests' own ``reference_drivers.adjoint_defect``"""
+    assert not hasattr(fd.LinearMap, "adjoint_residual")
 
 
 def test_settable_surface_is_pinned():

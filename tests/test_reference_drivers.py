@@ -20,6 +20,7 @@ from reference_drivers import (
     ref_run_gmd,
     ref_run_hybrid,
     step_divergence_dual,
+    step_divergence_primal,
 )
 
 K = 60
@@ -118,7 +119,7 @@ def test_dual_side_is_primal_side_of_dualize(family, general, monkeypatch):
         assert bits(fd.bregman_f(v, u, dual)) == bits(bregman_hconj(v, u, spec))
         w, z = rng.standard_normal((2, spec.dim_y))
         a = (0.0, 1.0, rng.random())[min(i, 2)]
-        assert (bits(fd.step_divergence_primal(w, -z, a, dual))
+        assert (bits(step_divergence_primal(w, -z, a, dual))
                 == bits(step_divergence_dual(w, -z, a, spec)))
     _, _, v0 = start(spec)
     trace = fd.run_gmd(spec, v0, fd.ExactLineSearch(), K)
@@ -137,6 +138,26 @@ def test_dual_side_is_primal_side_of_dualize(family, general, monkeypatch):
     assert bits(weighted_div) == bits(div)
     assert bits(seen["_relative"][2]) == bits(dual)
     np.testing.assert_allclose(got, ref_md_identity_residuals(trace, spec), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["identity", "random-A"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_primal_replay_increments_are_the_reference_ones(family, general, monkeypatch):
+    """the gcs replay's per-step divergences are the reference's sharpened
+    increments at the recorded iterates and their oracle targets, bit for bit"""
+    spec = build(family, general)
+    x0, _, _ = start(spec)
+    trace = fd.run_gcs(spec, x0, fd.ExactLineSearch(), K, mode="sharp")
+    assert trace.error is None
+    seen = {}
+    monkeypatch.setattr(certificates, "_decayed_sums",
+                        spy(seen, "_decayed_sums", certificates._decayed_sums))
+    fd.cg_identity_residuals(trace, spec)
+    A, At = spec.linmap.apply, spec.linmap.adjoint
+    targets = [spec.h_conj_grad(-At(spec.f_grad(A(x)))) for x in trace.xs[:-1]]
+    want = [step_divergence_primal(x, s, a, spec)
+            for x, s, a in zip(trace.xs[:-1], targets, trace.alphas)]
+    np.testing.assert_array_equal(seen["_decayed_sums"][2], want)
 
 
 def spy(seen, key, fn):
